@@ -61,7 +61,6 @@ from .model import (
     embed_graph,
     gnn_forward,
     gnn_train_step,
-    init_gnn_params,
     mask_attributes,
     precompute_graph_features,
 )

@@ -7,12 +7,36 @@ a fixed-width attribute vector (e.g. an RGB color); width zero is allowed.
 
 All values are immutable after construction: coordinate arrays are marked
 read-only, so instances are safe to share across threads.
+
+Flat face-loop layout
+---------------------
+Every per-face computation (validation, Newell normals, the surface graph's
+edges) runs as array code over one flat layout of all face loops, built once
+per solid, on first use, as :attr:`Polyhedron.face_loops` (a
+:class:`FaceLoops`).  The loops are concatenated face by face into *slots*;
+slot ``s`` holds
+
+* ``verts[s]``: the vertex id at that loop position,
+* ``face[s]``: the face owning it,
+* ``nxt[s]`` / ``prv[s]``: the slot of the next / previous vertex of the same
+  loop, wrapping from the last slot of a loop to its first and back,
+
+and face ``f`` owns the slots ``starts[f] : starts[f] + lengths[f]``.  Slot
+``s`` is also the directed edge ``verts[s] -> verts[nxt[s]]``, so the slot
+ids are the surface graph's edge ids.  Per-face sums are
+:meth:`FaceLoops.sums`, per-face maxima ``np.maximum.reduceat`` over
+``starts`` (which needs every loop to be non-empty), and per-slot dot
+products :func:`_rowdot`.  Both add their terms as a per-face
+``rows.sum(axis=0)`` and ``a @ b`` add them, so the vectorized Newell
+normals keep the bits of per-face code.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +53,97 @@ def _frozen(values, dtype=np.float64):
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _ro(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class FaceLoops:
+    """All face loops of a solid as flat slot arrays (layout in the module note)."""
+
+    verts: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    face: np.ndarray
+    nxt: np.ndarray
+    prv: np.ndarray
+
+    @classmethod
+    def from_lengths(cls, verts, lengths) -> "FaceLoops":
+        """Layout of the loops ``verts`` holds back to back, ``lengths`` long."""
+        verts = np.asarray(verts, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        slot = np.arange(len(verts))
+        nxt, prv = slot + 1, slot - 1
+        filled = lengths > 0
+        first, last = starts[filled], (starts + lengths - 1)[filled]
+        nxt[last] = first
+        prv[first] = last
+        face = np.repeat(np.arange(len(lengths)), lengths)
+        return cls(*(_ro(a) for a in (verts, starts, lengths, face, nxt, prv)))
+
+    @classmethod
+    def from_loops(cls, loops) -> "FaceLoops":
+        lengths = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+        verts = np.fromiter(
+            itertools.chain.from_iterable(loops), dtype=np.int64, count=int(lengths.sum())
+        )
+        return cls.from_lengths(verts, lengths)
+
+    def subset(self, faces) -> "FaceLoops":
+        """Layout of the listed faces only, renumbered in the given order."""
+        keep = np.zeros(len(self.lengths), dtype=bool)
+        keep[faces] = True
+        return FaceLoops.from_lengths(self.verts[keep[self.face]], self.lengths[faces])
+
+    def sums(self, rows) -> np.ndarray:
+        """Per-loop sums of (n_slots, 3) slot rows.
+
+        Each loop's rows are added one at a time in slot order, as
+        ``rows[loop].sum(axis=0)`` adds them; ``np.add.reduceat`` groups the
+        terms differently and changes the last bits.
+        """
+        n = 3 * len(self.lengths)
+        return np.bincount(self._xyz_bins, rows.ravel(), minlength=n).reshape(-1, 3)
+
+    @cached_property
+    def _xyz_bins(self):
+        return (3 * self.face[:, None] + np.arange(3)).ravel()
+
+
+def _cross(a, b):
+    """Row-wise cross product of (n, 3) arrays; equal to ``np.cross`` bit for
+    bit, without its axis handling, which dominates on small arrays."""
+    ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
+    bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
+    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=1)
+
+
+def _rowdot(a, b):
+    """Row-wise dot products of (n, 3) arrays, as a stack of ``a[r] @ b[r]``.
+
+    With numpy 2.4 and OpenBLAS these round like the one-vector ``a @ b``
+    and ``np.linalg.norm`` of per-face code; ``np.einsum`` does not.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _newell(pts, loops: FaceLoops):
+    """Newell vector of every loop at once: twice its vector area.
+
+    ``pts`` holds the coordinates of each slot.  Centering each loop on its
+    centroid keeps the sum well conditioned far from the origin, and the sum
+    of cross products is robust for near-collinear vertex triples, unlike a
+    single cross product.  Returns the Newell vectors, the loop centroids
+    and the centered slot coordinates.  Every loop must be non-empty.
+    """
+    centroids = loops.sums(pts) / loops.lengths[:, None]
+    centered = pts - centroids[loops.face]
+    return loops.sums(_cross(centered, centered[loops.nxt])), centroids, centered
 
 
 @dataclass(frozen=True)
@@ -85,6 +200,11 @@ class Polyhedron:
             raise GeometryError(f"inconsistent attribute widths: {sorted(dims)}")
         object.__setattr__(self, "faces", faces)
 
+    @cached_property
+    def face_loops(self) -> FaceLoops:
+        """Flat layout of the face loops (see the module note), built on first use."""
+        return FaceLoops.from_loops([face.loop for face in self.faces])
+
     @property
     def n_vertices(self):
         return self.vertices.shape[0]
@@ -127,22 +247,18 @@ class ValidationReport:
         return [i.code for i in self.issues]
 
 
-def _newell_vector(points):
-    """Sum of cross products around the loop; twice the vector area.
-
-    Centering on the loop centroid keeps the sum well conditioned far from
-    the origin.  Robust for near-collinear vertex triples, unlike a single
-    cross product.
-    """
-    c = points.mean(axis=0)
-    q = points - c
-    return np.cross(q, np.roll(q, -1, axis=0)).sum(axis=0)
+def _face_newell(p: Polyhedron, face_index: int) -> np.ndarray:
+    loop = p.faces[face_index].loop
+    if len(loop) < 3:
+        # Fewer than three points span no area: their cross products cancel.
+        return np.zeros(3)
+    loops = FaceLoops.from_lengths(loop, [len(loop)])
+    return _newell(p.vertices[loops.verts], loops)[0][0]
 
 
 def face_normal(p: Polyhedron, face_index: int) -> np.ndarray:
     """Outward unit normal of one face, via Newell's method over the loop."""
-    pts = p.vertices[list(p.faces[face_index].loop)]
-    n = _newell_vector(pts)
+    n = _face_newell(p, face_index)
     norm = np.linalg.norm(n)
     if norm < DEGENERATE_NORMAL_TOL:
         raise GeometryError(f"degenerate face {face_index}: |newell| = {norm:.3e}")
@@ -150,8 +266,7 @@ def face_normal(p: Polyhedron, face_index: int) -> np.ndarray:
 
 
 def face_area(p: Polyhedron, face_index: int) -> float:
-    pts = p.vertices[list(p.faces[face_index].loop)]
-    return 0.5 * float(np.linalg.norm(_newell_vector(pts)))
+    return 0.5 * float(np.linalg.norm(_face_newell(p, face_index)))
 
 
 def validate_polyhedron(
@@ -166,83 +281,110 @@ def validate_polyhedron(
     belong to fewer than two faces.  Inward-pointing normals are reported as
     warnings only, since the centroid test is meaningful just for convex
     solids.
+
+    Issues come face by face (short loop, repeated vertex, zero-length edges
+    and collinear vertices in loop order, then degenerate or non-coplanar
+    face), then per directed edge in (tail, head) order, then per vertex.
+    Loops shorter than three take part in no other check.
     """
-    issues = []
-    warnings = []
     scale = p.bbox_diagonal() or 1.0
     solid_centroid = p.vertices.mean(axis=0) if p.n_vertices else np.zeros(3)
+    nv = p.n_vertices
 
-    directed = {}
-    face_count_per_vertex = np.zeros(p.n_vertices, dtype=np.int64)
+    # Face issues sort by (face, check, slot); the checks run over all faces
+    # at once, so their findings are collected first and ordered at the end.
+    found = []
+    lengths = p.face_loops.lengths
+    short = np.flatnonzero(lengths < 3)
+    found += [
+        ((f, 0, 0), ValidationIssue("short_loop", f"face {f}", float(n)))
+        for f, n in zip(short.tolist(), lengths[short].tolist())
+    ]
+    kept = np.flatnonzero(lengths >= 3)
+    loops = p.face_loops.subset(kept) if len(short) else p.face_loops
+    fid = kept.tolist()  # face id of each kept loop
+    owner = kept[loops.face].tolist()  # face id of each slot
+    verts = loops.verts
+    heads = verts[loops.nxt]
 
-    for fi, face in enumerate(p.faces):
-        loop = face.loop
-        where = f"face {fi}"
-        if len(loop) < 3:
-            issues.append(ValidationIssue("short_loop", where, float(len(loop))))
-            continue
-        if len(set(loop)) != len(loop):
-            issues.append(ValidationIssue("repeated_vertex", where))
-        face_count_per_vertex[np.unique(list(loop))] += 1
+    # One sort of (face, vertex) pairs finds repeats within a loop and the
+    # number of distinct faces around each vertex.
+    pairs = np.sort(loops.face * nv + verts)
+    first = np.diff(pairs, prepend=-1) != 0
+    found += [
+        ((fid[f], 1, 0), ValidationIssue("repeated_vertex", f"face {fid[f]}"))
+        for f in np.unique(pairs[~first] // nv).tolist()
+    ]
+    faces_per_vertex = np.bincount(pairs[first] % nv, minlength=nv)
 
-        pts = p.vertices[list(loop)]
-        nxt = np.roll(pts, -1, axis=0)
-        edge_lens = np.linalg.norm(nxt - pts, axis=1)
-        for k, length in enumerate(edge_lens):
-            if length < 1e-12 * scale:
-                issues.append(
-                    ValidationIssue(
-                        "zero_length_edge",
-                        f"face {fi} edge ({loop[k]},{loop[(k + 1) % len(loop)]})",
-                        float(length),
-                    )
-                )
+    pts = p.vertices[verts]
+    edge = pts[loops.nxt] - pts
+    edge_len = np.linalg.norm(edge, axis=1)
+    found += [
+        (
+            (owner[s], 2, s),
+            ValidationIssue(
+                "zero_length_edge",
+                f"face {owner[s]} edge ({verts[s]},{heads[s]})",
+                float(edge_len[s]),
+            ),
+        )
+        for s in np.flatnonzero(edge_len < 1e-12 * scale).tolist()
+    ]
 
-        # Collinear (or spiked) vertices make in-plane angles ill defined
-        # downstream, so they are flagged as issues and rejected.
-        prv = np.roll(pts, 1, axis=0)
-        e_in = pts - prv
-        e_out = nxt - pts
-        cross_norm = np.linalg.norm(np.cross(e_in, e_out), axis=1)
-        len_prod = np.linalg.norm(e_in, axis=1) * np.linalg.norm(e_out, axis=1)
-        bad = (cross_norm < 1e-12 * np.maximum(len_prod, 1e-300)) & (len_prod > 0)
-        for k in np.nonzero(bad)[0]:
+    # Collinear (or spiked) vertices make in-plane angles ill defined
+    # downstream, so they are flagged as issues and rejected.
+    cross_norm = np.linalg.norm(_cross(edge[loops.prv], edge), axis=1)
+    len_prod = edge_len[loops.prv] * edge_len
+    collinear = (cross_norm < 1e-12 * np.maximum(len_prod, 1e-300)) & (len_prod > 0)
+    found += [
+        (
+            (owner[s], 3, s),
+            ValidationIssue("collinear_vertices", f"face {owner[s]} vertex {verts[s]}"),
+        )
+        for s in np.flatnonzero(collinear).tolist()
+    ]
+
+    newell, centroids, centered = _newell(pts, loops)
+    norm = np.sqrt(_rowdot(newell, newell))
+    degenerate = norm < DEGENERATE_NORMAL_TOL
+    unit = newell / np.where(degenerate, 1.0, norm)[:, None]
+    dev = np.maximum.reduceat(np.abs(_rowdot(centered, unit[loops.face])), loops.starts)
+    non_coplanar = ~degenerate & (dev > coplanarity_tol * scale)
+    inward = ~degenerate & (_rowdot(unit, centroids - solid_centroid) < 0.0)
+    found += [
+        ((fid[f], 4, 0), ValidationIssue("degenerate_face", f"face {fid[f]}", float(norm[f])))
+        for f in np.flatnonzero(degenerate).tolist()
+    ]
+    found += [
+        ((fid[f], 4, 0), ValidationIssue("non_coplanar_face", f"face {fid[f]}", float(dev[f])))
+        for f in np.flatnonzero(non_coplanar).tolist()
+    ]
+    found.sort(key=lambda item: item[0])
+    issues = [issue for _, issue in found]
+    warnings = [
+        ValidationIssue("inward_normal", f"face {fid[f]}")
+        for f in np.flatnonzero(inward).tolist()
+    ]
+
+    # Directed edges as encoded (tail, head) keys: one sort counts them, and
+    # an edge is paired when its reversed key is present.
+    proper = verts != heads
+    keys, counts = np.unique(verts[proper] * nv + heads[proper], return_counts=True)
+    paired = np.isin((keys % nv) * nv + keys // nv, keys)
+    for u in np.flatnonzero((counts > 1) | ~paired).tolist():
+        a, b = divmod(int(keys[u]), nv)
+        if counts[u] > 1:
             issues.append(
-                ValidationIssue("collinear_vertices", f"face {fi} vertex {loop[k]}")
+                ValidationIssue("duplicate_directed_edge", f"edge ({a},{b})", int(counts[u]))
             )
-
-        n = _newell_vector(pts)
-        norm = np.linalg.norm(n)
-        if norm < DEGENERATE_NORMAL_TOL:
-            issues.append(ValidationIssue("degenerate_face", where, float(norm)))
-        else:
-            n = n / norm
-            dev = float(np.abs((pts - pts.mean(axis=0)) @ n).max())
-            if dev > coplanarity_tol * scale:
-                issues.append(ValidationIssue("non_coplanar_face", where, dev))
-            if float(n @ (pts.mean(axis=0) - solid_centroid)) < 0.0:
-                warnings.append(ValidationIssue("inward_normal", where))
-
-        for k in range(len(loop)):
-            a, b = loop[k], loop[(k + 1) % len(loop)]
-            if a == b:
-                continue
-            directed[(a, b)] = directed.get((a, b), 0) + 1
-
-    for (a, b), count in sorted(directed.items()):
-        if count > 1:
-            issues.append(
-                ValidationIssue("duplicate_directed_edge", f"edge ({a},{b})", count)
-            )
-        if directed.get((b, a), 0) == 0:
+        if not paired[u]:
             issues.append(ValidationIssue("unpaired_directed_edge", f"edge ({a},{b})"))
 
-    for v in np.nonzero(face_count_per_vertex < 2)[0]:
-        issues.append(
-            ValidationIssue(
-                "vertex_in_few_faces", f"vertex {v}", float(face_count_per_vertex[v])
-            )
-        )
+    issues += [
+        ValidationIssue("vertex_in_few_faces", f"vertex {v}", float(faces_per_vertex[v]))
+        for v in np.flatnonzero(faces_per_vertex < 2).tolist()
+    ]
 
     return ValidationReport(ok=not issues, issues=tuple(issues), warnings=tuple(warnings))
 

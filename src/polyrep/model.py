@@ -222,10 +222,6 @@ class GnnParams:
         return copy.deepcopy(self)
 
 
-def init_gnn_params(cfg: GnnConfig) -> GnnParams:
-    return GnnParams(cfg)
-
-
 @dataclass(frozen=True)
 class EmbeddingOutput:
     h_graph: np.ndarray  # (n_graphs, layers * hidden_dim)

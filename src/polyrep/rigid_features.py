@@ -34,7 +34,7 @@ from .errors import (
     InconsistentRigidSetError,
     DisconnectedSurfaceError,
 )
-from .geometry import PolygonFace, Polyhedron, rotation_about_axis
+from .geometry import PolygonFace, Polyhedron, _cross, _ro, rotation_about_axis
 from .surface_graph import SurfaceGraph, SurfaceTopology
 
 _PARALLEL_TOL = 1e-12
@@ -63,15 +63,14 @@ def enumerate_paths(g: SurfaceGraph, include_backtracking: bool = True) -> PathS
     faces adjacent across the undirected edge {i, j}, which is what carries
     the hinge dihedral needed to fold faces back together.
     """
-    e1_list, e2_list = [], []
+    # Edges sorted by (tail, head) are grouped by i then j; each e1 = i -> j
+    # is followed by the out-edges of j, a contiguous run of the same order.
     order, starts = g._out_order, g._out_starts
-    head = g.edge_head
-    for e1 in order:  # order is sorted by (tail, head): i then j
-        out2 = order[starts[head[e1]] : starts[head[e1] + 1]]  # sorted by k
-        e1_list.append(np.full(len(out2), e1, dtype=np.int64))
-        e2_list.append(out2)
-    e1_arr = np.concatenate(e1_list) if e1_list else np.zeros(0, dtype=np.int64)
-    e2_arr = np.concatenate(e2_list) if e2_list else np.zeros(0, dtype=np.int64)
+    mid = g.edge_head[order]
+    run_start, run_len = starts[mid], starts[mid + 1] - starts[mid]
+    e1_arr = np.repeat(order, run_len)
+    offset = np.repeat(run_start - (np.cumsum(run_len) - run_len), run_len)
+    e2_arr = order[np.arange(len(e1_arr)) + offset]
     if not include_backtracking:
         keep = e2_arr != g.opposite[e1_arr]
         e1_arr, e2_arr = e1_arr[keep], e2_arr[keep]
@@ -119,6 +118,8 @@ class RigidSet:
         object.__setattr__(self, "keys", _ro(keys[order]))
         for name in ("d1", "d2", "theta", "phi"):
             arr = np.array(getattr(self, name), dtype=np.float64)[order]
+            if not np.all(np.isfinite(arr)):
+                raise InconsistentRigidSetError(f"non-finite {name} in rigid set")
             object.__setattr__(self, name, _ro(arr))
         for name in ("face1", "face2"):
             arr = np.array(getattr(self, name), dtype=np.int64)[order]
@@ -160,11 +161,6 @@ class RigidSet:
                 float(self.phi[r]),
                 (int(self.face1[r]), int(self.face2[r])),
             )
-
-
-def _ro(arr):
-    arr.setflags(write=False)
-    return arr
 
 
 def _wrap_angle(a):
@@ -254,7 +250,7 @@ def _path_geometry(g: SurfaceGraph, paths: PathSet):
     n1 = normals[face1]
     n2 = normals[face2]
 
-    cross12 = np.cross(u1, u2)
+    cross12 = _cross(u1, u2)
     theta_y = np.einsum("pc,pc->p", cross12, n1)
     theta_x = np.einsum("pc,pc->p", u1, u2)
     theta = np.arctan2(theta_y, theta_x)
@@ -274,7 +270,7 @@ def _path_geometry(g: SurfaceGraph, paths: PathSet):
 
     dot = np.clip(np.einsum("pc,pc->p", n1, n2), -1.0, 1.0)
     base = np.arccos(dot)
-    hinge = np.cross(n1, n2)
+    hinge = _cross(n1, n2)
     hinge_norm = np.linalg.norm(hinge, axis=1)
 
     backtracking = paths.k == paths.i
@@ -307,16 +303,21 @@ def compute_rigid_set(g: SurfaceGraph, include_backtracking: bool = True) -> Rig
 
 
 def rigid_sets_equal(a: RigidSet, b: RigidSet, tol: float) -> bool:
-    """Same keys; distances within tol * max(d, 1); wrap-aware angles; same faces."""
+    """Same keys; distances within tol * max(d, 1); wrap-aware angles; same faces.
+
+    A non-finite value never compares equal: every test is "within tol",
+    which NaN fails.
+    """
     if len(a) != len(b) or not np.array_equal(a.keys, b.keys):
         return False
     if not np.array_equal(a.face1, b.face1) or not np.array_equal(a.face2, b.face2):
         return False
     for da, db in ((a.d1, b.d1), (a.d2, b.d2)):
-        if np.any(np.abs(da - db) > tol * np.maximum(np.maximum(np.abs(da), np.abs(db)), 1.0)):
+        bound = tol * np.maximum(np.maximum(np.abs(da), np.abs(db)), 1.0)
+        if not np.all(np.abs(da - db) <= bound):
             return False
     for ta, tb in ((a.theta, b.theta), (a.phi, b.phi)):
-        if np.any(np.abs(_wrap_angle(ta - tb)) > tol):
+        if not np.all(np.abs(_wrap_angle(ta - tb)) <= tol):
             return False
     return True
 
@@ -377,7 +378,7 @@ def reconstruct_face(rigid: RigidSet, start_edge, face: int) -> dict:
         a, b = b, c
     else:
         raise InconsistentRigidSetError(f"face {face} chain does not close")
-    if max(closure) > 1e-6 * perimeter:
+    if not max(closure) <= 1e-6 * perimeter:  # NaN fails too
         raise InconsistentRigidSetError(
             f"face {face} loop closure residual {max(closure):.3e} "
             f"exceeds tolerance for perimeter {perimeter:.3e}"
@@ -425,7 +426,7 @@ def reconstruct_polyhedron(rigid: RigidSet, topology: SurfaceTopology) -> Polyhe
             diag = float(np.linalg.norm(hi - lo))
             tol = 1e-6 * max(diag, 1e-12)
             dev = float(np.linalg.norm(at - pos[node]))
-            if dev > tol:
+            if not dev <= tol:  # NaN fails too
                 raise InconsistentRigidSetError(
                     f"vertex {node} re-placed {dev:.3e} away (tol {tol:.3e})"
                 )

@@ -6,6 +6,11 @@ edge of the solid appears as two opposite directed edges in two different
 faces.  A face is stored as the ordered chain of its edge ids plus an
 attribute vector.  The conversion is lossless: :meth:`SurfaceGraph.to_polyhedron`
 is an exact inverse of :meth:`SurfaceGraph.from_polyhedron`.
+
+The face chains concatenated are the flat face-loop layout of
+:mod:`polyrep.geometry` with edge ids in the slots: a graph built from a
+polyhedron numbers its edges by slot, so edge ``e`` runs from
+``verts[e]`` to ``verts[nxt[e]]`` of the solid's ``face_loops``.
 """
 
 from __future__ import annotations
@@ -17,9 +22,12 @@ import numpy as np
 from .errors import GraphError, InvalidPolyhedronError
 from .geometry import (
     DEFAULT_COPLANARITY_TOL,
+    DEGENERATE_NORMAL_TOL,
+    FaceLoops,
     PolygonFace,
     Polyhedron,
-    _newell_vector,
+    _newell,
+    _rowdot,
     validate_polyhedron,
 )
 
@@ -75,9 +83,13 @@ class SurfaceGraph:
         if attrs.size == 0:
             attrs = attrs.reshape(len(self.face_edges), -1)
         attrs.setflags(write=False)
-        face_edges = tuple(np.array(fe, dtype=np.int64) for fe in self.face_edges)
-        for fe in face_edges:
-            fe.setflags(write=False)
+        n_faces = len(self.face_edges)
+        lengths = np.fromiter(map(len, self.face_edges), dtype=np.int64, count=n_faces)
+        chains = np.concatenate([np.zeros(0, dtype=np.int64), *self.face_edges])
+        chains = chains.astype(np.int64, copy=False)
+        chains.setflags(write=False)
+        # Views into one read-only array, one per face.
+        face_edges = tuple(np.split(chains, np.cumsum(lengths)[:-1])) if n_faces else ()
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "edge_tail", tail)
         object.__setattr__(self, "edge_head", head)
@@ -85,55 +97,67 @@ class SurfaceGraph:
         object.__setattr__(self, "face_edges", face_edges)
         object.__setattr__(self, "attrs", attrs)
 
-        n_edges = len(tail)
+        n_nodes, n_edges = len(coords), len(tail)
         if not (len(head) == len(eface) == n_edges):
             raise GraphError("edge arrays must have equal length")
+        ends = np.concatenate([tail, head])
+        if np.any((ends < 0) | (ends >= n_nodes)):
+            raise GraphError(f"edge endpoints must be node ids below {n_nodes}")
         if np.any(tail == head):
             raise GraphError("directed edges must join distinct nodes")
-        if attrs.shape[0] != len(face_edges):
+        if attrs.shape[0] != n_faces:
             raise GraphError("one attribute row per face required")
 
-        seen = {}
-        for e in range(n_edges):
-            key = (int(tail[e]), int(head[e]))
-            if key in seen:
-                raise GraphError(f"duplicate directed edge {key}")
-            seen[key] = e
-        opposite = np.empty(n_edges, dtype=np.int64)
-        for e in range(n_edges):
-            o = seen.get((int(head[e]), int(tail[e])))
-            if o is None:
-                raise GraphError(
-                    f"edge ({tail[e]},{head[e]}) has no opposite"
-                )
-            if eface[o] == eface[e]:
-                raise GraphError(
-                    f"edge ({tail[e]},{head[e]}) and its opposite share face {eface[e]}"
-                )
-            opposite[e] = o
+        # Sorting by (tail, head) puts a duplicate next to its twin and lets
+        # every edge find its opposite by binary search.
+        order = np.lexsort((head, tail))
+        sorted_keys = tail[order] * n_nodes + head[order]
+        twin = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+        if len(twin):
+            e = order[twin[0]]
+            raise GraphError(f"duplicate directed edge {(int(tail[e]), int(head[e]))}")
+        reversed_keys = head * n_nodes + tail
+        at = np.minimum(np.searchsorted(sorted_keys, reversed_keys), n_edges - 1)
+        opposite = order[at]
+        missing = sorted_keys[at] != reversed_keys
+        bad = np.flatnonzero(missing | (eface[opposite] == eface))
+        if len(bad):
+            e = bad[0]
+            if missing[e]:
+                raise GraphError(f"edge ({tail[e]},{head[e]}) has no opposite")
+            raise GraphError(
+                f"edge ({tail[e]},{head[e]}) and its opposite share face {eface[e]}"
+            )
         opposite.setflags(write=False)
         object.__setattr__(self, "opposite", opposite)
 
-        covered = np.zeros(n_edges, dtype=bool)
-        for fi, chain in enumerate(face_edges):
-            if len(chain) < 3:
-                raise GraphError(f"face {fi} chain shorter than 3 edges")
-            for pos, e in enumerate(chain):
-                if eface[e] != fi:
-                    raise GraphError(f"edge {e} listed in face {fi} but owned by {eface[e]}")
-                if covered[e]:
-                    raise GraphError(f"edge {e} appears in two face chains")
-                covered[e] = True
-                nxt = chain[(pos + 1) % len(chain)]
-                if head[e] != tail[nxt]:
-                    raise GraphError(f"face {fi} chain breaks at edge {e}")
-        if not covered.all():
+        short = np.flatnonzero(lengths < 3)
+        if len(short):
+            raise GraphError(f"face {short[0]} chain shorter than 3 edges")
+        if np.any((chains < 0) | (chains >= n_edges)):
+            raise GraphError(f"face chains must list edge ids below {n_edges}")
+        loops = FaceLoops.from_lengths(tail[chains], lengths)
+        foreign = np.flatnonzero(eface[chains] != loops.face)
+        if len(foreign):
+            e = chains[foreign[0]]
+            raise GraphError(
+                f"edge {e} listed in face {loops.face[foreign[0]]} but owned by {eface[e]}"
+            )
+        uses = np.bincount(chains, minlength=n_edges)
+        if np.any(uses > 1):
+            raise GraphError(f"edge {np.flatnonzero(uses > 1)[0]} appears in two face chains")
+        breaks = np.flatnonzero(head[chains] != loops.verts[loops.nxt])
+        if len(breaks):
+            raise GraphError(
+                f"face {loops.face[breaks[0]]} chain breaks at edge {chains[breaks[0]]}"
+            )
+        if np.any(uses == 0):
             raise GraphError("some edges belong to no face chain")
+        object.__setattr__(self, "face_loops", loops)
 
         # CSR-style out-edge index ordered by (tail, head): neighbors and
         # path enumeration read straight off it in deterministic order.
-        order = np.lexsort((head, tail))
-        starts = np.searchsorted(tail[order], np.arange(len(coords) + 1))
+        starts = np.searchsorted(tail[order], np.arange(n_nodes + 1))
         order.setflags(write=False)
         starts.setflags(write=False)
         object.__setattr__(self, "_out_order", order)
@@ -145,28 +169,18 @@ class SurfaceGraph:
     def from_polyhedron(
         cls, p: Polyhedron, coplanarity_tol: float = DEFAULT_COPLANARITY_TOL
     ) -> "SurfaceGraph":
-        """Build the graph; refuses invalid polyhedra with their report."""
+        """Build the graph; refuses invalid polyhedra with their report.
+
+        Edge ids are the slots of ``p.face_loops``.
+        """
         report = validate_polyhedron(p, coplanarity_tol)
         if not report.ok:
             raise InvalidPolyhedronError(report)
-        tails, heads, efaces, face_edges = [], [], [], []
-        eid = 0
-        for fi, face in enumerate(p.faces):
-            loop = face.loop
-            chain = []
-            for k in range(len(loop)):
-                tails.append(loop[k])
-                heads.append(loop[(k + 1) % len(loop)])
-                efaces.append(fi)
-                chain.append(eid)
-                eid += 1
-            face_edges.append(np.array(chain, dtype=np.int64))
-        attrs = (
-            np.stack([f.attr for f in p.faces])
-            if p.faces
-            else np.zeros((0, 0))
-        )
-        return cls(p.vertices, tails, heads, efaces, tuple(face_edges), attrs)
+        loops = p.face_loops
+        face_edges = np.split(np.arange(len(loops.verts)), loops.starts[1:])
+        attrs = np.stack([f.attr for f in p.faces]) if p.faces else np.zeros((0, 0))
+        heads = loops.verts[loops.nxt]
+        return cls(p.vertices, loops.verts, heads, loops.face, tuple(face_edges), attrs)
 
     # -- queries -------------------------------------------------------------
 
@@ -200,18 +214,17 @@ class SurfaceGraph:
 
     def face_loop(self, fi: int) -> tuple:
         """Vertex loop of a face, read off its edge chain."""
-        return tuple(int(self.edge_tail[e]) for e in self.face_edges[fi])
+        return tuple(self.edge_tail[self.face_edges[fi]].tolist())
 
     def face_normals(self) -> np.ndarray:
         """Outward unit normals per face (Newell over each loop)."""
-        normals = np.empty((self.n_faces, 3))
-        for fi in range(self.n_faces):
-            n = _newell_vector(self.coords[list(self.face_loop(fi))])
-            norm = np.linalg.norm(n)
-            if norm < 1e-12:
-                raise GraphError(f"degenerate face {fi} in surface graph")
-            normals[fi] = n / norm
-        return normals
+        loops = self.face_loops
+        newell = _newell(self.coords[loops.verts], loops)[0]
+        norm = np.sqrt(_rowdot(newell, newell))
+        degenerate = np.flatnonzero(norm < DEGENERATE_NORMAL_TOL)
+        if len(degenerate):
+            raise GraphError(f"degenerate face {degenerate[0]} in surface graph")
+        return newell / norm[:, None]
 
     def mean_edge_length(self) -> float:
         d = self.coords[self.edge_head] - self.coords[self.edge_tail]

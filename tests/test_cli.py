@@ -69,6 +69,25 @@ class TestFeaturesAndReconstruct:
         assert code == 3
 
 
+    def test_non_finite_rigid_set_is_numerical_failure(self, tmp_path, cube_json, capsys):
+        rigid = tmp_path / "cube.rigid"
+        topo = tmp_path / "cube.topo.json"
+        run(capsys, "features", cube_json, "--out", rigid, "--topology-out", topo)
+        lines = rigid.read_text().splitlines()
+        row = next(r for r, line in enumerate(lines) if line.split()[7] == line.split()[8])
+        parts = lines[row].split()
+        parts[4] = "nan"  # d2 of one inner tuple
+        lines[row] = " ".join(parts)
+        rigid.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "reconstruct", "--rigid", rigid, "--topology", topo, "--out", out
+        )
+        assert code == 3
+        assert "non-finite d2" in err
+        assert not out.exists()
+
+
 class TestChecks:
     def test_invariance_check(self, capsys):
         code, out, _ = run(capsys, "invariance-check", "--trials", 8, "--json")

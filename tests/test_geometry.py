@@ -105,6 +105,302 @@ class TestValidation:
             assert np.linalg.norm(vec) <= 1e-9 * total_area
 
 
+def _with_loops(p, loops, vertices=None):
+    verts = p.vertices if vertices is None else vertices
+    return Polyhedron(verts, tuple(PolygonFace(loop, np.zeros(0)) for loop in loops))
+
+
+def _unit_prism():
+    return extrude_polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]), 2.0)
+
+
+def _loops(p):
+    return [f.loop for f in p.faces]
+
+
+def _moved(p, vertex, to=None, by=None):
+    verts = np.array(p.vertices)
+    verts[vertex] = to if to is not None else verts[vertex] + by
+    return verts
+
+
+def _several_defects():
+    cube = make_box()
+    loops = _loops(cube)
+    loops = [loops[0], (0, 1), tuple(reversed(loops[2]))] + loops[3:] + [(1, 1, 2)]
+    verts = np.vstack([_moved(cube, 6, by=[0.0, 0.0, 0.2]), [[5.0, 5.0, 5.0]]])
+    return _with_loops(cube, loops, verts)
+
+
+# Each row: a defective solid built from the unit cube (vertices 0-3 at
+# z = 0, 4-7 at z = 1; loops (4,5,6,7) (3,2,1,0) (0,1,5,4) (1,2,6,5)
+# (2,3,7,6) (3,0,4,7)) or the triangular prism (loops (3,4,5) (2,1,0)
+# (0,1,4,3) (1,2,5,4) (2,0,3,5)), and the exact (code, where) sequences of
+# its issues and warnings.
+VALIDATION_TABLE = [
+    (
+        "short_loop",
+        lambda: _with_loops(make_box(), _loops(make_box()) + [(0, 1)]),
+        [("short_loop", "face 6")],
+        [],
+    ),
+    (
+        "empty_loop",
+        lambda: _with_loops(make_box(), _loops(make_box()) + [()]),
+        [("short_loop", "face 6")],
+        [],
+    ),
+    (
+        "repeated_vertex",
+        lambda: _with_loops(make_box(), [(4, 5, 6, 6)] + _loops(make_box())[1:]),
+        [
+            ("repeated_vertex", "face 0"),
+            ("zero_length_edge", "face 0 edge (6,6)"),
+            ("unpaired_directed_edge", "edge (4,7)"),
+            ("unpaired_directed_edge", "edge (6,4)"),
+            ("unpaired_directed_edge", "edge (7,6)"),
+        ],
+        [],
+    ),
+    (
+        "zero_length_edge",
+        lambda: _with_loops(
+            make_box(), _loops(make_box()), _moved(make_box(), 1, to=[0, 0, 0])
+        ),
+        [
+            ("zero_length_edge", "face 1 edge (1,0)"),
+            ("zero_length_edge", "face 2 edge (0,1)"),
+            ("non_coplanar_face", "face 3"),
+        ],
+        [],
+    ),
+    (
+        "collinear_vertices",
+        lambda: extrude_polygon(
+            np.array([[0, 0], [1, 0], [2, 0], [2, 2], [0, 2]], dtype=float), 1.0
+        ),
+        [
+            ("collinear_vertices", "face 0 vertex 6"),
+            ("collinear_vertices", "face 1 vertex 1"),
+        ],
+        [],
+    ),
+    (
+        "degenerate_face",
+        lambda: _with_loops(
+            _unit_prism(), _loops(_unit_prism()), _moved(_unit_prism(), 2, to=[0.5, 0, 0])
+        ),
+        [
+            ("collinear_vertices", "face 1 vertex 2"),
+            ("collinear_vertices", "face 1 vertex 1"),
+            ("collinear_vertices", "face 1 vertex 0"),
+            ("degenerate_face", "face 1"),
+            ("non_coplanar_face", "face 3"),
+            ("non_coplanar_face", "face 4"),
+        ],
+        [],
+    ),
+    (
+        "non_coplanar_face",
+        lambda: _with_loops(
+            make_box(), _loops(make_box()), _moved(make_box(), 0, by=[0.1, 0.1, 0.1])
+        ),
+        [
+            ("non_coplanar_face", "face 1"),
+            ("non_coplanar_face", "face 2"),
+            ("non_coplanar_face", "face 5"),
+        ],
+        [],
+    ),
+    (
+        "duplicate_directed_edge",
+        lambda: _with_loops(make_box(), _loops(make_box()) + [(4, 5, 6, 7)]),
+        [
+            ("duplicate_directed_edge", "edge (4,5)"),
+            ("duplicate_directed_edge", "edge (5,6)"),
+            ("duplicate_directed_edge", "edge (6,7)"),
+            ("duplicate_directed_edge", "edge (7,4)"),
+        ],
+        [],
+    ),
+    (
+        "unpaired_directed_edge",
+        lambda: _with_loops(_unit_prism(), _loops(_unit_prism())[1:]),
+        [
+            ("unpaired_directed_edge", "edge (3,5)"),
+            ("unpaired_directed_edge", "edge (4,3)"),
+            ("unpaired_directed_edge", "edge (5,4)"),
+        ],
+        [],
+    ),
+    (
+        "reversed_face",
+        lambda: _with_loops(make_box(), [(7, 6, 5, 4)] + _loops(make_box())[1:]),
+        [
+            ("duplicate_directed_edge", "edge (4,7)"),
+            ("unpaired_directed_edge", "edge (4,7)"),
+            ("duplicate_directed_edge", "edge (5,4)"),
+            ("unpaired_directed_edge", "edge (5,4)"),
+            ("duplicate_directed_edge", "edge (6,5)"),
+            ("unpaired_directed_edge", "edge (6,5)"),
+            ("duplicate_directed_edge", "edge (7,6)"),
+            ("unpaired_directed_edge", "edge (7,6)"),
+        ],
+        [("inward_normal", "face 0")],
+    ),
+    (
+        "vertex_in_few_faces",
+        lambda: _with_loops(
+            make_box(), _loops(make_box()), np.vstack([make_box().vertices, [[5.0, 5.0, 5.0]]])
+        ),
+        [("vertex_in_few_faces", "vertex 8")],
+        [],
+    ),
+    (
+        "inside_out",
+        lambda: _with_loops(
+            _unit_prism(), [tuple(reversed(loop)) for loop in _loops(_unit_prism())]
+        ),
+        [],
+        [("inward_normal", f"face {fi}") for fi in range(5)],
+    ),
+    (
+        "several_faces",
+        _several_defects,
+        [
+            ("non_coplanar_face", "face 0"),
+            ("short_loop", "face 1"),
+            ("repeated_vertex", "face 6"),
+            ("zero_length_edge", "face 6 edge (1,1)"),
+            ("collinear_vertices", "face 6 vertex 2"),
+            ("degenerate_face", "face 6"),
+            ("duplicate_directed_edge", "edge (0,4)"),
+            ("unpaired_directed_edge", "edge (0,4)"),
+            ("unpaired_directed_edge", "edge (1,0)"),
+            ("duplicate_directed_edge", "edge (1,2)"),
+            ("unpaired_directed_edge", "edge (2,3)"),
+            ("unpaired_directed_edge", "edge (3,0)"),
+            ("duplicate_directed_edge", "edge (4,5)"),
+            ("unpaired_directed_edge", "edge (4,5)"),
+            ("duplicate_directed_edge", "edge (5,1)"),
+            ("unpaired_directed_edge", "edge (5,1)"),
+            ("vertex_in_few_faces", "vertex 8"),
+        ],
+        [("inward_normal", "face 2")],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, issues, warnings",
+    [row[1:] for row in VALIDATION_TABLE],
+    ids=[row[0] for row in VALIDATION_TABLE],
+)
+def test_validation_report_is_pinned(build, issues, warnings):
+    report = validate_polyhedron(build())
+    assert [(i.code, i.where) for i in report.issues] == issues
+    assert [(w.code, w.where) for w in report.warnings] == warnings
+    assert report.ok == (not issues)
+
+
+def _reference_validate(p, coplanarity_tol=1e-6):
+    """The per-face loop form of validate_polyhedron, kept as the reference
+    for the vectorized one: same checks, same order, same deviations."""
+    issues, warnings = [], []
+    scale = p.bbox_diagonal() or 1.0
+    solid_centroid = p.vertices.mean(axis=0) if p.n_vertices else np.zeros(3)
+    directed = {}
+    faces_per_vertex = np.zeros(p.n_vertices, dtype=np.int64)
+    for fi, face in enumerate(p.faces):
+        loop = face.loop
+        if len(loop) < 3:
+            issues.append(("short_loop", f"face {fi}", float(len(loop))))
+            continue
+        if len(set(loop)) != len(loop):
+            issues.append(("repeated_vertex", f"face {fi}", 0.0))
+        faces_per_vertex[np.unique(list(loop))] += 1
+        pts = p.vertices[list(loop)]
+        nxt = np.roll(pts, -1, axis=0)
+        for k, length in enumerate(np.linalg.norm(nxt - pts, axis=1)):
+            if length < 1e-12 * scale:
+                where = f"face {fi} edge ({loop[k]},{loop[(k + 1) % len(loop)]})"
+                issues.append(("zero_length_edge", where, float(length)))
+        e_in, e_out = pts - np.roll(pts, 1, axis=0), nxt - pts
+        cross_norm = np.linalg.norm(np.cross(e_in, e_out), axis=1)
+        len_prod = np.linalg.norm(e_in, axis=1) * np.linalg.norm(e_out, axis=1)
+        bad = (cross_norm < 1e-12 * np.maximum(len_prod, 1e-300)) & (len_prod > 0)
+        for k in np.nonzero(bad)[0]:
+            issues.append(("collinear_vertices", f"face {fi} vertex {loop[k]}", 0.0))
+        q = pts - pts.mean(axis=0)
+        n = np.cross(q, np.roll(q, -1, axis=0)).sum(axis=0)
+        norm = np.linalg.norm(n)
+        if norm < 1e-12:
+            issues.append(("degenerate_face", f"face {fi}", float(norm)))
+        else:
+            n = n / norm
+            dev = float(np.abs(q @ n).max())
+            if dev > coplanarity_tol * scale:
+                issues.append(("non_coplanar_face", f"face {fi}", dev))
+            if float(n @ (pts.mean(axis=0) - solid_centroid)) < 0.0:
+                warnings.append(("inward_normal", f"face {fi}", 0.0))
+        for k in range(len(loop)):
+            a, b = loop[k], loop[(k + 1) % len(loop)]
+            if a != b:
+                directed[(a, b)] = directed.get((a, b), 0) + 1
+    for (a, b), count in sorted(directed.items()):
+        if count > 1:
+            issues.append(("duplicate_directed_edge", f"edge ({a},{b})", float(count)))
+        if directed.get((b, a), 0) == 0:
+            issues.append(("unpaired_directed_edge", f"edge ({a},{b})", 0.0))
+    for v in np.nonzero(faces_per_vertex < 2)[0]:
+        issues.append(("vertex_in_few_faces", f"vertex {v}", float(faces_per_vertex[v])))
+    return issues, warnings
+
+
+def _damaged(seed):
+    """A generated solid with a few random defects of every kind."""
+    rng = np.random.default_rng(seed)
+    solid = solid_corpus(5, seed=seed)[int(rng.integers(5))]
+    verts = np.array(solid.vertices)
+    loops = _loops(solid)
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(8))
+        f = int(rng.integers(len(loops)))
+        v = int(rng.integers(len(verts)))
+        if kind == 0:
+            loops[f] = tuple(reversed(loops[f]))
+        elif kind == 1:
+            verts[v] += rng.normal(scale=0.05, size=3)
+        elif kind == 2 and len(loops) > 1:
+            del loops[f]
+        elif kind == 3:
+            loops.append(loops[f])
+        elif kind == 4:
+            short = rng.integers(len(verts), size=rng.integers(3))
+            loops.insert(f, tuple(int(i) for i in short))
+        elif kind == 5 and loops[f]:
+            loops[f] = loops[f] + (loops[f][0],)
+        elif kind == 6:
+            verts[v] = verts[(v + 1) % len(verts)]
+        else:
+            verts = np.vstack([verts, rng.normal(size=(1, 3))])
+    return _with_loops(solid, loops, verts)
+
+
+@given(st.integers(0, 10**6))
+def test_validation_matches_loop_reference(seed):
+    p = _damaged(seed)
+    report = validate_polyhedron(p)
+    issues, warnings = _reference_validate(p)
+    assert [(i.code, i.where) for i in report.issues] == [i[:2] for i in issues]
+    assert [(w.code, w.where) for w in report.warnings] == [w[:2] for w in warnings]
+    # Equal bit for bit except the non-coplanar distance: per face it is a
+    # BLAS matrix-vector product, which may round differently.
+    got = np.array([i.deviation for i in report.issues], dtype=float)
+    want = np.array([i[2] for i in issues], dtype=float)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 class TestFaceNormal:
     def test_cube_cap_normals(self, cube):
         normals = [face_normal(cube, i) for i in range(cube.n_faces)]

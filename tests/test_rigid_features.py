@@ -1,3 +1,4 @@
+import copy
 import io
 import math
 
@@ -29,7 +30,31 @@ from polyrep.datasets import make_box, make_prism, make_tetrahedron
 from conftest import chiral_tetrahedron, solid_corpus
 
 
+def _reference_paths(g, include_backtracking):
+    """The per-edge loop form of enumerate_paths: e1 in (tail, head) order,
+    then each out-edge of its head in (head) order."""
+    e1, e2 = [], []
+    order, starts = g._out_order, g._out_starts
+    for first in order:
+        for second in order[starts[g.edge_head[first]] : starts[g.edge_head[first] + 1]]:
+            if include_backtracking or second != g.opposite[first]:
+                e1.append(first)
+                e2.append(second)
+    return np.array(e1, dtype=np.int64), np.array(e2, dtype=np.int64)
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("include_backtracking", [True, False])
+    def test_rows_match_loop_reference(self, include_backtracking):
+        for solid in solid_corpus(10, seed=7):
+            g = build_surface_graph(solid)
+            paths = enumerate_paths(g, include_backtracking)
+            e1, e2 = _reference_paths(g, include_backtracking)
+            assert np.array_equal(paths.e1, e1) and np.array_equal(paths.e2, e2)
+            assert np.array_equal(paths.i, g.edge_tail[e1])
+            assert np.array_equal(paths.j, g.edge_head[e1])
+            assert np.array_equal(paths.k, g.edge_head[e2])
+
     def test_cube_72_paths(self, cube):
         paths = enumerate_paths(build_surface_graph(cube))
         assert len(paths) == 72
@@ -200,6 +225,31 @@ class TestRigidSet:
         assert rigid_sets_equal(rs, nudged, 1e-9)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["d1", "d2", "theta", "phi"])
+    def test_non_finite_values_rejected(self, cube, field, bad):
+        rs = compute_rigid_set(build_surface_graph(cube))
+        values = {name: np.array(getattr(rs, name)) for name in ("d1", "d2", "theta", "phi")}
+        values[field][np.flatnonzero(rs.inner_mask)[0]] = bad
+        with pytest.raises(InconsistentRigidSetError):
+            RigidSet(
+                rs.keys, values["d1"], values["d2"], values["theta"], values["phi"],
+                rs.face1, rs.face2,
+            )
+
+    @pytest.mark.parametrize("field", ["d1", "d2", "theta", "phi"])
+    def test_non_finite_values_never_compare_equal(self, cube, field):
+        # The constructor refuses NaN, so the set is patched after it; the
+        # comparison must not rely on that check.
+        rs = compute_rigid_set(build_surface_graph(cube))
+        broken = copy.copy(rs)
+        values = np.array(getattr(rs, field))
+        values[0] = math.nan
+        object.__setattr__(broken, field, values)
+        assert not rigid_sets_equal(rs, broken, math.inf)
+        assert not rigid_sets_equal(broken, broken, math.inf)
+
+
 class TestFaceReconstruction:
     def test_cube_face_square(self, cube):
         g = build_surface_graph(cube)
@@ -224,6 +274,19 @@ class TestFaceReconstruction:
         i, j = int(rs.keys[inner_rows[0], 0]), int(rs.keys[inner_rows[0], 1])
         with pytest.raises(InconsistentRigidSetError):
             reconstruct_face(broken, (i, j), face)
+
+    def test_zero_length_fails_closure(self, cube):
+        # A zero first edge turns every placed vertex into NaN, which no
+        # closure tolerance may accept.
+        rs = compute_rigid_set(build_surface_graph(cube))
+        row = np.flatnonzero(rs.inner_mask)[0]
+        d1 = np.array(rs.d1)
+        d1[rs.inner_mask & (rs.face1 == rs.face1[row])] = 0.0
+        broken = RigidSet(rs.keys, d1, rs.d2, rs.theta, rs.phi, rs.face1, rs.face2)
+        i, j = int(rs.keys[row, 0]), int(rs.keys[row, 1])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(InconsistentRigidSetError):
+                reconstruct_face(broken, (i, j), int(rs.face1[row]))
 
     def test_missing_tuple_detected(self, cube):
         g = build_surface_graph(cube)

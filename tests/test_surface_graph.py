@@ -9,6 +9,7 @@ from polyrep import (
     Polyhedron,
     build_surface_graph,
 )
+from polyrep.datasets import make_box
 from polyrep.surface_graph import SurfaceGraph
 
 from conftest import solid_corpus
@@ -125,7 +126,100 @@ class TestInvariants:
                 assert out_deg[v] == len(incident_faces)
 
 
+
+def _cube_parts():
+    g = build_surface_graph(make_box())
+    return dict(
+        coords=g.coords,
+        edge_tail=g.edge_tail,
+        edge_head=g.edge_head,
+        edge_face=g.edge_face,
+        face_edges=list(g.face_edges),
+        attrs=g.attrs,
+    )
+
+
+def _replaced(arr, index, value):
+    out = np.array(arr)
+    out[index] = value
+    return out
+
+
+def _first_chain(parts, chain):
+    return {"face_edges": [chain] + parts["face_edges"][1:]}
+
+
+def _duplicate(parts):
+    return {
+        "edge_tail": _replaced(parts["edge_tail"], 1, parts["edge_tail"][0]),
+        "edge_head": _replaced(parts["edge_head"], 1, parts["edge_head"][0]),
+    }
+
+
+def _same_face_opposite(parts):
+    opposite = build_surface_graph(make_box()).opposite[0]
+    return {"edge_face": _replaced(parts["edge_face"], opposite, parts["edge_face"][0])}
+
+
+def _uncovered(parts):
+    # One more opposite pair across faces 0 and 1, listed in no chain.
+    return {
+        "edge_tail": np.append(parts["edge_tail"], [4, 6]),
+        "edge_head": np.append(parts["edge_head"], [6, 4]),
+        "edge_face": np.append(parts["edge_face"], [0, 1]),
+    }
+
+
+# Each row replaces some of the cube graph's parts and names the message of
+# the invariant that must reject the result.
+GRAPH_CORRUPTIONS = [
+    ("edge_lengths", lambda p: {"edge_face": p["edge_face"][:-1]}, "equal length"),
+    ("endpoint_range", lambda p: {"edge_head": _replaced(p["edge_head"], 0, 8)}, "node ids"),
+    (
+        "self_loop",
+        lambda p: {"edge_head": _replaced(p["edge_head"], 0, p["edge_tail"][0])},
+        "distinct",
+    ),
+    ("attr_rows", lambda p: {"attrs": np.zeros((5, 3))}, "attribute row"),
+    ("duplicate", _duplicate, "duplicate directed edge"),
+    ("same_face_opposite", _same_face_opposite, "share face"),
+    ("short_chain", lambda p: _first_chain(p, p["face_edges"][0][:2]), "shorter"),
+    ("chain_range", lambda p: _first_chain(p, p["face_edges"][0] + 100), "edge ids"),
+    ("foreign_edge", lambda p: _first_chain(p, p["face_edges"][1]), "owned by"),
+    (
+        "edge_in_two_chains",
+        lambda p: _first_chain(p, np.append(p["face_edges"][0], p["face_edges"][0][0])),
+        "two face chains",
+    ),
+    ("chain_break", lambda p: _first_chain(p, p["face_edges"][0][::-1]), "breaks"),
+    ("uncovered_edge", _uncovered, "no face chain"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [row[1:] for row in GRAPH_CORRUPTIONS],
+    ids=[row[0] for row in GRAPH_CORRUPTIONS],
+)
+def test_each_invariant_raises_graph_error(corrupt, message):
+    parts = _cube_parts()
+    SurfaceGraph(**parts)  # the uncorrupted parts pass
+    parts.update(corrupt(parts))
+    with pytest.raises(GraphError, match=message):
+        SurfaceGraph(**parts)
+
 class TestQueries:
+    def test_face_normals_match_per_face_newell(self):
+        # The loop form the vectorized kernel replaced: centroid-centered
+        # cross products summed around one loop at a time.
+        for solid in solid_corpus(10, seed=8):
+            g = build_surface_graph(solid)
+            for fi, normal in enumerate(g.face_normals()):
+                pts = g.coords[list(g.face_loop(fi))]
+                q = pts - pts.mean(axis=0)
+                n = np.cross(q, np.roll(q, -1, axis=0)).sum(axis=0)
+                assert np.allclose(normal, n / np.linalg.norm(n), rtol=0, atol=1e-15)
+
     def test_cube_neighbors(self, cube):
         g = build_surface_graph(cube)
         for v in range(8):
