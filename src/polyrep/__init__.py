@@ -11,6 +11,7 @@ from .errors import (
     CheckpointError,
     DataError,
     DisconnectedSurfaceError,
+    DivergenceError,
     GeometryError,
     GraphError,
     IncompleteRigidSetError,

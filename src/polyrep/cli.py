@@ -2,8 +2,8 @@
 
 Subcommands: build-dataset, merge-obj, features, reconstruct, train, eval,
 retrieve, gradcheck, invariance-check.  Exit codes: 0 success, 1 usage,
-2 data error, 3 numerical failure.  ``--json`` switches the report on
-stdout to machine-readable JSON.
+2 data error, 3 numerical failure (diverged training included).  ``--json``
+switches the report on stdout to machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .datasets import (
 from .errors import (
     CheckpointError,
     DataError,
+    DivergenceError,
     GeometryError,
     GraphError,
     InvalidPolyhedronError,
@@ -439,7 +440,7 @@ def cli(argv=None) -> int:
     except (DataError, InvalidPolyhedronError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalFailure, ReconstructionError, GeometryError, GraphError) as exc:
+    except (NumericalFailure, DivergenceError, ReconstructionError, GeometryError, GraphError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

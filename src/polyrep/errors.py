@@ -43,6 +43,10 @@ class DisconnectedSurfaceError(ReconstructionError):
     """The face adjacency graph is not connected; gluing cannot proceed."""
 
 
+class DivergenceError(PolyrepError):
+    """Training produced a non-finite loss or gradient."""
+
+
 class DataError(PolyrepError):
     """Malformed input file, schema violation, or dataset inconsistency."""
 

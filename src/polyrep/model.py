@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import AdamState, Mlp, adam_step, cross_entropy
+from .errors import DivergenceError
+from .nn import AdamState, Mlp, ParameterRegistry, adam_step, cross_entropy
 from .rigid_features import enumerate_paths, _path_geometry
 from .surface_graph import SurfaceGraph
 
@@ -162,7 +163,7 @@ class GnnLayer:
         self.gw_cross = np.zeros(1)
 
 
-class GnnParams:
+class GnnParams(ParameterRegistry):
     """All model state: per-layer message/guide nets and the classifier."""
 
     def __init__(self, cfg: GnnConfig):
@@ -174,49 +175,14 @@ class GnnParams:
             rng, [cfg.readout_dim, d, d, d, cfg.n_classes], batchnorm_output=False
         )
 
-    def named_parameters(self):
-        out = []
+    def _walk(self, prefix=""):
         for li, layer in enumerate(self.layers):
-            out += layer.guide.named_parameters(f"layer{li}.guide.")
-            out += layer.psi_inner.named_parameters(f"layer{li}.psi_inner.")
-            out += layer.psi_cross.named_parameters(f"layer{li}.psi_cross.")
-            out.append((f"layer{li}.w_inner", layer.w_inner))
-            out.append((f"layer{li}.w_cross", layer.w_cross))
-        out += self.classifier.named_parameters("classifier.")
-        return out
-
-    def named_grads(self):
-        out = []
-        for li, layer in enumerate(self.layers):
-            out += layer.guide.named_grads(f"layer{li}.guide.")
-            out += layer.psi_inner.named_grads(f"layer{li}.psi_inner.")
-            out += layer.psi_cross.named_grads(f"layer{li}.psi_cross.")
-            out.append((f"layer{li}.w_inner", layer.gw_inner))
-            out.append((f"layer{li}.w_cross", layer.gw_cross))
-        out += self.classifier.named_grads("classifier.")
-        return out
-
-    def named_state(self):
-        """Parameters plus batchnorm running statistics (checkpoint payload)."""
-        out = []
-        for li, layer in enumerate(self.layers):
-            out += layer.guide.named_state(f"layer{li}.guide.")
-            out += layer.psi_inner.named_state(f"layer{li}.psi_inner.")
-            out += layer.psi_cross.named_state(f"layer{li}.psi_cross.")
-            out.append((f"layer{li}.w_inner", layer.w_inner))
-            out.append((f"layer{li}.w_cross", layer.w_cross))
-        out += self.classifier.named_state("classifier.")
-        return out
-
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
-    def grads(self):
-        return [g for _, g in self.named_grads()]
-
-    def zero_grads(self):
-        for g in self.grads():
-            g[...] = 0.0
+            name = f"{prefix}layer{li}."
+            for net in ("guide", "psi_inner", "psi_cross"):
+                yield from getattr(layer, net)._walk(f"{name}{net}.")
+            yield name + "w_inner", layer.w_inner, layer.gw_inner
+            yield name + "w_cross", layer.w_cross, layer.gw_cross
+        yield from self.classifier._walk(f"{prefix}classifier.")
 
     def clone(self):
         return copy.deepcopy(self)
@@ -331,7 +297,14 @@ def gnn_loss_and_grads(params: GnnParams, batch: GraphBatch, labels, update_stat
 def gnn_train_step(
     params: GnnParams, batch: GraphBatch, labels, state: AdamState, lr: float
 ) -> float:
+    """One forward/backward and Adam update; a non-finite loss or gradient
+    raises ``DivergenceError`` before the update."""
     loss = gnn_loss_and_grads(params, batch, labels)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite loss {loss}")
+    for name, grad in params.named_grads():
+        if not np.all(np.isfinite(grad)):
+            raise DivergenceError(f"non-finite gradient {name}")
     adam_step(params.parameters(), params.grads(), state, lr)
     return loss
 

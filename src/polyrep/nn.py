@@ -116,7 +116,37 @@ class DenseBlock:
         return self.linear.backward(dy)
 
 
-class Mlp:
+class ParameterRegistry:
+    """Named views of a module's arrays, all read from one walk.
+
+    ``_walk(prefix)`` yields ``(name, array, grad)`` for every array the
+    module owns, in checkpoint order, with ``grad=None`` for batchnorm
+    running statistics (saved state that is not trained).  The walk runs on
+    every call because ``BatchNorm.forward`` rebinds the running statistics.
+    """
+
+    def named_parameters(self, prefix=""):
+        return [(name, p) for name, p, g in self._walk(prefix) if g is not None]
+
+    def named_grads(self, prefix=""):
+        return [(name, g) for name, _, g in self._walk(prefix) if g is not None]
+
+    def named_state(self, prefix=""):
+        """Parameters plus batchnorm running statistics."""
+        return [(name, p) for name, p, _ in self._walk(prefix)]
+
+    def parameters(self):
+        return [p for _, p in self.named_parameters()]
+
+    def grads(self):
+        return [g for _, g in self.named_grads()]
+
+    def zero_grads(self):
+        for g in self.grads():
+            g[...] = 0.0
+
+
+class Mlp(ParameterRegistry):
     """Chain of dense blocks; ReLU on hidden blocks, identity on the output.
 
     ``batchnorm_output`` controls whether the final affine also gets a
@@ -161,38 +191,18 @@ class Mlp:
             dy = block.backward(dy)
         return dy
 
-    def named_parameters(self, prefix=""):
-        out = []
+    def _walk(self, prefix=""):
+        stats = []
         for idx, block in enumerate(self.blocks):
-            out.append((f"{prefix}{idx}.w", block.linear.w))
-            out.append((f"{prefix}{idx}.b", block.linear.b))
+            name = f"{prefix}{idx}."
+            yield name + "w", block.linear.w, block.linear.gw
+            yield name + "b", block.linear.b, block.linear.gb
             if block.bn is not None:
-                out.append((f"{prefix}{idx}.bn.gamma", block.bn.gamma))
-                out.append((f"{prefix}{idx}.bn.beta", block.bn.beta))
-        return out
-
-    def named_grads(self, prefix=""):
-        out = []
-        for idx, block in enumerate(self.blocks):
-            out.append((f"{prefix}{idx}.w", block.linear.gw))
-            out.append((f"{prefix}{idx}.b", block.linear.gb))
-            if block.bn is not None:
-                out.append((f"{prefix}{idx}.bn.gamma", block.bn.ggamma))
-                out.append((f"{prefix}{idx}.bn.beta", block.bn.gbeta))
-        return out
-
-    def named_state(self, prefix=""):
-        """Parameters plus batchnorm running statistics."""
-        out = self.named_parameters(prefix)
-        for idx, block in enumerate(self.blocks):
-            if block.bn is not None:
-                out.append((f"{prefix}{idx}.bn.running_mean", block.bn.running_mean))
-                out.append((f"{prefix}{idx}.bn.running_var", block.bn.running_var))
-        return out
-
-    def zero_grads(self):
-        for _, g in self.named_grads():
-            g[...] = 0.0
+                yield name + "bn.gamma", block.bn.gamma, block.bn.ggamma
+                yield name + "bn.beta", block.bn.beta, block.bn.gbeta
+                stats.append((name + "bn.running_mean", block.bn.running_mean, None))
+                stats.append((name + "bn.running_var", block.bn.running_var, None))
+        yield from stats
 
 
 def cross_entropy(logits, labels):

@@ -23,6 +23,7 @@ Angles live in (-pi, pi]: exactly antiparallel normals map to pi.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -124,10 +125,8 @@ class RigidSet:
         for name in ("face1", "face2"):
             arr = np.array(getattr(self, name), dtype=np.int64)[order]
             object.__setattr__(self, name, _ro(arr))
-        index = {tuple(int(v) for v in k): r for r, k in enumerate(self.keys)}
-        if len(index) != len(self.keys):
+        if np.any(np.all(self.keys[1:] == self.keys[:-1], axis=1)):
             raise InconsistentRigidSetError("duplicate path keys in rigid set")
-        object.__setattr__(self, "_index", index)
 
     def __len__(self):
         return len(self.keys)
@@ -137,13 +136,14 @@ class RigidSet:
         return self.face1 == self.face2
 
     def row(self, i: int, j: int, k: int):
-        r = self._index.get((i, j, k))
-        if r is None:
+        """Row of key (i, j, k), by binary search over the sorted keys."""
+        key = [i, j, k]
+        r = bisect.bisect_left(self.keys, key, key=np.ndarray.tolist)
+        if r == len(self) or self.keys[r].tolist() != key:
             raise IncompleteRigidSetError(f"no tuple for path ({i},{j},{k})")
         return r
 
-    def get(self, i: int, j: int, k: int) -> RigidTuple:
-        r = self.row(i, j, k)
+    def _tuple(self, r) -> RigidTuple:
         return RigidTuple(
             float(self.d1[r]),
             float(self.d2[r]),
@@ -152,15 +152,12 @@ class RigidSet:
             (int(self.face1[r]), int(self.face2[r])),
         )
 
+    def get(self, i: int, j: int, k: int) -> RigidTuple:
+        return self._tuple(self.row(i, j, k))
+
     def items(self):
         for r, key in enumerate(self.keys):
-            yield tuple(int(v) for v in key), RigidTuple(
-                float(self.d1[r]),
-                float(self.d2[r]),
-                float(self.theta[r]),
-                float(self.phi[r]),
-                (int(self.face1[r]), int(self.face2[r])),
-            )
+            yield tuple(int(v) for v in key), self._tuple(r)
 
 
 def _wrap_angle(a):
@@ -170,95 +167,28 @@ def _wrap_angle(a):
 
 
 def _unit_rows(v, what):
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    """Rows of ``v`` scaled to unit length, and their lengths."""
+    norms = np.linalg.norm(v, axis=1)
     if np.any(norms < 1e-300):
         raise GeometryError(f"zero-length {what}")
-    return v / norms
+    return v / norms[:, None], norms
 
 
-def signed_planar_angle(vi, vj, vk, n_ref) -> float:
-    """Signed angle at vj between rays to vi and to vk, CCW about ``n_ref``.
+def _planar_angles(u1, u2, n1, cross12):
+    """Signed angle per row from unit ray ``u1`` to unit ray ``u2``, CCW about
+    the unit normal ``n1``; ``cross12`` is ``u1 x u2``.
 
-    Zero when the two rays coincide (backtracking).  ``n_ref`` must be the
-    unit normal of the plane the sign is measured in.  When the second ray
-    is perpendicular to that plane (possible on cross-face paths; the
-    in-plane direction then vanishes and the formula would be numerically
-    arbitrary), the angle is pinned to +-pi/2 by the side of the plane the
-    ray leaves on: rotation invariant, and the configuration itself is
-    mirror-symmetric, so no sign choice loses chirality information there.
+    In-plane antiparallel rays sit on the boundary of (-pi, pi] and are
+    pinned to +pi, so the sign cannot flip with rounding.  When ``u2`` is
+    perpendicular to the plane (possible on cross-face paths; the in-plane
+    direction then vanishes and the formula would be numerically arbitrary),
+    the angle is pinned to +-pi/2 by the side of the plane the ray leaves on:
+    rotation invariant, and the configuration itself is mirror-symmetric, so
+    no sign choice loses chirality information there.
     """
-    n_ref = np.asarray(n_ref, dtype=np.float64)
-    u1 = _unit_rows(np.asarray(vi, dtype=np.float64) - vj, "edge (i, j)")
-    u2 = _unit_rows(np.asarray(vk, dtype=np.float64) - vj, "edge (j, k)")
-    out_of_plane = float(u2 @ n_ref)
-    if np.linalg.norm(u2 - out_of_plane * n_ref) < _DEGENERATE_PROJECTION:
-        return math.copysign(math.pi / 2, out_of_plane)
-    y = float(np.cross(u1, u2) @ n_ref)
-    x = float(u1 @ u2)
-    if abs(y) < _PARALLEL_TOL and x < 0:
-        return math.pi  # in-plane antiparallel: the boundary of (-pi, pi]
-    return math.atan2(y, x)
-
-
-def signed_dihedral_angle(vi, vj, vk, n1, n2, backtracking: bool | None = None) -> float:
-    """Signed angle between outward face normals across the path at vj.
-
-    Magnitude arccos(n1 . n2); sign from the hinge rule (see module note).
-    With ``backtracking=None`` the backtracking case is inferred from exact
-    coordinate equality of vi and vk.
-    """
-    vi = np.asarray(vi, dtype=np.float64)
-    vj = np.asarray(vj, dtype=np.float64)
-    vk = np.asarray(vk, dtype=np.float64)
-    n1 = np.asarray(n1, dtype=np.float64)
-    n2 = np.asarray(n2, dtype=np.float64)
-    if backtracking is None:
-        backtracking = bool(np.array_equal(vi, vk))
-    dot = float(np.clip(n1 @ n2, -1.0, 1.0))
-    base = math.acos(dot)
-    hinge = np.cross(n1, n2)
-    if np.linalg.norm(hinge) < _PARALLEL_TOL:
-        return 0.0 if dot > 0 else math.pi
-    w = _unit_rows(vj - vi, "edge (i, j)")
-    if not backtracking:
-        u1 = _unit_rows(vi - vj, "edge (i, j)")
-        u2 = _unit_rows(vk - vj, "edge (j, k)")
-        ray_cross = np.cross(u1, u2)
-        if abs(hinge @ ray_cross) >= _PARALLEL_TOL:
-            w = ray_cross
-    s = float(np.sign(hinge @ w))
-    if s == 0.0:
-        s = 1.0
-    return s * base
-
-
-def _path_geometry(g: SurfaceGraph, paths: PathSet):
-    """Vectorized five-tuple ingredients for every path."""
-    coords = g.coords
-    normals = g.face_normals()
-    vi, vj, vk = coords[paths.i], coords[paths.j], coords[paths.k]
-    r1, r2 = vi - vj, vk - vj
-    d1 = np.linalg.norm(r1, axis=1)
-    d2 = np.linalg.norm(r2, axis=1)
-    if np.any(d1 < 1e-300) or np.any(d2 < 1e-300):
-        raise GeometryError("zero-length edge in path set")
-    u1 = r1 / d1[:, None]
-    u2 = r2 / d2[:, None]
-
-    face1 = g.edge_face[paths.e1]
-    face2 = g.edge_face[paths.e2]
-    n1 = normals[face1]
-    n2 = normals[face2]
-
-    cross12 = _cross(u1, u2)
-    theta_y = np.einsum("pc,pc->p", cross12, n1)
-    theta_x = np.einsum("pc,pc->p", u1, u2)
-    theta = np.arctan2(theta_y, theta_x)
-    # In-plane antiparallel rays sit on the boundary of (-pi, pi]: pin to +pi
-    # so the sign cannot flip with rounding (see signed_planar_angle).
-    theta = np.where((np.abs(theta_y) < _PARALLEL_TOL) & (theta_x < 0), np.pi, theta)
-    # Second ray perpendicular to the first face's plane: the in-plane
-    # direction vanishes, so pin the angle (see signed_planar_angle).
+    y = np.einsum("pc,pc->p", cross12, n1)
+    x = np.einsum("pc,pc->p", u1, u2)
+    theta = np.where((np.abs(y) < _PARALLEL_TOL) & (x < 0), np.pi, np.arctan2(y, x))
     out_of_plane = np.einsum("pc,pc->p", u2, n1)
     proj_norm = np.linalg.norm(u2 - out_of_plane[:, None] * n1, axis=1)
     theta = np.where(
@@ -266,27 +196,78 @@ def _path_geometry(g: SurfaceGraph, paths: PathSet):
         np.copysign(np.pi / 2, out_of_plane),
         theta,
     )
-    theta = np.asarray(_wrap_angle(theta))
+    return _wrap_angle(theta)
 
+
+def _dihedral_angles(u1, cross12, n1, n2, backtracking):
+    """Signed angle per row between outward normals ``n1`` and ``n2``.
+
+    Magnitude arccos(n1 . n2); sign from the hinge rule (see module note),
+    with ``-u1`` as the unit edge direction j - i and ``cross12`` as the ray
+    cross product.  Parallel normals give 0, antiparallel ones pi.
+    """
     dot = np.clip(np.einsum("pc,pc->p", n1, n2), -1.0, 1.0)
-    base = np.arccos(dot)
     hinge = _cross(n1, n2)
-    hinge_norm = np.linalg.norm(hinge, axis=1)
-
-    backtracking = paths.k == paths.i
-    w_edge = -u1  # unit(vj - vi)
     hw_cross = np.einsum("pc,pc->p", hinge, cross12)
     use_edge = backtracking | (np.abs(hw_cross) < _PARALLEL_TOL)
-    hw_edge = np.einsum("pc,pc->p", hinge, w_edge)
+    hw_edge = np.einsum("pc,pc->p", hinge, -u1)
     s = np.where(use_edge, np.sign(hw_edge), np.sign(hw_cross))
     s = np.where(s == 0.0, 1.0, s)
+    parallel = np.linalg.norm(hinge, axis=1) < _PARALLEL_TOL
+    phi = np.where(parallel, np.where(dot > 0, 0.0, np.pi), s * np.arccos(dot))
+    return _wrap_angle(phi)
 
-    phi = s * base
-    parallel = hinge_norm < _PARALLEL_TOL
-    phi = np.where(parallel, np.where(dot > 0, 0.0, np.pi), phi)
+
+def _rows(v):
+    return np.asarray(v, dtype=np.float64).reshape(-1, 3)
+
+
+def _rays(vi, vj, vk):
+    """Unit rays j->i and j->k per path, their cross product and their lengths."""
+    u1, d1 = _unit_rows(_rows(vi) - _rows(vj), "edge (i, j)")
+    u2, d2 = _unit_rows(_rows(vk) - _rows(vj), "edge (j, k)")
+    return u1, u2, _cross(u1, u2), d1, d2
+
+
+def signed_planar_angle(vi, vj, vk, n_ref) -> float:
+    """Signed angle at vj between rays to vi and to vk, CCW about ``n_ref``.
+
+    Zero when the two rays coincide (backtracking).  ``n_ref`` must be the
+    unit normal of the plane the sign is measured in.  One row of the
+    kernel the rigid features use (see ``_planar_angles``).
+    """
+    u1, u2, cross12, _, _ = _rays(vi, vj, vk)
+    return float(_planar_angles(u1, u2, _rows(n_ref), cross12)[0])
+
+
+def signed_dihedral_angle(vi, vj, vk, n1, n2, backtracking: bool | None = None) -> float:
+    """Signed angle between outward face normals across the path at vj.
+
+    Magnitude arccos(n1 . n2); sign from the hinge rule (see module note).
+    With ``backtracking=None`` the backtracking case is inferred from exact
+    coordinate equality of vi and vk.  One row of the kernel the rigid
+    features use (see ``_dihedral_angles``).
+    """
+    if backtracking is None:
+        backtracking = np.array_equal(vi, vk)
+    u1, _, cross12, _, _ = _rays(vi, vj, vk)
+    phi = _dihedral_angles(u1, cross12, _rows(n1), _rows(n2), np.array([bool(backtracking)]))
+    return float(phi[0])
+
+
+def _path_geometry(g: SurfaceGraph, paths: PathSet):
+    """Vectorized five-tuple ingredients for every path."""
+    coords = g.coords
+    normals = g.face_normals()
+    u1, u2, cross12, d1, d2 = _rays(coords[paths.i], coords[paths.j], coords[paths.k])
+    face1 = g.edge_face[paths.e1]
+    face2 = g.edge_face[paths.e2]
+    n1 = normals[face1]
+    n2 = normals[face2]
+
+    theta = _planar_angles(u1, u2, n1, cross12)
+    phi = _dihedral_angles(u1, cross12, n1, n2, paths.k == paths.i)
     phi = np.where(face1 == face2, 0.0, phi)  # inner paths short-circuit
-    phi = np.asarray(_wrap_angle(phi))
-
     return d1, d2, theta, phi, face1, face2
 
 

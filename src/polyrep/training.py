@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .datasets import load_records, split_dataset
-from .errors import DataError
+from .errors import DataError, DivergenceError
 from .metrics import (
     ClassificationMetrics,
     RetrievalMetrics,
@@ -128,7 +128,10 @@ def _eval_logits(params, features, batch_size):
 
 
 def train(cfg: TrainConfig, records=None) -> TrainResult:
-    """Run the full loop and return the best-validation checkpoint + log."""
+    """Run the full loop and return the best-validation checkpoint + log.
+
+    A non-finite loss or gradient raises ``DivergenceError`` at once.
+    """
     if records is None:
         if not cfg.data:
             raise DataError("no records given and no data path configured")
@@ -168,9 +171,12 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
     for epoch in range(cfg.max_epochs):
         batch_losses = []
         batch_sizes = []
-        for idx in _minibatches(len(feats_train), cfg.batch_size, shuffle_rng):
+        for b, idx in enumerate(_minibatches(len(feats_train), cfg.batch_size, shuffle_rng)):
             batch = collate([feats_train[i] for i in idx])
-            loss = gnn_train_step(params, batch, y_train[idx], adam, lr)
+            try:
+                loss = gnn_train_step(params, batch, y_train[idx], adam, lr)
+            except DivergenceError as exc:
+                raise DivergenceError(f"epoch {epoch}, batch {b}: {exc}") from exc
             batch_losses.append(loss)
             batch_sizes.append(len(idx))
         train_loss = float(
@@ -179,6 +185,8 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
 
         val_logits = _eval_logits(params, feats_val, cfg.batch_size)
         val_loss, _ = cross_entropy(val_logits, y_val)
+        if not np.isfinite(val_loss):
+            raise DivergenceError(f"epoch {epoch}, validation: non-finite loss {val_loss}")
         val_acc = float((val_logits.argmax(axis=1) == y_val).mean())
         lr = plateau_step(scheduler, val_loss)
         log.append(

@@ -122,3 +122,160 @@ class TestIntegrity:
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointError, match="dimension"):
             load_checkpoint(path)
+
+
+# The tensor manifest of a checkpoint: parameter names, their order and
+# their shapes.  Each MLP lists its parameters, then its running statistics.
+PINNED_MANIFEST = """
+layer0.guide.0.w 10x4
+layer0.guide.0.b 4
+layer0.guide.0.bn.gamma 4
+layer0.guide.0.bn.beta 4
+layer0.guide.0.bn.running_mean 4
+layer0.guide.0.bn.running_var 4
+layer0.psi_inner.0.w 16x4
+layer0.psi_inner.0.b 4
+layer0.psi_inner.0.bn.gamma 4
+layer0.psi_inner.0.bn.beta 4
+layer0.psi_inner.1.w 4x4
+layer0.psi_inner.1.b 4
+layer0.psi_inner.1.bn.gamma 4
+layer0.psi_inner.1.bn.beta 4
+layer0.psi_inner.2.w 4x4
+layer0.psi_inner.2.b 4
+layer0.psi_inner.2.bn.gamma 4
+layer0.psi_inner.2.bn.beta 4
+layer0.psi_inner.3.w 4x4
+layer0.psi_inner.3.b 4
+layer0.psi_inner.3.bn.gamma 4
+layer0.psi_inner.3.bn.beta 4
+layer0.psi_inner.0.bn.running_mean 4
+layer0.psi_inner.0.bn.running_var 4
+layer0.psi_inner.1.bn.running_mean 4
+layer0.psi_inner.1.bn.running_var 4
+layer0.psi_inner.2.bn.running_mean 4
+layer0.psi_inner.2.bn.running_var 4
+layer0.psi_inner.3.bn.running_mean 4
+layer0.psi_inner.3.bn.running_var 4
+layer0.psi_cross.0.w 16x4
+layer0.psi_cross.0.b 4
+layer0.psi_cross.0.bn.gamma 4
+layer0.psi_cross.0.bn.beta 4
+layer0.psi_cross.1.w 4x4
+layer0.psi_cross.1.b 4
+layer0.psi_cross.1.bn.gamma 4
+layer0.psi_cross.1.bn.beta 4
+layer0.psi_cross.2.w 4x4
+layer0.psi_cross.2.b 4
+layer0.psi_cross.2.bn.gamma 4
+layer0.psi_cross.2.bn.beta 4
+layer0.psi_cross.3.w 4x4
+layer0.psi_cross.3.b 4
+layer0.psi_cross.3.bn.gamma 4
+layer0.psi_cross.3.bn.beta 4
+layer0.psi_cross.0.bn.running_mean 4
+layer0.psi_cross.0.bn.running_var 4
+layer0.psi_cross.1.bn.running_mean 4
+layer0.psi_cross.1.bn.running_var 4
+layer0.psi_cross.2.bn.running_mean 4
+layer0.psi_cross.2.bn.running_var 4
+layer0.psi_cross.3.bn.running_mean 4
+layer0.psi_cross.3.bn.running_var 4
+layer0.w_inner 1
+layer0.w_cross 1
+layer1.guide.0.w 10x4
+layer1.guide.0.b 4
+layer1.guide.0.bn.gamma 4
+layer1.guide.0.bn.beta 4
+layer1.guide.0.bn.running_mean 4
+layer1.guide.0.bn.running_var 4
+layer1.psi_inner.0.w 16x4
+layer1.psi_inner.0.b 4
+layer1.psi_inner.0.bn.gamma 4
+layer1.psi_inner.0.bn.beta 4
+layer1.psi_inner.1.w 4x4
+layer1.psi_inner.1.b 4
+layer1.psi_inner.1.bn.gamma 4
+layer1.psi_inner.1.bn.beta 4
+layer1.psi_inner.2.w 4x4
+layer1.psi_inner.2.b 4
+layer1.psi_inner.2.bn.gamma 4
+layer1.psi_inner.2.bn.beta 4
+layer1.psi_inner.3.w 4x4
+layer1.psi_inner.3.b 4
+layer1.psi_inner.3.bn.gamma 4
+layer1.psi_inner.3.bn.beta 4
+layer1.psi_inner.0.bn.running_mean 4
+layer1.psi_inner.0.bn.running_var 4
+layer1.psi_inner.1.bn.running_mean 4
+layer1.psi_inner.1.bn.running_var 4
+layer1.psi_inner.2.bn.running_mean 4
+layer1.psi_inner.2.bn.running_var 4
+layer1.psi_inner.3.bn.running_mean 4
+layer1.psi_inner.3.bn.running_var 4
+layer1.psi_cross.0.w 16x4
+layer1.psi_cross.0.b 4
+layer1.psi_cross.0.bn.gamma 4
+layer1.psi_cross.0.bn.beta 4
+layer1.psi_cross.1.w 4x4
+layer1.psi_cross.1.b 4
+layer1.psi_cross.1.bn.gamma 4
+layer1.psi_cross.1.bn.beta 4
+layer1.psi_cross.2.w 4x4
+layer1.psi_cross.2.b 4
+layer1.psi_cross.2.bn.gamma 4
+layer1.psi_cross.2.bn.beta 4
+layer1.psi_cross.3.w 4x4
+layer1.psi_cross.3.b 4
+layer1.psi_cross.3.bn.gamma 4
+layer1.psi_cross.3.bn.beta 4
+layer1.psi_cross.0.bn.running_mean 4
+layer1.psi_cross.0.bn.running_var 4
+layer1.psi_cross.1.bn.running_mean 4
+layer1.psi_cross.1.bn.running_var 4
+layer1.psi_cross.2.bn.running_mean 4
+layer1.psi_cross.2.bn.running_var 4
+layer1.psi_cross.3.bn.running_mean 4
+layer1.psi_cross.3.bn.running_var 4
+layer1.w_inner 1
+layer1.w_cross 1
+classifier.0.w 8x4
+classifier.0.b 4
+classifier.0.bn.gamma 4
+classifier.0.bn.beta 4
+classifier.1.w 4x4
+classifier.1.b 4
+classifier.1.bn.gamma 4
+classifier.1.bn.beta 4
+classifier.2.w 4x4
+classifier.2.b 4
+classifier.2.bn.gamma 4
+classifier.2.bn.beta 4
+classifier.3.w 4x3
+classifier.3.b 3
+classifier.0.bn.running_mean 4
+classifier.0.bn.running_var 4
+classifier.1.bn.running_mean 4
+classifier.1.bn.running_var 4
+classifier.2.bn.running_mean 4
+classifier.2.bn.running_var 4
+"""
+
+
+class TestManifest:
+    def test_named_state_is_pinned(self):
+        params = GnnParams(GnnConfig(layers=2, hidden_dim=4, attr_dim=3, n_classes=3))
+        manifest = [
+            f"{name} {'x'.join(str(n) for n in arr.shape)}"
+            for name, arr in params.named_state()
+        ]
+        assert manifest == PINNED_MANIFEST.split("\n")[1:-1]
+
+    def test_parameters_are_state_without_running_statistics(self):
+        params = GnnParams(GnnConfig(layers=2, hidden_dim=4, attr_dim=3, n_classes=3))
+        state = [name for name, _ in params.named_state()]
+        trained = [name for name, _ in params.named_parameters()]
+        assert trained == [name for name in state if ".running_" not in name]
+        assert [name for name, _ in params.named_grads()] == trained
+        for p, g in zip(params.parameters(), params.grads()):
+            assert g.shape == p.shape and g is not p

@@ -139,6 +139,25 @@ class TestTrainEvalRetrieve:
         assert code == 0
         assert 0.0 <= json.loads(out)["metrics"]["map"] <= 1.0
 
+    def test_diverged_training_is_numerical_failure(self, tmp_path, capsys):
+        corpus = tmp_path / "data.jsonl"
+        save_records(synthetic_dataset(24, seed=0), corpus)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {"data": str(corpus), "hidden_dim": 8, "layers": 1, "lr": 1e300, "max_epochs": 4}
+            )
+        )
+        ckpt = tmp_path / "model.ckpt"
+        log = tmp_path / "log.jsonl"
+        with np.errstate(all="ignore"):
+            code, _, err = run(
+                capsys, "train", "--config", config, "--out", ckpt, "--log-out", log
+            )
+        assert code == 3
+        assert "epoch 0, validation" in err
+        assert not ckpt.exists() and not log.exists()
+
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyrep import (
+    GeometryError,
     IncompleteRigidSetError,
     InconsistentRigidSetError,
     RigidSet,
@@ -26,6 +27,7 @@ from polyrep import (
     write_rigid_set,
 )
 from polyrep.datasets import make_box, make_prism, make_tetrahedron
+from polyrep.rigid_features import RigidTuple, _path_geometry
 
 from conftest import chiral_tetrahedron, solid_corpus
 
@@ -171,6 +173,30 @@ class TestDihedralAngle:
         assert abs(a + b) < 1e-12
 
 
+class TestScalarAnglesAreTheKernel:
+    @pytest.mark.parametrize("solid", ["cube", "tetrahedron", "l_shaped_solid"])
+    def test_bitwise_equal_to_path_geometry(self, solid, request):
+        g = build_surface_graph(request.getfixturevalue(solid))
+        paths = enumerate_paths(g)
+        _, _, theta, phi, face1, face2 = _path_geometry(g, paths)
+        normals = g.face_normals()
+        for r in range(len(paths)):
+            vi, vj, vk = g.coords[paths.i[r]], g.coords[paths.j[r]], g.coords[paths.k[r]]
+            n1, n2 = normals[face1[r]], normals[face2[r]]
+            assert signed_planar_angle(vi, vj, vk, n1) == theta[r]
+            assert signed_dihedral_angle(vi, vj, vk, n1, n2) == phi[r]
+
+    def test_zero_length_ray_rejected(self):
+        n = np.array([0.0, 0, 1])
+        vi, vj = np.array([1.0, 0, 0]), np.zeros(3)
+        with pytest.raises(GeometryError):
+            signed_planar_angle(vj, vj, vi, n)
+        with pytest.raises(GeometryError):
+            signed_planar_angle(vi, vj, vj, n)
+        with pytest.raises(GeometryError):
+            signed_dihedral_angle(vj, vj, vi, n, np.array([1.0, 0, 0]))
+
+
 class TestRigidSet:
     def test_cube_unit_distances(self, cube):
         rs = compute_rigid_set(build_surface_graph(cube))
@@ -248,6 +274,40 @@ class TestRigidSet:
         object.__setattr__(broken, field, values)
         assert not rigid_sets_equal(rs, broken, math.inf)
         assert not rigid_sets_equal(broken, broken, math.inf)
+
+    @pytest.mark.parametrize("copy_row", [0, 17, 71])
+    def test_duplicate_keys_rejected(self, cube, copy_row):
+        rs = compute_rigid_set(build_surface_graph(cube))
+        rows = np.append(np.arange(len(rs)), copy_row)
+        with pytest.raises(InconsistentRigidSetError, match="duplicate"):
+            RigidSet(
+                rs.keys[rows], rs.d1[rows], rs.d2[rows], rs.theta[rows],
+                rs.phi[rows], rs.face1[rows], rs.face2[rows],
+            )
+
+    def test_lookup_of_every_key(self, cube):
+        rs = compute_rigid_set(build_surface_graph(cube))
+        flipped = np.arange(len(rs))[::-1]
+        shuffled = RigidSet(
+            rs.keys[flipped], rs.d1[flipped], rs.d2[flipped], rs.theta[flipped],
+            rs.phi[flipped], rs.face1[flipped], rs.face2[flipped],
+        )
+        for r, (key, tup) in enumerate(shuffled.items()):
+            assert shuffled.row(*key) == r
+            assert shuffled.get(*key) == tup
+            assert tup == RigidTuple(
+                rs.d1[r], rs.d2[r], rs.theta[r], rs.phi[r], (rs.face1[r], rs.face2[r])
+            )
+
+    @pytest.mark.parametrize(
+        "key", [(0, 0, 0), (0, 1, 1), (0, 2, 0), (-1, 0, 1), (7, 6, 8), (8, 0, 1), (2**40, 0, 0)]
+    )
+    def test_missing_key_is_incomplete(self, cube, key):
+        rs = compute_rigid_set(build_surface_graph(cube))
+        with pytest.raises(IncompleteRigidSetError):
+            rs.row(*key)
+        with pytest.raises(IncompleteRigidSetError):
+            rs.get(*key)
 
 
 class TestFaceReconstruction:

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from polyrep import DataError, TrainConfig, train
+from polyrep import DataError, DivergenceError, TrainConfig, model, train
 from polyrep.datasets import synthetic_dataset
-from polyrep.training import evaluate_classification, evaluate_retrieval
+from polyrep.training import (
+    evaluate_classification,
+    evaluate_retrieval,
+    features_for_records,
+)
 
 
 def quick_config(**overrides):
@@ -72,6 +76,44 @@ class TestTrainLoop:
         ]
         assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2])
         assert set.union(*ids) == {r.source_id for r in records}
+
+
+class TestDivergence:
+    def test_non_finite_validation_loss_stops_training(self):
+        cfg = TrainConfig(hidden_dim=8, layers=1, lr=1e300, max_epochs=4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=r"epoch 0, validation: non-finite loss"):
+                train(cfg, synthetic_dataset(24, seed=0))
+
+    def test_non_finite_gradient_names_epoch_and_batch(self, monkeypatch):
+        backward = model.gnn_backward
+
+        def poisoned(params, *args):
+            backward(params, *args)
+            params.layers[0].gw_cross[0] = np.inf
+
+        monkeypatch.setattr(model, "gnn_backward", poisoned)
+        cfg = TrainConfig(hidden_dim=8, layers=1, max_epochs=2)
+        with pytest.raises(
+            DivergenceError, match=r"epoch 0, batch 0: non-finite gradient layer0\.w_cross"
+        ):
+            train(cfg, synthetic_dataset(24, seed=0))
+
+    def test_step_refuses_non_finite_loss_before_update(self):
+        cfg = quick_config(hidden_dim=8, layers=1).gnn_config(3)
+        params = model.GnnParams(cfg)
+        records = synthetic_dataset(6, seed=1)
+        batch = model.collate(features_for_records(records, cfg))
+        labels = np.array([r.label for r in records])
+        params.classifier.blocks[-1].linear.w[0, 0] = np.nan
+        before = [p.copy() for p in params.parameters()]
+        state = model.AdamState.for_params(params.parameters())
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite loss"):
+                model.gnn_train_step(params, batch, labels, state, 1e-3)
+        assert state.t == 0
+        for b, p in zip(before, params.parameters()):
+            assert np.array_equal(b, p, equal_nan=True)
 
 
 class TestEvaluation:
