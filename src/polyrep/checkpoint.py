@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,24 +94,34 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(payload[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("malformed header: not a JSON object")
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(
             f"version mismatch: file has {header.get('version')!r}, "
             f"expected {FORMAT_VERSION!r}"
         )
     blob = payload[8 + header_len :]
+    try:
+        loaded = _read_tensors(header["tensors"], blob)
+        config = dict(header["config"])
+        gnn_keys = {f.name for f in GnnConfig.__dataclass_fields__.values()}
+        params = GnnParams(GnnConfig(**{k: v for k, v in config.items() if k in gnn_keys}))
+        adam_t = int(header["adam"]["t"])
+        sch = header["scheduler"]
+        scheduler = PlateauState(
+            lr=float(sch["lr"]),
+            factor=float(sch["factor"]),
+            patience=int(sch["patience"]),
+            min_lr=float(sch["min_lr"]),
+            best=float("inf") if sch["best"] is None else float(sch["best"]),
+            bad_epochs=int(sch["bad_epochs"]),
+        )
+        best_epoch = int(header["best_epoch"])
+        rng_state = header["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed header: {type(exc).__name__}: {exc}") from exc
 
-    loaded = {}
-    for spec in header["tensors"]:
-        start, nbytes = spec["offset"], spec["nbytes"]
-        if start + nbytes > len(blob):
-            raise CheckpointError(f"tensor {spec['name']} extends past end of blob")
-        arr = np.frombuffer(blob[start : start + nbytes], dtype=np.float64).copy()
-        loaded[spec["name"]] = arr.reshape(spec["shape"])
-
-    config = header["config"]
-    gnn_keys = {f.name for f in GnnConfig.__dataclass_fields__.values()}
-    params = GnnParams(GnnConfig(**{k: v for k, v in config.items() if k in gnn_keys}))
     for name, arr in params.named_state():
         if name not in loaded:
             raise CheckpointError(f"missing tensor {name}")
@@ -129,23 +140,30 @@ def load_checkpoint(path) -> Checkpoint:
             if loaded[key].shape != p.shape:
                 raise CheckpointError(f"dimension mismatch for {key}")
             store.append(loaded[key])
-    adam = AdamState(m=m, v=v, t=int(header["adam"]["t"]))
-
-    sch = header["scheduler"]
-    scheduler = PlateauState(
-        lr=float(sch["lr"]),
-        factor=float(sch["factor"]),
-        patience=int(sch["patience"]),
-        min_lr=float(sch["min_lr"]),
-        best=float("inf") if sch["best"] is None else float(sch["best"]),
-        bad_epochs=int(sch["bad_epochs"]),
-    )
+    adam = AdamState(m=m, v=v, t=adam_t)
     return Checkpoint(
         config=config,
         params=params,
         adam=adam,
         scheduler=scheduler,
-        best_epoch=int(header["best_epoch"]),
-        rng_state=header["rng_state"],
+        best_epoch=best_epoch,
+        rng_state=rng_state,
         version=header["version"],
     )
+
+
+def _read_tensors(specs, blob) -> dict:
+    """Name -> array for every manifest entry; an entry whose span leaves
+    the blob or whose size disagrees with its shape is refused."""
+    loaded = {}
+    for spec in specs:
+        name = str(spec["name"])
+        shape = tuple(int(n) for n in spec["shape"])
+        start, nbytes = int(spec["offset"]), int(spec["nbytes"])
+        if start < 0 or start + nbytes > len(blob):
+            raise CheckpointError(f"tensor {name} lies outside the blob")
+        if min(shape, default=0) < 0 or nbytes != 8 * math.prod(shape):
+            raise CheckpointError(f"tensor {name}: {nbytes} bytes do not fit shape {shape}")
+        arr = np.frombuffer(blob[start : start + nbytes], dtype=np.float64)
+        loaded[name] = arr.reshape(shape).copy()
+    return loaded

@@ -16,6 +16,7 @@ so is the graph vector.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,6 +163,13 @@ class GnnLayer:
         self.gw_inner = np.zeros(1)
         self.gw_cross = np.zeros(1)
 
+    def message_nets(self):
+        """(psi net, type weight, its grad) for inner, then cross paths."""
+        return (
+            (self.psi_inner, self.w_inner, self.gw_inner),
+            (self.psi_cross, self.w_cross, self.gw_cross),
+        )
+
 
 class GnnParams(ParameterRegistry):
     """All model state: per-layer message/guide nets and the classifier."""
@@ -194,10 +202,57 @@ class EmbeddingOutput:
     logits: np.ndarray | None
 
 
-def _segment_sum(values, segments, n_segments):
-    out = np.zeros((n_segments, values.shape[1]))
-    np.add.at(out, segments, values)
-    return out
+class _SegmentSum:
+    """Sums of value rows grouped by integer key, as one ``np.add.reduceat``
+    over the rows in stable key order.  Built once per key array and
+    applied to many value arrays; keys need not be sorted, and keys with no
+    rows sum to zero."""
+
+    def __init__(self, keys, n_segments):
+        self.n_segments = n_segments
+        self.order = None if np.all(keys[1:] >= keys[:-1]) else np.argsort(keys, kind="stable")
+        counts = np.bincount(keys, minlength=n_segments)
+        self.present = np.flatnonzero(counts)
+        self.starts = (np.cumsum(counts) - counts)[self.present]
+
+    def __call__(self, values):
+        if self.order is not None:
+            values = values[self.order]
+        sums = np.add.reduceat(values, self.starts, axis=0)
+        if len(self.present) == self.n_segments:
+            return sums
+        out = np.zeros((self.n_segments, values.shape[1]))
+        out[self.present] = sums
+        return out
+
+
+class _PathType:
+    """The rows of one path type (inner or cross) and their node ids."""
+
+    def __init__(self, batch, mask):
+        self.rows = np.flatnonzero(mask)
+        self.i = batch.path_i[self.rows]
+        self.j = batch.path_j[self.rows]
+        self.k = batch.path_k[self.rows]
+        self.n_nodes = batch.n_nodes
+
+    @functools.cached_property
+    def node_sums(self):
+        """Segment sums over this type's i, j and k node ids (backward only)."""
+        return [_SegmentSum(ids, self.n_nodes) for ids in (self.i, self.j, self.k)]
+
+
+def _psi_affine(psi, g, h, part):
+    """First psi layer on ``hstack(h[i], h[j], h[k], g)`` for the rows of
+    ``part``, with the node blocks of its weight applied once per node and
+    then gathered; ``h is None`` stands for all-zero embeddings."""
+    lin = psi.blocks[0].linear
+    d = g.shape[1]
+    a = g[part.rows] @ lin.w[3 * d :] + lin.b
+    if h is not None:
+        for x, ids in enumerate((part.i, part.j, part.k)):
+            a += (h @ lin.w[x * d : (x + 1) * d])[ids]
+    return a
 
 
 def gnn_forward(
@@ -221,66 +276,75 @@ def gnn_forward(
         raise ValueError(
             f"batch feature width {batch.feats.shape[1]} != {cfg.guide_in_dim}"
         )
-    if len(batch.path_i) == 0:
+    n_paths = len(batch.path_i)
+    if n_paths == 0:
         raise ValueError("batch contains a graph with no paths")
 
-    inner = batch.inner
-    cross = ~inner
-    h = np.zeros((batch.n_nodes, d))
-    caches = []
+    parts = [_PathType(batch, batch.inner), _PathType(batch, ~batch.inner)]
+    messages = _SegmentSum(batch.path_i, batch.n_nodes)
+    readout = _SegmentSum(batch.node_graph, batch.n_graphs)
+    h = None  # the initial embeddings are all zero
+    layer_caches = []
     layer_sums = []
     for layer in params.layers:
         g = layer.guide.forward(batch.feats, train, update_stats)
-        msg_in = np.hstack([h[batch.path_i], h[batch.path_j], h[batch.path_k], g])
-        m = np.zeros((len(batch.path_i), d))
-        y_inner = y_cross = None
-        if inner.any():
-            y_inner = layer.psi_inner.forward(msg_in[inner], train, update_stats)
-            m[inner] = layer.w_inner[0] * y_inner
-        if cross.any():
-            y_cross = layer.psi_cross.forward(msg_in[cross], train, update_stats)
-            m[cross] = layer.w_cross[0] * y_cross
-        h = _segment_sum(m, batch.path_i, batch.n_nodes)
-        layer_sums.append(_segment_sum(h, batch.node_graph, batch.n_graphs))
+        m = np.empty((n_paths, d))
+        ys = []
+        for (psi, w, _), part in zip(layer.message_nets(), parts):
+            y = None
+            if len(part.rows):
+                y = psi.forward_from_affine(_psi_affine(psi, g, h, part), train, update_stats)
+                m[part.rows] = w[0] * y
+            ys.append(y)
         if train:
-            caches.append((y_inner, y_cross))
+            layer_caches.append((g, h, ys))
+        h = messages(m)
+        layer_sums.append(readout(h))
     h_graph = np.hstack(layer_sums)
     logits = params.classifier.forward(h_graph, train, update_stats) if with_logits else None
     out = EmbeddingOutput(h_graph=h_graph, logits=logits)
-    return (out, caches) if train else out
+    return (out, (parts, layer_caches)) if train else out
 
 
 def gnn_backward(params: GnnParams, batch: GraphBatch, caches, d_logits):
     """Analytic gradients for a preceding train-mode forward, accumulated
-    into the parameter grad slots."""
+    into the parameter grad slots.
+
+    For the first psi layer ``a = g W_g + b + (h W_i)[i] + (h W_j)[j] +
+    (h W_k)[k]``, so with ``S_x = segsum(da, x)`` over nodes: ``dW_x = hᵀ
+    S_x``, ``dh = Σ_x S_x W_xᵀ``, ``dW_g = gᵀ da`` and ``dg = da W_gᵀ``.
+    """
+    parts, layer_caches = caches
     cfg = params.cfg
     d = cfg.hidden_dim
-    inner = batch.inner
-    cross = ~inner
+    n_nodes = batch.n_nodes
     d_hg = params.classifier.backward(d_logits)
-    dh = np.zeros((batch.n_nodes, d))
+    dh = np.zeros((n_nodes, d))
     for li in range(cfg.layers - 1, -1, -1):
         layer = params.layers[li]
-        y_inner, y_cross = caches[li]
+        g, h_in, ys = layer_caches[li]
         # Readout contribution of this layer's output embeddings.
         dh = dh + d_hg[:, li * d : (li + 1) * d][batch.node_graph]
-        dm = dh[batch.path_i]
-        dmsg = np.zeros((len(batch.path_i), 4 * d))
-        if inner.any():
-            dmi = dm[inner]
-            layer.gw_inner += (dmi * y_inner).sum()
-            dmsg[inner] = layer.psi_inner.backward(layer.w_inner[0] * dmi)
-        if cross.any():
-            dmc = dm[cross]
-            layer.gw_cross += (dmc * y_cross).sum()
-            dmsg[cross] = layer.psi_cross.backward(layer.w_cross[0] * dmc)
-        dh_prev = np.zeros((batch.n_nodes, d))
-        np.add.at(dh_prev, batch.path_i, dmsg[:, 0:d])
-        np.add.at(dh_prev, batch.path_j, dmsg[:, d : 2 * d])
-        np.add.at(dh_prev, batch.path_k, dmsg[:, 2 * d : 3 * d])
-        layer.guide.backward(dmsg[:, 3 * d : 4 * d])
+        dg = np.empty_like(g)
+        dh_prev = None if h_in is None else np.zeros((n_nodes, d))
+        for (psi, w, gw), part, y in zip(layer.message_nets(), parts, ys):
+            if y is None:
+                continue
+            dm = dh[part.i]
+            gw += (dm * y).sum()
+            da = psi.backward_to_affine(w[0] * dm)
+            lin = psi.blocks[0].linear
+            lin.gb += da.sum(axis=0)
+            lin.gw[3 * d :] += g[part.rows].T @ da
+            dg[part.rows] = da @ lin.w[3 * d :].T
+            if h_in is not None:
+                for x, segsum in enumerate(part.node_sums):
+                    s = segsum(da)
+                    lin.gw[x * d : (x + 1) * d] += h_in.T @ s
+                    dh_prev += s @ lin.w[x * d : (x + 1) * d].T
+        layer.guide.backward(dg)
         dh = dh_prev
-    # dh now holds the gradient wrt the all-zero initial embeddings: discard.
+    # Layer 0 saw the all-zero initial embeddings: no gradient flows past it.
 
 
 def gnn_loss_and_grads(params: GnnParams, batch: GraphBatch, labels, update_stats=True):

@@ -63,9 +63,10 @@ class BatchNorm:
                     f"batchnorm needs a batch of >= 2 in train mode, got {n}"
                 )
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            xc = x - mean
+            var = (xc * xc).mean(axis=0)  # bitwise equal to x.var(axis=0)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv_std
+            xhat = xc * inv_std
             if update_stats:
                 m = self.momentum
                 self.running_mean = (1 - m) * self.running_mean + m * mean
@@ -91,7 +92,11 @@ class BatchNorm:
 
 
 class DenseBlock:
-    """Affine -> optional batchnorm -> optional ReLU."""
+    """Affine -> optional batchnorm -> optional ReLU.
+
+    ``post_forward``/``post_backward`` are the steps after the affine, for
+    callers that compute the affine output themselves.
+    """
 
     def __init__(self, rng, fan_in, fan_out, batchnorm=True, relu=True):
         self.linear = Linear(rng, fan_in, fan_out)
@@ -100,7 +105,12 @@ class DenseBlock:
         self._pre = None
 
     def forward(self, x, train, update_stats=True):
-        y = self.linear.forward(x)
+        return self.post_forward(self.linear.forward(x), train, update_stats)
+
+    def backward(self, dy):
+        return self.linear.backward(self.post_backward(dy))
+
+    def post_forward(self, y, train, update_stats=True):
         if self.bn is not None:
             y = self.bn.forward(y, train, update_stats)
         if self.relu:
@@ -108,12 +118,13 @@ class DenseBlock:
             y = np.maximum(y, 0.0)
         return y
 
-    def backward(self, dy):
+    def post_backward(self, dy):
+        """Gradient wrt the affine output."""
         if self.relu:
             dy = dy * (self._pre > 0)
         if self.bn is not None:
             dy = self.bn.backward(dy)
-        return self.linear.backward(dy)
+        return dy
 
 
 class ParameterRegistry:
@@ -182,14 +193,24 @@ class Mlp(ParameterRegistry):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (n, {self.in_dim}) input, got {x.shape}")
-        for block in self.blocks:
-            x = block.forward(x, train, update_stats)
-        return x
+        return self.forward_from_affine(self.blocks[0].linear.forward(x), train, update_stats)
+
+    def forward_from_affine(self, y, train, update_stats=True):
+        """The forward pass after the first block's affine output ``y``."""
+        y = self.blocks[0].post_forward(y, train, update_stats)
+        for block in self.blocks[1:]:
+            y = block.forward(y, train, update_stats)
+        return y
 
     def backward(self, dy):
-        for block in reversed(self.blocks):
+        return self.blocks[0].linear.backward(self.backward_to_affine(dy))
+
+    def backward_to_affine(self, dy):
+        """Gradient wrt the first block's affine output; the first affine's
+        own parameter gradients are left to the caller."""
+        for block in reversed(self.blocks[1:]):
             dy = block.backward(dy)
-        return dy
+        return self.blocks[0].post_backward(dy)
 
     def _walk(self, prefix=""):
         stats = []

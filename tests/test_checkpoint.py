@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -279,3 +282,62 @@ class TestManifest:
         assert [name for name, _ in params.named_grads()] == trained
         for p, g in zip(params.parameters(), params.grads()):
             assert g.shape == p.shape and g is not p
+
+
+def _resigned(path, edit):
+    """Rewrite the header of the checkpoint at ``path`` through ``edit`` and
+    give the file a valid digest again."""
+    raw = path.read_bytes()[:-32]
+    header_len = int.from_bytes(raw[:8], "big")
+    header = edit(json.loads(raw[8 : 8 + header_len]))
+    header_bytes = json.dumps(header).encode("utf-8")
+    payload = len(header_bytes).to_bytes(8, "big") + header_bytes + raw[8 + header_len :]
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+def _drop_tensors(header):
+    del header["tensors"]
+    return header
+
+
+def _shift_first_tensor(key, delta):
+    def edit(header):
+        header["tensors"][0][key] += delta
+        return header
+
+    return edit
+
+
+MALFORMED_HEADERS = {
+    "missing tensors key": _drop_tensors,
+    "header is a list": lambda header: [header],
+    "negative offset": _shift_first_tensor("offset", -8),
+    "nbytes disagrees with shape": _shift_first_tensor("nbytes", -8),
+}
+
+
+class TestMalformedHeader:
+    """Files with a valid digest and a header that is not a checkpoint's."""
+
+    @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+    def test_raises_checkpoint_error(self, tmp_path, edit):
+        ckpt, _ = small_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        _resigned(path, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_cli_exits_with_data_error(self, tmp_path, capsys):
+        from polyrep.cli import main
+        from polyrep.datasets import save_records, synthetic_dataset
+
+        ckpt, _ = small_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        _resigned(path, _shift_first_tensor("nbytes", -8))
+        corpus = tmp_path / "data.jsonl"
+        save_records(synthetic_dataset(6, seed=0), corpus)
+        code = main(["eval", "--checkpoint", str(path), "--data", str(corpus)])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err

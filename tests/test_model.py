@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +21,7 @@ from polyrep import (
     sample_random_rotation,
 )
 from polyrep.datasets import make_box, make_tetrahedron, synthetic_solid, with_face_attrs
-from polyrep.model import gnn_loss_and_grads
+from polyrep.model import gnn_backward, gnn_loss_and_grads
 from polyrep.nn import AdamState, cross_entropy, grad_check
 
 from conftest import solid_corpus
@@ -240,3 +242,192 @@ class TestTrainStep:
         )
         with pytest.raises(ValueError, match="no paths"):
             gnn_forward(params, empty, mode="eval")
+
+
+# The materialized form of the network, kept as a reference: the first psi
+# layer multiplies hstack(h[i], h[j], h[k], g) with one row per path, and
+# every segment sum is an np.add.at scatter.
+def _add_at(values, segments, n_segments):
+    out = np.zeros((n_segments, values.shape[1]))
+    np.add.at(out, segments, values)
+    return out
+
+
+def reference_forward(params, batch, mode="eval", update_stats=True):
+    train = mode == "train"
+    d = params.cfg.hidden_dim
+    inner = batch.inner
+    cross = ~inner
+    h = np.zeros((batch.n_nodes, d))
+    caches = []
+    layer_sums = []
+    for layer in params.layers:
+        g = layer.guide.forward(batch.feats, train, update_stats)
+        msg_in = np.hstack([h[batch.path_i], h[batch.path_j], h[batch.path_k], g])
+        m = np.zeros((len(batch.path_i), d))
+        y_inner = y_cross = None
+        if inner.any():
+            y_inner = layer.psi_inner.forward(msg_in[inner], train, update_stats)
+            m[inner] = layer.w_inner[0] * y_inner
+        if cross.any():
+            y_cross = layer.psi_cross.forward(msg_in[cross], train, update_stats)
+            m[cross] = layer.w_cross[0] * y_cross
+        h = _add_at(m, batch.path_i, batch.n_nodes)
+        layer_sums.append(_add_at(h, batch.node_graph, batch.n_graphs))
+        caches.append((y_inner, y_cross))
+    h_graph = np.hstack(layer_sums)
+    logits = params.classifier.forward(h_graph, train, update_stats)
+    return h_graph, logits, caches
+
+
+def reference_backward(params, batch, caches, d_logits):
+    d = params.cfg.hidden_dim
+    inner = batch.inner
+    cross = ~inner
+    d_hg = params.classifier.backward(d_logits)
+    dh = np.zeros((batch.n_nodes, d))
+    for li in range(params.cfg.layers - 1, -1, -1):
+        layer = params.layers[li]
+        y_inner, y_cross = caches[li]
+        dh = dh + d_hg[:, li * d : (li + 1) * d][batch.node_graph]
+        dm = dh[batch.path_i]
+        dmsg = np.zeros((len(batch.path_i), 4 * d))
+        if inner.any():
+            layer.gw_inner += (dm[inner] * y_inner).sum()
+            dmsg[inner] = layer.psi_inner.backward(layer.w_inner[0] * dm[inner])
+        if cross.any():
+            layer.gw_cross += (dm[cross] * y_cross).sum()
+            dmsg[cross] = layer.psi_cross.backward(layer.w_cross[0] * dm[cross])
+        dh_prev = np.zeros((batch.n_nodes, d))
+        np.add.at(dh_prev, batch.path_i, dmsg[:, 0:d])
+        np.add.at(dh_prev, batch.path_j, dmsg[:, d : 2 * d])
+        np.add.at(dh_prev, batch.path_k, dmsg[:, 2 * d : 3 * d])
+        layer.guide.backward(dmsg[:, 3 * d : 4 * d])
+        dh = dh_prev
+
+
+def _reference_batch(n_solids=6, layers=2, hidden_dim=8, seed=0):
+    cfg = GnnConfig(layers=layers, hidden_dim=hidden_dim, attr_dim=0, n_classes=3, seed=seed)
+    batch = collate([features_of(s, cfg) for s in solid_corpus(n_solids, seed=21)])
+    return cfg, batch, np.arange(n_solids) % 3
+
+
+def _shuffled(batch, seed=0):
+    perm = np.random.default_rng(seed).permutation(len(batch.path_i))
+    return replace(
+        batch,
+        path_i=batch.path_i[perm],
+        path_j=batch.path_j[perm],
+        path_k=batch.path_k[perm],
+        feats=batch.feats[perm],
+        inner=batch.inner[perm],
+    )
+
+
+def _without_paths_from(batch, node):
+    keep = batch.path_i != node
+    return replace(
+        batch,
+        path_i=batch.path_i[keep],
+        path_j=batch.path_j[keep],
+        path_k=batch.path_k[keep],
+        feats=batch.feats[keep],
+        inner=batch.inner[keep],
+    )
+
+
+def _close(a, b, scale):
+    return np.abs(a - b).max() <= 1e-12 * (1 + scale)
+
+
+class TestAgainstMaterializedReference:
+    """The per-node projection and sorted segment sums sum in another order
+    than the materialized form, so agreement is to 1e-12 at a global scale:
+    biases ahead of a batchnorm have analytically zero gradients whose
+    rounding noise makes a per-array relative check meaningless."""
+
+    def check(self, cfg, batch, labels):
+        params = GnnParams(cfg)
+        ref = params.clone()
+        params.zero_grads()
+        (out, caches) = gnn_forward(params, batch, mode="train")
+        loss, d_logits = cross_entropy(out.logits, labels)
+        gnn_backward(params, batch, caches, d_logits)
+
+        ref.zero_grads()
+        h_graph, logits, ref_caches = reference_forward(ref, batch, mode="train")
+        ref_loss, ref_d_logits = cross_entropy(logits, labels)
+        reference_backward(ref, batch, ref_caches, ref_d_logits)
+
+        assert _close(out.h_graph, h_graph, np.abs(h_graph).max())
+        assert _close(out.logits, logits, np.abs(logits).max())
+        assert abs(loss - ref_loss) <= 1e-12 * (1 + abs(ref_loss))
+        grads = dict(params.named_grads())
+        ref_grads = dict(ref.named_grads())
+        assert list(grads) == list(ref_grads)
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            assert _close(grads[name], g, scale), name
+        state = dict(params.named_state())
+        for name, arr in ref.named_state():
+            assert _close(state[name], arr, np.abs(arr).max()), name
+        return params, ref
+
+    def test_real_batch(self):
+        self.check(*_reference_batch())
+
+    def test_shuffled_path_order(self):
+        cfg, batch, labels = _reference_batch()
+        shuffled = _shuffled(batch)
+        assert np.any(np.diff(shuffled.path_i) < 0)
+        self.check(cfg, shuffled, labels)
+
+    @pytest.mark.parametrize("inner", [True, False])
+    def test_single_path_type(self, inner):
+        cfg, batch, labels = _reference_batch()
+        one_type = replace(batch, inner=np.full(len(batch.path_i), inner))
+        params, _ = self.check(cfg, one_type, labels)
+        unused = params.layers[0].psi_cross if inner else params.layers[0].psi_inner
+        assert all(not g.any() for g in unused.grads())
+
+    def test_node_without_outgoing_paths(self):
+        cfg, batch, labels = _reference_batch()
+        node = batch.path_j[0]
+        pruned = _without_paths_from(batch, node)
+        assert node not in pruned.path_i and node in pruned.path_j
+        self.check(cfg, pruned, labels)
+
+    def test_isolated_node(self):
+        cfg, batch, labels = _reference_batch()
+        padded = replace(
+            batch,
+            n_nodes=batch.n_nodes + 1,
+            node_graph=np.append(batch.node_graph, batch.n_graphs - 1),
+        )
+        self.check(cfg, padded, labels)
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_layer_counts(self, layers):
+        self.check(*_reference_batch(layers=layers))
+
+    def test_eval_mode(self):
+        cfg, batch, _ = _reference_batch()
+        params = GnnParams(cfg)
+        gnn_forward(params, batch, mode="train")  # nontrivial running statistics
+        out = gnn_forward(params, _shuffled(batch), mode="eval")
+        h_graph, logits, _ = reference_forward(params, batch, mode="eval")
+        assert _close(out.h_graph, h_graph, np.abs(h_graph).max())
+        assert _close(out.logits, logits, np.abs(logits).max())
+
+    def test_gradient_check_on_shuffled_batch(self):
+        cfg, batch, labels = _reference_batch(n_solids=3, hidden_dim=4, seed=3)
+        batch = _shuffled(batch, seed=1)
+        params = GnnParams(cfg)
+        gnn_loss_and_grads(params, batch, labels, update_stats=False)
+        grads = [g.copy() for g in params.grads()]
+
+        def loss_fn():
+            out, _ = gnn_forward(params, batch, mode="train", update_stats=False)
+            return cross_entropy(out.logits, labels)[0]
+
+        assert grad_check(loss_fn, params.parameters(), grads, step=1e-5) < 1e-4

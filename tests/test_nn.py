@@ -71,6 +71,20 @@ class TestForward:
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 4), (17, 64), (1150, 64), (4000, 4)])
+    def test_batchnorm_equals_np_var_form_bitwise(self, n, d):
+        from polyrep.nn import BatchNorm
+
+        x = np.random.default_rng(n + d).standard_normal((n, d)) * 3.0 + 1.5
+        bn = BatchNorm(d)
+        bn.gamma[...] = np.linspace(0.5, 2.0, d)
+        bn.beta[...] = np.linspace(-1.0, 1.0, d)
+        out = bn.forward(x, train=True)
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        xhat = (x - mean) * (1.0 / np.sqrt(var + bn.eps))
+        assert np.array_equal(out, bn.gamma * xhat + bn.beta)
+        assert np.array_equal(bn.running_var, 0.9 * np.ones(d) + 0.1 * var * n / (n - 1))
+
 
 class TestBackward:
     def test_small_mlp_gradients(self):
