@@ -46,7 +46,7 @@ class SurfaceTopology:
         )
         attrs = np.atleast_2d(np.array(self.attrs, dtype=np.float64))
         if attrs.size == 0:
-            attrs = attrs.reshape(len(self.loops), -1)
+            attrs = attrs.reshape(len(self.loops), 0)
         attrs.setflags(write=False)
         object.__setattr__(self, "attrs", attrs)
         if attrs.shape[0] != len(self.loops):

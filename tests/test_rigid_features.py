@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import math
 
@@ -7,15 +8,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyrep import (
+    DisconnectedSurfaceError,
     GeometryError,
     IncompleteRigidSetError,
     InconsistentRigidSetError,
     RigidSet,
+    PolygonFace,
+    Polyhedron,
     RigidTransform,
+    SurfaceTopology,
     apply_rigid_transform,
     build_surface_graph,
     compute_rigid_set,
     enumerate_paths,
+    extrude_polygon,
     kabsch_align,
     read_rigid_set,
     reconstruct_face,
@@ -26,7 +32,7 @@ from polyrep import (
     signed_planar_angle,
     write_rigid_set,
 )
-from polyrep.datasets import make_box, make_prism, make_tetrahedron
+from polyrep.datasets import make_box, make_prism, make_tetrahedron, random_simple_polygon
 from polyrep.rigid_features import RigidTuple, _path_geometry
 
 from conftest import chiral_tetrahedron, solid_corpus
@@ -429,6 +435,98 @@ class TestSolidReconstruction:
             reconstruct_polyhedron(broken, topo)
 
 
+    def test_deep_adjacency_tree_does_not_drift(self):
+        # 12 sides cut into 40 stacked bands: the gluing sweep reaches the
+        # bottom cap 41 folds away from the top cap, so placement errors
+        # would pile up along the chain if they grew with depth.
+        solid = banded_column(12, 40)
+        g = build_surface_graph(solid)
+        rs = compute_rigid_set(g)
+        rebuilt = reconstruct_polyhedron(rs, g.topology())
+        _, rmsd = kabsch_align(rebuilt.vertices, solid.vertices)
+        assert rmsd < 1e-6 * solid.diameter()
+        assert rigid_sets_equal(rs, compute_rigid_set(build_surface_graph(rebuilt)), 1e-6)
+
+
+def banded_column(sides, bands, seed=12):
+    """Column over a random star polygon whose sides are cut by hand into
+    ``bands`` stacked quads.  Ring ``r`` is the polygon scaled by its own
+    factor at its own height, so every band is a planar trapezoid and no two
+    stacked bands are coplanar (coplanar neighbours on different sides make
+    the dihedral sign of some cross-face paths a matter of rounding).  Face
+    0 is the top cap and face 1 the bottom cap, as in ``extrude_polygon``."""
+    rng = np.random.default_rng(seed)
+    poly = random_simple_polygon(rng, sides, sides)
+    heights = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, bands))])
+    scales = rng.uniform(0.8, 1.2, bands + 1)
+    vertices = np.vstack(
+        [np.column_stack([s * poly, np.full(sides, z)]) for s, z in zip(scales, heights)]
+    )
+    faces = [
+        PolygonFace(tuple(range(bands * sides, (bands + 1) * sides)), []),
+        PolygonFace(tuple(reversed(range(sides))), []),
+    ]
+    for band in range(bands):
+        low, high = band * sides, (band + 1) * sides
+        for i in range(sides):
+            j = (i + 1) % sides
+            faces.append(PolygonFace((low + i, low + j, high + j, high + i), []))
+    return Polyhedron(vertices, tuple(faces))
+
+
+def _cube_parts():
+    g = build_surface_graph(make_box())
+    return compute_rigid_set(g), g.topology()
+
+
+class TestTopologyFaults:
+    def test_empty_topology(self):
+        rs, _ = _cube_parts()
+        with pytest.raises(DisconnectedSurfaceError, match="no faces"):
+            reconstruct_polyhedron(rs, SurfaceTopology(0, (), np.zeros((0, 0))))
+
+    def test_duplicate_directed_edge(self):
+        rs, topo = _cube_parts()
+        loops = topo.loops + (topo.loops[3],)
+        broken = SurfaceTopology(topo.n_nodes, loops, np.zeros((len(loops), 0)))
+        with pytest.raises(DisconnectedSurfaceError, match="duplicate directed edge"):
+            reconstruct_polyhedron(rs, broken)
+
+    def test_edge_without_opposite_face(self):
+        rs, topo = _cube_parts()
+        loops = topo.loops[:-1]  # one side face is gone
+        broken = SurfaceTopology(topo.n_nodes, loops, np.zeros((len(loops), 0)))
+        with pytest.raises(DisconnectedSurfaceError, match="no opposite face"):
+            reconstruct_polyhedron(rs, broken)
+
+    def test_two_components(self):
+        cube, topo = _cube_parts()
+        tg = build_surface_graph(make_tetrahedron())
+        tet = compute_rigid_set(tg)
+        shift = topo.n_nodes
+        joined = RigidSet(
+            np.vstack([cube.keys, tet.keys + shift]),
+            np.concatenate([cube.d1, tet.d1]),
+            np.concatenate([cube.d2, tet.d2]),
+            np.concatenate([cube.theta, tet.theta]),
+            np.concatenate([cube.phi, tet.phi]),
+            np.concatenate([cube.face1, tet.face1 + len(topo.loops)]),
+            np.concatenate([cube.face2, tet.face2 + len(topo.loops)]),
+        )
+        loops = topo.loops + tuple(
+            tuple(v + shift for v in loop) for loop in tg.topology().loops
+        )
+        both = SurfaceTopology(shift + 4, loops, np.zeros((len(loops), 0)))
+        with pytest.raises(DisconnectedSurfaceError, match="placed 6 of 10 faces"):
+            reconstruct_polyhedron(joined, both)
+
+    def test_node_never_placed(self):
+        rs, topo = _cube_parts()
+        extra = SurfaceTopology(topo.n_nodes + 1, topo.loops, topo.attrs)
+        with pytest.raises(DisconnectedSurfaceError, match=r"never placed: \[8\]"):
+            reconstruct_polyhedron(rs, extra)
+
+
 class TestTextFormat:
     def test_round_trip(self, cube):
         rs = compute_rigid_set(build_surface_graph(cube))
@@ -443,3 +541,41 @@ class TestTextFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(InconsistentRigidSetError):
             read_rigid_set(io.StringIO("1 2 3 0.5\n"))
+
+    # sha256 of ``write_rigid_set`` output, recorded before the writer was
+    # vectorized: the text format is a file format, so it may not drift.
+    PINNED = {
+        "cube": (72, "c282ea0338b50ca4a2c593cb9c71a5f42fb73b9b84f9e241ede670fc3b148171"),
+        "tetrahedron": (36, "4bd6fcb222560b013ab1ab87c066561e7b5f8beb81695a0e71b13b1c725980ba"),
+        "extrusion96": (1728, "11b21f2db61f8faa22535926944e3708bc1076105f08067588a3fa33db779a83"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_bytes(self, name):
+        solid = {
+            "cube": make_box,
+            "tetrahedron": make_tetrahedron,
+            "extrusion96": lambda: extrude_polygon(
+                random_simple_polygon(np.random.default_rng(96), 96, 96), 1.0
+            ),
+        }[name]()
+        buf = io.StringIO()
+        write_rigid_set(compute_rigid_set(build_surface_graph(solid)), buf)
+        text = buf.getvalue()
+        lines, digest = self.PINNED[name]
+        assert len(text.splitlines()) == lines
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_bitwise_round_trip_of_edge_values(self):
+        values = np.array([-0.0, 5e-324, 1e300, math.pi])
+        rs = RigidSet(
+            [[0, 1, 2], [1, 2, 0], [2, 0, 1], [3, 1, 0]],
+            values, values[::-1], -values, np.roll(values, 1),
+            [0, 1, 2, 3], [0, 4, 2, 5],
+        )
+        buf = io.StringIO()
+        write_rigid_set(rs, buf)
+        back = read_rigid_set(io.StringIO(buf.getvalue()))
+        for name in ("keys", "d1", "d2", "theta", "phi", "face1", "face2"):
+            a, b = getattr(rs, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
