@@ -33,7 +33,6 @@ from .geometry import (
     face_area,
     face_normal,
     kabsch_align,
-    rotation_about_axis,
     sample_random_rotation,
     validate_polyhedron,
 )

@@ -115,6 +115,8 @@ def _load_topology(path) -> SurfaceTopology:
     if any(len(a) not in (0, width) for a in attrs):
         raise DataError(f"{path}: inconsistent attr widths")
     attr_arr = np.array([a or [0.0] * width for a in attrs], dtype=np.float64)
+    if not np.all(np.isfinite(attr_arr)):
+        raise DataError(f"{path}: face attribute must be finite")
     return SurfaceTopology(int(doc["n_nodes"]), tuple(loops), attr_arr.reshape(len(loops), width))
 
 

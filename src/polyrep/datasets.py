@@ -113,7 +113,10 @@ def decode_record(
             raise DataError(
                 f"faces[{fi}].attr: width {len(attr)} != expected {expected_attr_dim}"
             )
-        faces.append(PolygonFace(tuple(loop), np.array(attr, dtype=np.float64)))
+        try:
+            faces.append(PolygonFace(tuple(loop), np.array(attr, dtype=np.float64)))
+        except GeometryError as exc:
+            raise DataError(f"faces[{fi}].attr: {exc}") from exc
     label = doc.get("label", 0)
     if not isinstance(label, int) or isinstance(label, bool) or label < 0:
         raise DataError("label: expected a nonnegative integer")

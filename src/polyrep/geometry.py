@@ -110,6 +110,11 @@ class FaceLoops:
         n = 3 * len(self.lengths)
         return np.bincount(self._xyz_bins, rows.ravel(), minlength=n).reshape(-1, 3)
 
+    def cumsums(self, x) -> np.ndarray:
+        """Cumulative sums of slot rows along each loop, restarting at each loop."""
+        total = np.cumsum(x, axis=0)
+        return total - np.repeat(total[self.starts] - x[self.starts], self.lengths, axis=0)
+
     @cached_property
     def _xyz_bins(self):
         return (3 * self.face[:, None] + np.arange(3)).ravel()
@@ -158,6 +163,8 @@ class PolygonFace:
         attr = np.atleast_1d(np.array(self.attr, dtype=np.float64))
         if attr.ndim != 1:
             raise GeometryError("face attribute must be a flat vector")
+        if not all(map(math.isfinite, attr.tolist())):  # cheaper than numpy on a few values
+            raise GeometryError("face attribute must be finite")
         attr.setflags(write=False)
         object.__setattr__(self, "attr", attr)
 
@@ -444,17 +451,6 @@ def sample_random_rotation(seed: int) -> RigidTransform:
         ]
     )
     return RigidTransform(r, np.zeros(3))
-
-
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix: counterclockwise by ``angle`` about ``axis``."""
-    u = np.asarray(axis, dtype=np.float64)
-    norm = np.linalg.norm(u)
-    if norm < 1e-300:
-        raise GeometryError("rotation axis has zero length")
-    u = u / norm
-    k = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
-    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
 
 
 # ---------------------------------------------------------------------------

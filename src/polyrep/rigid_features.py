@@ -23,9 +23,8 @@ Angles live in (-pi, pi]: exactly antiparallel normals map to pi.
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,11 +34,12 @@ from .errors import (
     InconsistentRigidSetError,
     DisconnectedSurfaceError,
 )
-from .geometry import PolygonFace, Polyhedron, _cross, _ro, rotation_about_axis
+from .geometry import FaceLoops, PolygonFace, Polyhedron, _cross, _ro
 from .surface_graph import SurfaceGraph, SurfaceTopology
 
 _PARALLEL_TOL = 1e-12
 _DEGENERATE_PROJECTION = 1e-9
+_LAST = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,6 @@ class RigidTuple:
     phi: float
     faces: tuple
 
-    @property
-    def is_inner(self):
-        return self.faces[0] == self.faces[1]
-
 
 @dataclass(frozen=True)
 class RigidSet:
@@ -135,13 +131,32 @@ class RigidSet:
     def inner_mask(self):
         return self.face1 == self.face2
 
-    def row(self, i: int, j: int, k: int):
-        """Row of key (i, j, k), by binary search over the sorted keys."""
-        key = [i, j, k]
-        r = bisect.bisect_left(self.keys, key, key=np.ndarray.tolist)
-        if r == len(self) or self.keys[r].tolist() != key:
+    @cached_property
+    def _index(self):
+        """Sorted distinct node ids, and one int64 code per row, from the
+        ids' ranks, that keeps the key order.  Both end in a sentinel, so
+        every search lands inside them."""
+        ids = np.append(np.unique(self.keys), _LAST)
+        if len(ids) ** 3 > _LAST:
+            raise InconsistentRigidSetError(f"{len(ids) - 1} node ids are too many to index")
+        return ids, np.append(_encode(np.searchsorted(ids, self.keys), len(ids)), _LAST)
+
+    def rows(self, keys) -> np.ndarray:
+        """Rows of the (n, 3) ``keys``, by one binary search over the encoded keys."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+        ids, codes = self._index
+        rank = np.searchsorted(ids, keys)
+        want = _encode(rank, len(ids))
+        rows = np.searchsorted(codes, want)
+        found = (codes[rows] == want) & np.all(ids[rank] == keys, axis=1)
+        if not np.all(found):
+            i, j, k = keys[np.argmin(found)].tolist()
             raise IncompleteRigidSetError(f"no tuple for path ({i},{j},{k})")
-        return r
+        return rows
+
+    def row(self, i: int, j: int, k: int) -> int:
+        """Row of key (i, j, k): the one-key call of :meth:`rows`."""
+        return int(self.rows([i, j, k])[0])
 
     def _tuple(self, r) -> RigidTuple:
         return RigidTuple(
@@ -158,6 +173,11 @@ class RigidSet:
     def items(self):
         for r, key in enumerate(self.keys):
             yield tuple(int(v) for v in key), self._tuple(r)
+
+
+def _encode(rank, base):
+    """One int64 per row of (n, 3) ranks below ``base``, in lexicographic order."""
+    return (rank[:, 0] * base + rank[:, 1]) * base + rank[:, 2]
 
 
 def _wrap_angle(a):
@@ -307,9 +327,47 @@ def rigid_sets_equal(a: RigidSet, b: RigidSet, tol: float) -> bool:
 # Reconstruction
 
 
-def _rot2(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _lay_flat(rigid: RigidSet, loops: FaceLoops, faces) -> np.ndarray:
+    """Every loop laid flat from its inner tuples: (n_slots, 2) positions.
+
+    ``faces`` holds the rigid-set face id of each loop.  A loop's frame puts
+    its first edge's head at the origin and its tail at (-d1, 0), with the
+    face's outward normal out of the plane.  Each corner turns the heading
+    by pi + theta, so the headings are a cumulative sum, and so are the
+    positions, of d2 * (cos, sin).  The walk ends on two more points that
+    must fall back on the first edge's tail and head within 1e-6 of the
+    perimeter: its d1 plus the m - 2 placing d2s.
+    """
+    v, nxt, first = loops.verts, loops.nxt, loops.starts
+    rows = rigid.rows(np.stack([v, v[nxt], v[nxt[nxt]]], axis=1))
+    face = np.asarray(faces)[loops.face]
+    stray = (rigid.face1[rows] != face) | (rigid.face2[rows] != face)
+    if np.any(stray):
+        s = int(np.argmax(stray))
+        raise IncompleteRigidSetError(
+            f"no inner tuple for edge ({v[s]},{v[nxt[s]]}) of face {face[s]}"
+        )
+    d1, d2 = rigid.d1[rows[first]], rigid.d2[rows]
+    if not (np.all(d1 > 0) and np.all(d2 > 0)):
+        raise InconsistentRigidSetError("non-positive edge length in a face")
+    heading = loops.cumsums(np.pi + rigid.theta[rows])
+    tip = loops.cumsums(d2[:, None] * np.column_stack([np.cos(heading), np.sin(heading)]))
+    # Tip t of a loop is its vertex t + 2; the last two come back to 0 and 1.
+    step = np.arange(len(v)) - first[loops.face]
+    xy = tip[first[loops.face] + (step - 2) % loops.lengths[loops.face]]
+    tail = np.column_stack([-d1, np.zeros_like(d1)])
+    residual = np.maximum(
+        np.linalg.norm(xy[first] - tail, axis=1), np.linalg.norm(xy[first + 1], axis=1)
+    )
+    perimeter = d1 + loops.cumsums(d2)[first + loops.lengths - 3]
+    if not np.all(residual <= 1e-6 * perimeter):  # NaN fails too
+        f = int(np.argmin(residual <= 1e-6 * perimeter))
+        raise InconsistentRigidSetError(
+            f"face {faces[f]} loop closure residual {residual[f]:.3e} "
+            f"exceeds tolerance for perimeter {perimeter[f]:.3e}"
+        )
+    xy[first], xy[first + 1] = tail, 0.0
+    return xy
 
 
 def reconstruct_face(rigid: RigidSet, start_edge, face: int) -> dict:
@@ -317,69 +375,26 @@ def reconstruct_face(rigid: RigidSet, start_edge, face: int) -> dict:
 
     The local frame puts the start edge's head at the origin with the edge
     along +x (tail at (-d, 0)) and the face's outward normal out of the
-    plane.  Each next vertex is the previous ray rotated by the recorded
-    in-plane angle and scaled by the recorded length.  Returns vertex
-    positions keyed by node id, in loop order starting at the edge tail.
+    plane; the loop follows the inner tuples of ``face`` from the start
+    edge.  Returns vertex positions keyed by node id, in loop order starting
+    at the edge tail.
 
     Raises if a required tuple is missing or the loop fails to close within
     1e-6 of its perimeter.
     """
-    i0, j0 = int(start_edge[0]), int(start_edge[1])
-    chain = {}
-    inner_rows = np.nonzero((rigid.face1 == face) & (rigid.face2 == face))[0]
-    for r in inner_rows:
-        chain[(int(rigid.keys[r, 0]), int(rigid.keys[r, 1]))] = r
-    if (i0, j0) not in chain:
-        raise IncompleteRigidSetError(
-            f"no inner tuple for edge ({i0},{j0}) of face {face}"
-        )
-
-    first = chain[(i0, j0)]
-    pos = {i0: np.array([-rigid.d1[first], 0.0]), j0: np.zeros(2)}
-    perimeter = float(rigid.d1[first])
-    a, b = i0, j0
-    closure = []
-    for _ in range(len(inner_rows) + 2):
-        r = chain.get((a, b))
-        if r is None:
+    inner = np.flatnonzero((rigid.face1 == face) & (rigid.face2 == face))
+    follow = dict(zip(map(tuple, rigid.keys[inner, :2].tolist()), rigid.keys[inner, 2].tolist()))
+    loop = [int(start_edge[0]), int(start_edge[1])]
+    while (nxt := follow.get((loop[-2], loop[-1]))) != loop[0]:
+        if nxt is None:
             raise IncompleteRigidSetError(
-                f"no inner tuple for edge ({a},{b}) of face {face}"
+                f"no inner tuple for edge ({loop[-2]},{loop[-1]}) of face {face}"
             )
-        c = int(rigid.keys[r, 2])
-        u = pos[a] - pos[b]
-        u /= np.linalg.norm(u)
-        cand = pos[b] + rigid.d2[r] * (_rot2(rigid.theta[r]) @ u)
-        if c in pos:
-            closure.append(float(np.linalg.norm(cand - pos[c])))
-            if c == j0:
-                break
-        else:
-            pos[c] = cand
-            perimeter += float(rigid.d2[r])
-        a, b = b, c
-    else:
-        raise InconsistentRigidSetError(f"face {face} chain does not close")
-    if not max(closure) <= 1e-6 * perimeter:  # NaN fails too
-        raise InconsistentRigidSetError(
-            f"face {face} loop closure residual {max(closure):.3e} "
-            f"exceeds tolerance for perimeter {perimeter:.3e}"
-        )
-    return pos
-
-
-def _topology_edges(topo: SurfaceTopology):
-    """Directed-edge -> face map and per-face edge lists from vertex loops."""
-    edge_face = {}
-    for fi, loop in enumerate(topo.loops):
-        m = len(loop)
-        for t in range(m):
-            key = (loop[t], loop[(t + 1) % m])
-            if key in edge_face:
-                raise DisconnectedSurfaceError(
-                    f"duplicate directed edge {key} in topology"
-                )
-            edge_face[key] = fi
-    return edge_face
+        if nxt in loop:
+            raise InconsistentRigidSetError(f"face {face} chain does not close")
+        loop.append(nxt)
+    xy = _lay_flat(rigid, FaceLoops.from_lengths(loop, [len(loop)]), [face])
+    return dict(zip(loop, xy))
 
 
 def reconstruct_polyhedron(rigid: RigidSet, topology: SurfaceTopology) -> Polyhedron:
@@ -390,112 +405,89 @@ def reconstruct_polyhedron(rigid: RigidSet, topology: SurfaceTopology) -> Polyhe
     unplaced neighbor: the hinge dihedral comes from the backtracking tuple
     of the shared edge, the neighbor's normal is the placed face's normal
     rotated about the shared edge by that angle, and the neighbor's flat
-    layout is mapped onto the shared edge in that plane.  Already-placed
-    vertices must coincide within 1e-6 of the running bounding-box diagonal.
+    layout is mapped onto the shared edge in that plane.  A vertex keeps its
+    first placement; every later one must coincide with it within 1e-6 of
+    the bounding-box diagonal of the vertices placed before.  Faults of the
+    topology itself raise :class:`DisconnectedSurfaceError`.
     """
-    if not topology.loops:
-        raise DisconnectedSurfaceError("topology has no faces")
-    edge_face = _topology_edges(topology)
+    loops, order, parent, levels = topology.sweep()
+    xy = _lay_flat(rigid, loops, order)
+    v, first = loops.verts, loops.starts
+    # A glued loop starts at (b, a), the reverse of its parent's edge (a, b),
+    # whose backtracking tuple (a, b, a) holds the hinge dihedral.
+    a, b = v[first + 1], v[first]
+    phi = np.append(0.0, rigid.phi[rigid.rows(np.stack([a, b, a], axis=1)[1:])])
+    placed_at = np.unique(v, return_index=True)[1]  # first slot of each node
+    world = np.empty((len(v), 3))
+    normal, origin = np.empty((len(first), 3)), np.zeros((len(first), 3))
+    frame = np.empty((len(first), 2, 3))  # in-plane axes (e_x, e_y) of each loop
+    normal[0], frame[0] = (0.0, 0.0, 1.0), np.eye(3)[:2]
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        if lo:
+            q = np.arange(lo, hi)
+            origin[q] = world[placed_at[a[q]]]
+            axis, _ = _unit_rows(world[placed_at[b[q]]] - origin[q], "hinge edge")
+            n1, sin, cos = normal[parent[q]], np.sin(phi[q, None]), np.cos(phi[q, None])
+            normal[q] = n1 + sin * _cross(axis, n1) + (1 - cos) * _cross(axis, _cross(axis, n1))
+            frame[q, 0], frame[q, 1] = -axis, _cross(normal[q], -axis)
+        s = slice(first[lo], first[hi - 1] + loops.lengths[hi - 1])
+        world[s] = origin[loops.face[s]] + (xy[s, None, :] @ frame[loops.face[s]])[:, 0]
 
-    pos = {}
-    lo = np.full(3, np.inf)
-    hi = np.full(3, -np.inf)
-
-    def place(node, at):
-        nonlocal lo, hi
-        if node in pos:
-            diag = float(np.linalg.norm(hi - lo))
-            tol = 1e-6 * max(diag, 1e-12)
-            dev = float(np.linalg.norm(at - pos[node]))
-            if not dev <= tol:  # NaN fails too
-                raise InconsistentRigidSetError(
-                    f"vertex {node} re-placed {dev:.3e} away (tol {tol:.3e})"
-                )
-            return
-        pos[node] = at
-        lo = np.minimum(lo, at)
-        hi = np.maximum(hi, at)
-
-    normals = {}
-    first_loop = topology.loops[0]
-    flat = reconstruct_face(rigid, (first_loop[0], first_loop[1]), 0)
-    for node, xy in flat.items():
-        place(node, np.array([xy[0], xy[1], 0.0]))
-    normals[0] = np.array([0.0, 0.0, 1.0])
-
-    queue = [0]
-    placed = {0}
-    while queue:
-        f1 = queue.pop(0)
-        loop = topology.loops[f1]
-        m = len(loop)
-        for t in range(m):
-            a, b = loop[t], loop[(t + 1) % m]
-            f2 = edge_face.get((b, a))
-            if f2 is None:
-                raise DisconnectedSurfaceError(f"edge ({a},{b}) has no opposite face")
-            if f2 in placed:
-                continue
-            hinge = rigid.get(a, b, a)  # backtracking tuple with e1 in f1
-            axis = pos[b] - pos[a]
-            axis = axis / np.linalg.norm(axis)
-            n2 = rotation_about_axis(axis, hinge.phi) @ normals[f1]
-
-            flat2 = reconstruct_face(rigid, (b, a), f2)
-            e_x = -axis  # unit(pos[a] - pos[b]): local +x of the (b, a) frame
-            e_y = np.cross(n2, e_x)
-            origin = pos[a]
-            for node, xy in flat2.items():
-                place(node, origin + xy[0] * e_x + xy[1] * e_y)
-            normals[f2] = n2
-            placed.add(f2)
-            queue.append(f2)
-
-    if len(placed) != len(topology.loops):
-        raise DisconnectedSurfaceError(
-            f"placed {len(placed)} of {len(topology.loops)} faces"
+    kept = np.zeros(len(v), dtype=bool)
+    kept[placed_at] = True
+    low = np.minimum.accumulate(np.where(kept[:, None], world, np.inf), axis=0)
+    high = np.maximum.accumulate(np.where(kept[:, None], world, -np.inf), axis=0)
+    tol = 1e-6 * np.maximum(np.linalg.norm(high - low, axis=1), 1e-12)
+    dev = np.linalg.norm(world - world[placed_at[v]], axis=1)
+    if not np.all(kept | (dev <= tol)):  # NaN fails too
+        s = int(np.argmin(kept | (dev <= tol)))
+        raise InconsistentRigidSetError(
+            f"vertex {v[s]} re-placed {dev[s]:.3e} away (tol {tol[s]:.3e})"
         )
-    missing = [v for v in range(topology.n_nodes) if v not in pos]
-    if missing:
-        raise DisconnectedSurfaceError(f"nodes never placed: {missing[:5]}")
-
-    vertices = np.stack([pos[v] for v in range(topology.n_nodes)])
     faces = tuple(
         PolygonFace(loop, topology.attrs[fi]) for fi, loop in enumerate(topology.loops)
     )
-    return Polyhedron(vertices, faces)
+    return Polyhedron(world[placed_at], faces)
 
 
 # ---------------------------------------------------------------------------
 # Text export (for oracle cross-checks)
 
+_FIELDS = ("i", "j", "k", "d1", "d2", "theta", "phi", "face1", "face2")
+_KINDS = (int,) * 3 + (float,) * 4 + (int,) * 2
+_LINE = "{} {} {} {:.17g} {:.17g} {:.17g} {:.17g} {} {}\n"
+
 
 def write_rigid_set(rigid: RigidSet, fp) -> None:
     """Lines of "i j k d1 d2 theta phi face1 face2", 17 significant digits."""
-    for r in range(len(rigid)):
-        i, j, k = (int(v) for v in rigid.keys[r])
-        fp.write(
-            f"{i} {j} {k} {rigid.d1[r]:.17g} {rigid.d2[r]:.17g} "
-            f"{rigid.theta[r]:.17g} {rigid.phi[r]:.17g} "
-            f"{int(rigid.face1[r])} {int(rigid.face2[r])}\n"
-        )
+    columns = (*rigid.keys.T, rigid.d1, rigid.d2, rigid.theta, rigid.phi, rigid.face1, rigid.face2)
+    fp.write("".join(map(_LINE.format, *(c.tolist() for c in columns))))
 
 
 def read_rigid_set(fp) -> RigidSet:
-    keys, d1, d2, theta, phi, f1, f2 = [], [], [], [], [], [], []
-    for lineno, line in enumerate(fp, start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 9:
-            raise InconsistentRigidSetError(
-                f"line {lineno}: expected 9 fields, got {len(parts)}"
-            )
-        keys.append([int(parts[0]), int(parts[1]), int(parts[2])])
-        d1.append(float(parts[3]))
-        d2.append(float(parts[4]))
-        theta.append(float(parts[5]))
-        phi.append(float(parts[6]))
-        f1.append(int(parts[7]))
-        f2.append(int(parts[8]))
-    return RigidSet(np.array(keys), d1, d2, theta, phi, f1, f2)
+    """Parse the text of :func:`write_rigid_set`; errors name the line."""
+    lines = fp.read().split("\n")
+    rows = [parts for parts in map(str.split, lines) if parts]
+    try:
+        if not set(map(len, rows)) <= {9}:
+            raise ValueError
+        columns = [
+            np.fromiter(map(kind, column), kind, len(rows))
+            for kind, column in zip(_KINDS, list(zip(*rows)) or [()] * 9)
+        ]
+    except (ValueError, OverflowError):
+        raise _bad_line(lines) from None
+    return RigidSet(np.stack(columns[:3], axis=1), *columns[3:])
+
+
+def _bad_line(lines) -> InconsistentRigidSetError:
+    """The error for the first line that is not a rigid tuple."""
+    for lineno, parts in enumerate(map(str.split, lines), start=1):
+        if parts and len(parts) != 9:
+            return InconsistentRigidSetError(f"line {lineno}: expected 9 fields, got {len(parts)}")
+        for name, kind, token in zip(_FIELDS, _KINDS, parts):
+            try:
+                np.array(kind(token), dtype=kind)  # ints must fit in int64
+            except (ValueError, OverflowError):
+                what = "an integer" if kind is int else "a number"
+                return InconsistentRigidSetError(f"line {lineno}: {name} {token!r} is not {what}")

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphError, InvalidPolyhedronError
+from .errors import (
+    DisconnectedSurfaceError,
+    GeometryError,
+    GraphError,
+    InvalidPolyhedronError,
+)
 from .geometry import (
     DEFAULT_COPLANARITY_TOL,
     DEGENERATE_NORMAL_TOL,
@@ -30,6 +35,17 @@ from .geometry import (
     _rowdot,
     validate_polyhedron,
 )
+
+
+def _edge_index(tail, head, n_nodes):
+    """Directed edges sorted by (tail, head): the order, the sorted encoded
+    keys, and each edge's opposite (swapped ends), -1 where there is none."""
+    keys = tail * n_nodes + head
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    reverse = head * n_nodes + tail
+    at = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
+    return order, keys, np.where(keys[at] == reverse, order[at], -1)
 
 
 @dataclass(frozen=True)
@@ -51,6 +67,72 @@ class SurfaceTopology:
         object.__setattr__(self, "attrs", attrs)
         if attrs.shape[0] != len(self.loops):
             raise GraphError("one attribute row per face loop required")
+
+    def sweep(self):
+        """Faces in gluing order, each loop turned to start at its glued edge.
+
+        This is the order in which :func:`reconstruct_polyhedron` folds the
+        faces together.  Face 0 comes first, from its own first edge.  The
+        breadth-first sweep takes faces off a FIFO queue and scans their edges
+        in loop order; a face not reached yet is glued across the first such
+        edge (a, b), so its loop starts at the opposite edge (b, a).  Returns
+        the turned loops in sweep order, their face ids, the sweep index of
+        each one's parent, and the sweep index at which each breadth-first
+        level starts, then the end.  Faults of the topology itself (no faces,
+        short loops, repeated or unpaired directed edges, faces or nodes the
+        sweep never reaches) raise :class:`DisconnectedSurfaceError`, and a
+        node id outside ``[0, n_nodes)`` raises :class:`GeometryError`.
+        """
+        if not self.loops:
+            raise DisconnectedSurfaceError("topology has no faces")
+        topo = FaceLoops.from_loops(self.loops)
+        verts, heads, n = topo.verts, topo.verts[topo.nxt], self.n_nodes
+        if np.any(topo.lengths < 3):
+            f = int(np.argmax(topo.lengths < 3))
+            raise DisconnectedSurfaceError(f"face {f} has {topo.lengths[f]} vertices")
+        if np.any((verts < 0) | (verts >= n)):
+            s = int(np.argmax((verts < 0) | (verts >= n)))
+            raise GeometryError(f"face {topo.face[s]} references vertex {verts[s]} of {n}")
+        by_key, keys, opposite = _edge_index(verts, heads, n)
+        if np.any(keys[1:] == keys[:-1]):
+            s = int(by_key[1:][keys[1:] == keys[:-1]].min())
+            raise DisconnectedSurfaceError(
+                f"duplicate directed edge ({verts[s]}, {heads[s]}) in topology"
+            )
+
+        via = np.full(len(topo.lengths), -1)  # the slot each face is glued across
+        levels = [np.zeros(1, dtype=np.int64)]  # faces of each level, in sweep order
+        while len(levels[-1]):
+            lens = topo.lengths[levels[-1]]
+            slots = np.repeat(topo.starts[levels[-1]] - np.cumsum(lens) + lens, lens)
+            slots += np.arange(len(slots))  # the slots of this level's faces, in order
+            if np.any(opposite[slots] < 0):
+                s = slots[np.argmax(opposite[slots] < 0)]
+                raise DisconnectedSurfaceError(
+                    f"edge ({verts[s]},{heads[s]}) has no opposite face"
+                )
+            reached = topo.face[opposite[slots]]
+            fresh = np.flatnonzero((via[reached] < 0) & (reached != 0))
+            glue = fresh[np.sort(np.unique(reached[fresh], return_index=True)[1])]
+            via[reached[glue]] = slots[glue]
+            levels.append(reached[glue])
+        order = np.concatenate(levels)
+        if len(order) != len(topo.lengths):
+            raise DisconnectedSurfaceError(f"placed {len(order)} of {len(topo.lengths)} faces")
+        missing = np.flatnonzero(np.bincount(verts, minlength=n) == 0)
+        if len(missing):
+            raise DisconnectedSurfaceError(f"nodes never placed: {missing[:5].tolist()}")
+
+        lens, base = topo.lengths[order], topo.starts[order]
+        turn = np.append(0, opposite[via[order[1:]]] - base[1:])  # face 0 keeps its start
+        loop = np.repeat(np.arange(len(order)), lens)
+        step = np.arange(len(verts)) - (np.cumsum(lens) - lens)[loop]
+        slots = base[loop] + (turn[loop] + step) % lens[loop]
+        turned = FaceLoops.from_lengths(verts[slots], lens)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        parent = rank[topo.face[via[order]]]  # meaningless for face 0, which has none
+        return turned, order, parent, np.cumsum([0, *map(len, levels[:-1])])
 
 
 @dataclass(frozen=True)
@@ -110,16 +192,12 @@ class SurfaceGraph:
 
         # Sorting by (tail, head) puts a duplicate next to its twin and lets
         # every edge find its opposite by binary search.
-        order = np.lexsort((head, tail))
-        sorted_keys = tail[order] * n_nodes + head[order]
+        order, sorted_keys, opposite = _edge_index(tail, head, n_nodes)
         twin = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
         if len(twin):
             e = order[twin[0]]
             raise GraphError(f"duplicate directed edge {(int(tail[e]), int(head[e]))}")
-        reversed_keys = head * n_nodes + tail
-        at = np.minimum(np.searchsorted(sorted_keys, reversed_keys), n_edges - 1)
-        opposite = order[at]
-        missing = sorted_keys[at] != reversed_keys
+        missing = opposite < 0
         bad = np.flatnonzero(missing | (eface[opposite] == eface))
         if len(bad):
             e = bad[0]

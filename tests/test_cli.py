@@ -88,6 +88,57 @@ class TestFeaturesAndReconstruct:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("field, token", [(3, "abc"), (0, "1.5"), (None, None)])
+    def test_unparsable_rigid_set_is_numerical_failure(
+        self, tmp_path, cube_json, capsys, field, token
+    ):
+        rigid = tmp_path / "cube.rigid"
+        topo = tmp_path / "cube.topo.json"
+        run(capsys, "features", cube_json, "--out", rigid, "--topology-out", topo)
+        lines = rigid.read_text().splitlines()
+        if field is None:
+            lines[-1] = " ".join(lines[-1].split()[:5])  # truncated last line
+        else:
+            parts = lines[2].split()
+            parts[field] = token
+            lines[2] = " ".join(parts)
+        rigid.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "reconstruct", "--rigid", rigid, "--topology", topo, "--out", out
+        )
+        assert code == 3
+        assert f"line {len(lines) if field is None else 3}:" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_non_finite_topology_attribute_is_data_error(self, tmp_path, capsys):
+        solid = tmp_path / "cube.json"
+        solid.write_text(
+            encode_record(PolyhedronRecord(make_box(attr_dim=3), 0, "cube")) + "\n"
+        )
+        rigid = tmp_path / "cube.rigid"
+        topo = tmp_path / "cube.topo.json"
+        run(capsys, "features", solid, "--out", rigid, "--topology-out", topo)
+        doc = json.loads(topo.read_text())
+        doc["faces"][1]["attr"][0] = float("nan")
+        topo.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "reconstruct", "--rigid", rigid, "--topology", topo, "--out", out
+        )
+        assert code == 2
+        assert "finite" in err and not out.exists()
+
+    def test_non_finite_record_attribute_is_data_error(self, tmp_path, capsys):
+        doc = json.loads(encode_record(PolyhedronRecord(make_box(attr_dim=3), 0, "cube")))
+        doc["faces"][0]["attr"][2] = float("inf")
+        solid = tmp_path / "cube.json"
+        solid.write_text(json.dumps(doc) + "\n")
+        code, _, err = run(capsys, "features", solid, "--out", tmp_path / "cube.rigid")
+        assert code == 2
+        assert "faces[0].attr" in err and "finite" in err
+
+
 class TestChecks:
     def test_invariance_check(self, capsys):
         code, out, _ = run(capsys, "invariance-check", "--trials", 8, "--json")

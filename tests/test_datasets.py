@@ -110,6 +110,13 @@ class TestJsonCodec:
         with pytest.raises(InvalidPolyhedronError):
             decode_record(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_attribute_is_data_error(self, bad):
+        doc = json.loads(encode_record(PolyhedronRecord(make_box(attr_dim=3), 0, "x")))
+        doc["faces"][4]["attr"][1] = bad
+        with pytest.raises(DataError, match=r"faces\[4\]\.attr: .*finite"):
+            decode_record(json.dumps(doc))
+
     def test_out_of_range_index_is_data_error(self, cube):
         doc = json.loads(encode_record(PolyhedronRecord(cube, 0, "x")))
         doc["faces"][0]["loop"][0] = 99

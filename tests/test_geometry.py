@@ -95,6 +95,11 @@ class TestValidation:
         with pytest.raises(GeometryError):
             Polyhedron(np.array([[0, 0, np.nan]]), ())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_attribute_rejected(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            PolygonFace((0, 1, 2), [0.5, bad, 0.5])
+
     def test_closed_surface_newell_sum(self):
         for solid in solid_corpus(12, seed=1):
             total_area = sum(face_area(solid, i) for i in range(solid.n_faces))

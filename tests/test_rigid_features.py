@@ -305,6 +305,15 @@ class TestRigidSet:
                 rs.d1[r], rs.d2[r], rs.theta[r], rs.phi[r], (rs.face1[r], rs.face2[r])
             )
 
+    def test_rows_of_many_keys(self):
+        rs = compute_rigid_set(build_surface_graph(make_prism(sides=9)))
+        flipped = np.arange(len(rs))[::-1]
+        assert np.array_equal(rs.rows(rs.keys[flipped]), flipped)
+        assert rs.rows(np.zeros((0, 3))).shape == (0,)
+        keys = np.insert(rs.keys, 40, [0, 5, 0], axis=0)  # 0 -> 5 is not an edge
+        with pytest.raises(IncompleteRigidSetError, match=r"\(0,5,0\)"):
+            rs.rows(keys)
+
     @pytest.mark.parametrize(
         "key", [(0, 0, 0), (0, 1, 1), (0, 2, 0), (-1, 0, 1), (7, 6, 8), (8, 0, 1), (2**40, 0, 0)]
     )
@@ -474,6 +483,106 @@ def banded_column(sides, bands, seed=12):
     return Polyhedron(vertices, tuple(faces))
 
 
+def _fifo_sweep(topo):
+    """The per-face FIFO queue form of ``SurfaceTopology.sweep``: the faces
+    in gluing order, and the start edge, parent face and depth of each."""
+    owner = {
+        (loop[t], loop[(t + 1) % len(loop)]): f
+        for f, loop in enumerate(topo.loops)
+        for t in range(len(loop))
+    }
+    order, start = [0], {0: topo.loops[0][:2]}
+    parent, depth = {0: None}, {0: 0}
+    for f1 in order:
+        loop = topo.loops[f1]
+        for t in range(len(loop)):
+            a, b = loop[t], loop[(t + 1) % len(loop)]
+            f2 = owner[(b, a)]
+            if f2 not in parent:
+                order.append(f2)
+                start[f2], parent[f2], depth[f2] = (b, a), f1, depth[f1] + 1
+    return order, start, parent, depth
+
+
+class TestSweep:
+    @pytest.mark.parametrize("solid", [*solid_corpus(10, seed=9), banded_column(7, 5)])
+    def test_matches_fifo_reference(self, solid):
+        topo = build_surface_graph(solid).topology()
+        loops, order, parent, levels = topo.sweep()
+        ref_order, start, ref_parent, depth = _fifo_sweep(topo)
+        assert order.tolist() == ref_order
+        for q, f in enumerate(ref_order):
+            turned = loops.verts[loops.starts[q] : loops.starts[q] + loops.lengths[q]]
+            assert tuple(turned[:2]) == tuple(start[f])
+            assert cyclic_equal(turned.tolist(), topo.loops[f])
+            assert q == 0 or order[parent[q]] == ref_parent[f]
+            assert levels[depth[f]] <= q < levels[depth[f] + 1]
+        assert levels[-1] == len(order)
+
+
+def _loop_reconstruction(rigid, topo):
+    """The per-vertex loop form of ``reconstruct_polyhedron``: each face is
+    walked corner by corner with 2D rotations of the previous edge, and
+    glued with a Rodrigues matrix per hinge, in the FIFO sweep order."""
+
+    def flat(start, face):
+        chain = {
+            tuple(rigid.keys[r, :2].tolist()): r
+            for r in np.flatnonzero((rigid.face1 == face) & (rigid.face2 == face))
+        }
+        i0, j0 = start
+        pos = {i0: np.array([-rigid.d1[chain[(i0, j0)]], 0.0]), j0: np.zeros(2)}
+        a, b = i0, j0
+        while True:
+            r = chain[(a, b)]
+            c = int(rigid.keys[r, 2])
+            u = (pos[a] - pos[b]) / np.linalg.norm(pos[a] - pos[b])
+            cs, sn = math.cos(rigid.theta[r]), math.sin(rigid.theta[r])
+            if c in pos:
+                if c == j0:
+                    return pos
+            else:
+                turned = np.array([cs * u[0] - sn * u[1], sn * u[0] + cs * u[1]])
+                pos[c] = pos[b] + rigid.d2[r] * turned
+            a, b = b, c
+
+    order, start, parent, _ = _fifo_sweep(topo)
+    pos, normal = {}, {}
+    for f in order:
+        a, b = start[f][1], start[f][0]
+        if parent[f] is None:
+            origin, e_x, n2 = np.zeros(3), np.array([1.0, 0, 0]), np.array([0.0, 0, 1])
+        else:
+            axis = (pos[b] - pos[a]) / np.linalg.norm(pos[b] - pos[a])
+            k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+            phi = rigid.phi[rigid.row(a, b, a)]
+            n2 = (np.eye(3) + math.sin(phi) * k + (1 - math.cos(phi)) * (k @ k)) @ normal[parent[f]]
+            origin, e_x = pos[a], -axis
+        normal[f] = n2
+        for node, xy in flat(start[f], f).items():
+            pos.setdefault(node, origin + xy[0] * e_x + xy[1] * np.cross(n2, e_x))
+    return np.stack([pos[v] for v in range(topo.n_nodes)])
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize(
+        "solid", [*solid_corpus(10, seed=4), banded_column(12, 40), make_prism(sides=96)]
+    )
+    def test_matches_loop_reconstruction(self, solid):
+        # Headings and positions are now cumulative sums, so the rounding
+        # differs from the corner-by-corner walk: allow float64 rounding over
+        # a few thousand chained steps, relative to the size of the solid.
+        g = build_surface_graph(solid)
+        rs, topo = compute_rigid_set(g), g.topology()
+        rebuilt = reconstruct_polyhedron(rs, topo).vertices
+        assert np.abs(rebuilt - _loop_reconstruction(rs, topo)).max() <= 1e-11 * solid.diameter()
+
+
+def cyclic_equal(a, b):
+    doubled = tuple(b) + tuple(b)
+    return len(a) == len(b) and any(doubled[s : s + len(a)] == tuple(a) for s in range(len(b)))
+
+
 def _cube_parts():
     g = build_surface_graph(make_box())
     return compute_rigid_set(g), g.topology()
@@ -526,6 +635,19 @@ class TestTopologyFaults:
         with pytest.raises(DisconnectedSurfaceError, match=r"never placed: \[8\]"):
             reconstruct_polyhedron(rs, extra)
 
+    def test_short_loop(self):
+        rs, topo = _cube_parts()
+        loops = topo.loops[:2] + (topo.loops[2][:2],) + topo.loops[3:]
+        with pytest.raises(DisconnectedSurfaceError, match="face 2 has 2 vertices"):
+            reconstruct_polyhedron(rs, SurfaceTopology(topo.n_nodes, loops, topo.attrs))
+
+    @pytest.mark.parametrize("node", [-1, 8])
+    def test_node_out_of_range(self, node):
+        rs, topo = _cube_parts()
+        loops = (topo.loops[0][:-1] + (node,),) + topo.loops[1:]
+        with pytest.raises(GeometryError, match=f"references vertex {node} of 8"):
+            reconstruct_polyhedron(rs, SurfaceTopology(topo.n_nodes, loops, topo.attrs))
+
 
 class TestTextFormat:
     def test_round_trip(self, cube):
@@ -541,6 +663,53 @@ class TestTextFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(InconsistentRigidSetError):
             read_rigid_set(io.StringIO("1 2 3 0.5\n"))
+
+    @staticmethod
+    def _cube_text_with(row, field, token):
+        buf = io.StringIO()
+        write_rigid_set(compute_rigid_set(build_surface_graph(make_box())), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        parts = lines[row].split()
+        parts[field] = token
+        lines[row] = " ".join(parts) + "\n"
+        return "".join(lines)
+
+    @pytest.mark.parametrize(
+        "field, token, message",
+        [
+            (3, "abc", "line 6: d1 'abc' is not a number"),
+            (0, "1.5", "line 6: i '1.5' is not an integer"),
+            (8, "0x1", "line 6: face2 '0x1' is not an integer"),
+            (2, str(2**63), f"line 6: k '{2**63}' is not an integer"),
+        ],
+    )
+    def test_bad_field_names_its_line(self, field, token, message):
+        text = self._cube_text_with(5, field, token)
+        with pytest.raises(InconsistentRigidSetError, match=f"^{message}$"):
+            read_rigid_set(io.StringIO(text))
+
+    def test_truncated_last_line(self):
+        text = self._cube_text_with(71, 0, "0")
+        truncated = text[: text.rindex(" ")]  # the last line loses its face2
+        with pytest.raises(InconsistentRigidSetError, match="^line 72: expected 9 fields, got 8$"):
+            read_rigid_set(io.StringIO(truncated))
+
+    def test_first_bad_line_wins(self):
+        text = self._cube_text_with(9, 4, "x").splitlines(keepends=True)
+        text[40] = "1 2 3\n"
+        with pytest.raises(InconsistentRigidSetError, match="^line 10: "):
+            read_rigid_set(io.StringIO("".join(text)))
+
+    def test_blank_lines_and_crlf_are_skipped(self, cube):
+        rs = compute_rigid_set(build_surface_graph(cube))
+        buf = io.StringIO()
+        write_rigid_set(rs, buf)
+        text = "\n" + buf.getvalue().replace("\n", "\r\n\n")
+        back = read_rigid_set(io.StringIO(text))
+        assert rigid_sets_equal(rs, back, 0.0) and np.array_equal(rs.keys, back.keys)
+
+    def test_empty_text_is_empty_set(self):
+        assert len(read_rigid_set(io.StringIO(""))) == 0
 
     # sha256 of ``write_rigid_set`` output, recorded before the writer was
     # vectorized: the text format is a file format, so it may not drift.
