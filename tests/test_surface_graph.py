@@ -1,15 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from polyrep import (
+    ColorScheme,
+    GnnConfig,
     GraphError,
     InvalidPolyhedronError,
     PolygonFace,
     Polyhedron,
     build_surface_graph,
+    extrude_polygon,
+    precompute_graph_features,
 )
-from polyrep.datasets import make_box
+from polyrep.datasets import make_box, make_tetrahedron, random_simple_polygon, synthetic_dataset
 from polyrep.surface_graph import SurfaceGraph
 
 from conftest import solid_corpus
@@ -252,3 +258,46 @@ class TestQueries:
         assert topo.n_nodes == 8
         assert len(topo.loops) == 6
         assert topo.loops[0] == g.face_loop(0)
+
+
+class TestPinnedFeaturization:
+    """sha256 over every ``GraphFeatures`` array, the topology loops and the
+    neighbors of every node, recorded before the graph stored its faces as
+    slot ranges of the face-loop layout: the representation may change, what
+    it yields may not."""
+
+    PINNED = {
+        "cube": "c76ad4edc56ac7311dea3fe7919cbd323297c14be23e1516f41edd5e65193adc",
+        "tetrahedron": "27d3bc31bbe92c7f72c6f2b187a8e5b67f109c2acff373195d1471bd9141d920",
+        "extrusion96-reversed": "08f4f303198321920bfbdb681e96d7315df6641dce2713299b932f31b01f850b",
+        "extrusion96-forward": "a54760bcb47ce06f6f3fcf1c2b83b897938af7ff90bfee2daa19c8e496d066f2",
+        "synthetic12": "df02a3bc02436ce1b918c6e0aa90f9ef37f5a14793482f1f010e17bf17535209",
+    }
+
+    @staticmethod
+    def _case(name):
+        if name.startswith("extrusion96"):
+            poly = random_simple_polygon(np.random.default_rng(96), 96, 96)
+            solid = extrude_polygon(poly, 1.0, ColorScheme.rgb_default())
+            cfg = GnnConfig(attr_dim=3, attr_edge_orientation=name.split("-")[1])
+            return [solid], cfg
+        solids = {
+            "cube": lambda: [make_box()],
+            "tetrahedron": lambda: [make_tetrahedron()],
+            "synthetic12": lambda: [r.polyhedron for r in synthetic_dataset(12, seed=0)],
+        }[name]()
+        return solids, GnnConfig()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_digest(self, name):
+        solids, cfg = self._case(name)
+        h = hashlib.sha256()
+        for solid in solids:
+            g = build_surface_graph(solid)
+            f = precompute_graph_features(g, cfg)
+            for a in (f.path_i, f.path_j, f.path_k, f.feats, f.inner):
+                h.update(f"{a.dtype}{a.shape}".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+            neighbors = [g.neighbors(v) for v in range(g.n_nodes)]
+            h.update(repr((f.n_nodes, g.topology().loops, neighbors)).encode())
+        assert h.hexdigest() == self.PINNED[name]
