@@ -71,13 +71,11 @@ from .datasets import (
     build_extrusion_dataset,
     color_coded_cube_dataset,
     decode_record,
-    encode_polyhedron,
     encode_record,
     import_obj,
     load_records,
     merge_coplanar_faces,
     parse_mtl,
-    save_manifest,
     save_records,
     split_dataset,
     synthetic_dataset,

@@ -62,10 +62,6 @@ def encode_record(rec: PolyhedronRecord) -> str:
     )
 
 
-def encode_polyhedron(p: Polyhedron) -> str:
-    return encode_record(PolyhedronRecord(p, 0, ""))
-
-
 def _want(obj, key, kinds, path):
     if key not in obj:
         raise DataError(f"{path}.{key}: missing")
@@ -172,17 +168,6 @@ def load_records(path, expected_attr_dim: int | None = None) -> list:
             else:
                 records.append(decode_record(line, expected_attr_dim))
     return records
-
-
-def save_manifest(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for row in rows:
-            fp.write(
-                json.dumps(
-                    {"path": row["path"], "label": int(row["label"]), "id": row["id"]}
-                )
-                + "\n"
-            )
 
 
 # ---------------------------------------------------------------------------

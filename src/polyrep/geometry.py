@@ -94,11 +94,15 @@ class FaceLoops:
         )
         return cls.from_lengths(verts, lengths)
 
+    def slots(self, faces) -> np.ndarray:
+        """The slots of the listed faces, face by face in the given order."""
+        lens = self.lengths[faces]
+        slots = np.repeat(self.starts[faces] - np.cumsum(lens) + lens, lens)
+        return slots + np.arange(len(slots))
+
     def subset(self, faces) -> "FaceLoops":
         """Layout of the listed faces only, renumbered in the given order."""
-        keep = np.zeros(len(self.lengths), dtype=bool)
-        keep[faces] = True
-        return FaceLoops.from_lengths(self.verts[keep[self.face]], self.lengths[faces])
+        return FaceLoops.from_lengths(self.verts[self.slots(faces)], self.lengths[faces])
 
     def sums(self, rows) -> np.ndarray:
         """Per-loop sums of (n_slots, 3) slot rows.

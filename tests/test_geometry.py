@@ -20,6 +20,7 @@ from polyrep import (
     validate_polyhedron,
 )
 from polyrep.datasets import make_box, make_tetrahedron
+from polyrep.geometry import FaceLoops
 
 from conftest import solid_corpus
 
@@ -404,6 +405,21 @@ def test_validation_matches_loop_reference(seed):
     got = np.array([i.deviation for i in report.issues], dtype=float)
     want = np.array([i[2] for i in issues], dtype=float)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+class TestFaceLoops:
+    def test_subset_keeps_the_given_face_order(self):
+        loops = FaceLoops.from_loops([(0, 1, 2), (3, 4, 5, 6), (7, 8, 9)])
+        for faces in ([1, 0], [2, 0, 1], [2], [0, 2]):
+            sub = loops.subset(faces)
+            want = FaceLoops.from_loops([loops.verts[loops.face == f] for f in faces])
+            for name in ("verts", "starts", "lengths", "face", "nxt", "prv"):
+                assert np.array_equal(getattr(sub, name), getattr(want, name)), (faces, name)
+
+    def test_slots_follow_the_given_face_order(self):
+        loops = FaceLoops.from_loops([(0, 1, 2), (3, 4, 5, 6), (7, 8, 9)])
+        assert loops.slots([2, 0]).tolist() == [7, 8, 9, 0, 1, 2]
+        assert loops.slots([]).tolist() == []
 
 
 class TestFaceNormal:

@@ -16,6 +16,7 @@ from polyrep import (
     precompute_graph_features,
 )
 from polyrep.datasets import make_box, make_tetrahedron, random_simple_polygon, synthetic_dataset
+from polyrep.geometry import FaceLoops
 from polyrep.surface_graph import SurfaceGraph
 
 from conftest import solid_corpus
@@ -86,25 +87,17 @@ class TestRoundTrip:
 
 class TestInvariants:
     def test_broken_chain_fails_fast(self, cube):
-        g = build_surface_graph(cube)
-        # Drop one edge from a face chain: the loop no longer closes.
-        face_edges = list(g.face_edges)
-        face_edges[0] = face_edges[0][:-1]
-        with pytest.raises(GraphError):
-            SurfaceGraph(
-                g.coords, g.edge_tail, g.edge_head, g.edge_face,
-                tuple(face_edges), g.attrs,
-            )
+        # Drop one vertex from a face loop: its closing edge has no opposite.
+        loops = [f.loop for f in cube.faces]
+        loops[0] = loops[0][:-1]
+        with pytest.raises(GraphError, match="has no opposite"):
+            SurfaceGraph(cube.vertices, FaceLoops.from_loops(loops), np.zeros((6, 0)))
 
     def test_missing_opposite_fails_fast(self, cube):
-        g = build_surface_graph(cube)
-        keep = np.arange(g.n_edges - 1)
-        face_edges = [fe[np.isin(fe, keep)] for fe in g.face_edges]
-        with pytest.raises(GraphError):
-            SurfaceGraph(
-                g.coords, g.edge_tail[keep], g.edge_head[keep], g.edge_face[keep],
-                tuple(face_edges), g.attrs,
-            )
+        loops = [f.loop for f in cube.faces]
+        loops[3] = loops[3][1:]
+        with pytest.raises(GraphError, match="has no opposite"):
+            SurfaceGraph(cube.vertices, FaceLoops.from_loops(loops), np.zeros((6, 0)))
 
     def test_opposite_is_involution_across_faces(self):
         for solid in solid_corpus(6, seed=3):
@@ -135,82 +128,39 @@ class TestInvariants:
 
 def _cube_parts():
     g = build_surface_graph(make_box())
-    return dict(
-        coords=g.coords,
-        edge_tail=g.edge_tail,
-        edge_head=g.edge_head,
-        edge_face=g.edge_face,
-        face_edges=list(g.face_edges),
-        attrs=g.attrs,
-    )
+    return dict(coords=g.coords, face_loops=g.face_loops, attrs=g.attrs)
 
 
-def _replaced(arr, index, value):
-    out = np.array(arr)
-    out[index] = value
-    return out
+CUBE_LOOPS = [f.loop for f in make_box().faces]  # face 0 is (4, 5, 6, 7), face 1 (3, 2, 1, 0)
 
 
-def _first_chain(parts, chain):
-    return {"face_edges": [chain] + parts["face_edges"][1:]}
-
-
-def _duplicate(parts):
-    return {
-        "edge_tail": _replaced(parts["edge_tail"], 1, parts["edge_tail"][0]),
-        "edge_head": _replaced(parts["edge_head"], 1, parts["edge_head"][0]),
-    }
-
-
-def _same_face_opposite(parts):
-    opposite = build_surface_graph(make_box()).opposite[0]
-    return {"edge_face": _replaced(parts["edge_face"], opposite, parts["edge_face"][0])}
-
-
-def _uncovered(parts):
-    # One more opposite pair across faces 0 and 1, listed in no chain.
-    return {
-        "edge_tail": np.append(parts["edge_tail"], [4, 6]),
-        "edge_head": np.append(parts["edge_head"], [6, 4]),
-        "edge_face": np.append(parts["edge_face"], [0, 1]),
-    }
+def _first_loop(loop):
+    return {"face_loops": FaceLoops.from_loops([loop, *CUBE_LOOPS[1:]])}
 
 
 # Each row replaces some of the cube graph's parts and names the message of
 # the invariant that must reject the result.
 GRAPH_CORRUPTIONS = [
-    ("edge_lengths", lambda p: {"edge_face": p["edge_face"][:-1]}, "equal length"),
-    ("endpoint_range", lambda p: {"edge_head": _replaced(p["edge_head"], 0, 8)}, "node ids"),
-    (
-        "self_loop",
-        lambda p: {"edge_head": _replaced(p["edge_head"], 0, p["edge_tail"][0])},
-        "distinct",
-    ),
-    ("attr_rows", lambda p: {"attrs": np.zeros((5, 3))}, "attribute row"),
-    ("duplicate", _duplicate, "duplicate directed edge"),
-    ("same_face_opposite", _same_face_opposite, "share face"),
-    ("short_chain", lambda p: _first_chain(p, p["face_edges"][0][:2]), "shorter"),
-    ("chain_range", lambda p: _first_chain(p, p["face_edges"][0] + 100), "edge ids"),
-    ("foreign_edge", lambda p: _first_chain(p, p["face_edges"][1]), "owned by"),
-    (
-        "edge_in_two_chains",
-        lambda p: _first_chain(p, np.append(p["face_edges"][0], p["face_edges"][0][0])),
-        "two face chains",
-    ),
-    ("chain_break", lambda p: _first_chain(p, p["face_edges"][0][::-1]), "breaks"),
-    ("uncovered_edge", _uncovered, "no face chain"),
+    ("endpoint_range", _first_loop((8, 5, 6, 7)), "node ids"),
+    ("self_loop", _first_loop((5, 5, 6, 7)), "distinct"),
+    ("attr_rows", {"attrs": np.zeros((5, 3))}, "attribute row"),
+    ("no_faces", {"face_loops": FaceLoops.from_loops([]), "attrs": np.zeros((0, 0))}, "no faces"),
+    ("duplicate", _first_loop(CUBE_LOOPS[1]), "duplicate directed edge"),
+    # 4-6 and 6-1 are face diagonals, so no other face has these edges.
+    ("same_face_opposite", _first_loop((4, 6, 1, 6)), "share face"),
+    ("short_chain", _first_loop((4, 5)), "shorter"),
 ]
 
 
 @pytest.mark.parametrize(
-    "corrupt, message",
+    "replaced, message",
     [row[1:] for row in GRAPH_CORRUPTIONS],
     ids=[row[0] for row in GRAPH_CORRUPTIONS],
 )
-def test_each_invariant_raises_graph_error(corrupt, message):
+def test_each_invariant_raises_graph_error(replaced, message):
     parts = _cube_parts()
     SurfaceGraph(**parts)  # the uncorrupted parts pass
-    parts.update(corrupt(parts))
+    parts.update(replaced)
     with pytest.raises(GraphError, match=message):
         SurfaceGraph(**parts)
 
