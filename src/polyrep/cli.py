@@ -83,18 +83,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _report(args, task, payload, started):
+def _report(args, payload, runtime_s):
     doc = {
-        "task": task,
+        "task": args.command,
         "metrics": payload,
         "config_hash": getattr(args, "_config_hash", ""),
         "seed": getattr(args, "seed", 0),
-        "runtime_s": round(time.time() - started, 3),
+        "runtime_s": round(runtime_s, 3),
     }
     if args.json:
         print(json.dumps(doc, sort_keys=True))
     else:
-        print(f"[{task}]")
+        print(f"[{args.command}]")
         for key, value in payload.items():
             print(f"  {key}: {value}")
     return EXIT_OK
@@ -132,11 +132,10 @@ def _dump_topology(topo: SurfaceTopology, path):
         json.dump(doc, fp)
 
 
-# -- subcommand handlers -----------------------------------------------------
+# -- subcommand handlers: each returns its report's metrics --------------------
 
 
 def _cmd_build_dataset(args):
-    started = time.time()
     if args.kind == "synthetic":
         records = synthetic_dataset(
             args.count, seed=args.seed, attr_dim=args.attr_dim, rotate=args.rotate
@@ -150,13 +149,10 @@ def _cmd_build_dataset(args):
             polygons, args.height, scheme, rotate=args.rotate, seed=args.seed
         )
     save_records(records, args.out)
-    return _report(
-        args, "build-dataset", {"records": len(records), "out": args.out}, started
-    )
+    return {"records": len(records), "out": args.out}
 
 
 def _cmd_merge_obj(args):
-    started = time.time()
     materials = parse_mtl(args.mtl) if args.mtl else None
     mesh = import_obj(args.obj, materials)
     result = merge_coplanar_faces(mesh, args.normal_tol, args.max_faces)
@@ -165,16 +161,10 @@ def _cmd_merge_obj(args):
     record = PolyhedronRecord(result, args.label, args.obj)
     with open(args.out, "w", encoding="utf-8") as fp:
         fp.write(encode_record(record) + "\n")
-    return _report(
-        args,
-        "merge-obj",
-        {"faces": result.n_faces, "vertices": result.n_vertices, "out": args.out},
-        started,
-    )
+    return {"faces": result.n_faces, "vertices": result.n_vertices, "out": args.out}
 
 
 def _cmd_features(args):
-    started = time.time()
     with open(args.input, encoding="utf-8") as fp:
         record = decode_record(fp.read())
     graph = build_surface_graph(record.polyhedron)
@@ -189,11 +179,10 @@ def _cmd_features(args):
     payload = {"paths": len(rigid), "nodes": graph.n_nodes, "faces": graph.n_faces}
     if args.out:
         payload["out"] = args.out
-    return _report(args, "features", payload, started)
+    return payload
 
 
 def _cmd_reconstruct(args):
-    started = time.time()
     with open(args.rigid, encoding="utf-8") as fp:
         rigid = read_rigid_set(fp)
     topo = _load_topology(args.topology)
@@ -203,12 +192,7 @@ def _cmd_reconstruct(args):
         raise NumericalFailure("reconstructed solid does not reproduce the rigid set")
     with open(args.out, "w", encoding="utf-8") as fp:
         fp.write(encode_record(PolyhedronRecord(solid, 0, "reconstructed")) + "\n")
-    return _report(
-        args,
-        "reconstruct",
-        {"vertices": solid.n_vertices, "faces": solid.n_faces, "out": args.out},
-        started,
-    )
+    return {"vertices": solid.n_vertices, "faces": solid.n_faces, "out": args.out}
 
 
 def _load_train_config(args) -> TrainConfig:
@@ -226,7 +210,6 @@ def _load_train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args):
-    started = time.time()
     cfg = _load_train_config(args)
     result = train(cfg)
     save_checkpoint(result.checkpoint, args.out)
@@ -237,13 +220,10 @@ def _cmd_train(args):
     metrics = evaluate_classification(
         result.checkpoint.params, result.test_records, cfg.batch_size
     )
-    return _report(
-        args,
-        "train",
-        metrics.as_dict()
-        | {"best_epoch": result.checkpoint.best_epoch, "epochs": len(result.log)},
-        started,
-    )
+    return metrics.as_dict() | {
+        "best_epoch": result.checkpoint.best_epoch,
+        "epochs": len(result.log),
+    }
 
 
 def _eval_records(args):
@@ -258,21 +238,16 @@ def _eval_records(args):
 
 
 def _cmd_eval(args):
-    started = time.time()
     ckpt, records = _eval_records(args)
-    metrics = evaluate_classification(ckpt.params, records)
-    return _report(args, "eval", metrics.as_dict(), started)
+    return evaluate_classification(ckpt.params, records).as_dict()
 
 
 def _cmd_retrieve(args):
-    started = time.time()
     ckpt, records = _eval_records(args)
-    metrics = evaluate_retrieval(ckpt.params, records, args.similarity)
-    return _report(args, "retrieve", metrics.as_dict(), started)
+    return evaluate_retrieval(ckpt.params, records, args.similarity).as_dict()
 
 
 def _cmd_gradcheck(args):
-    started = time.time()
     rng = np.random.default_rng(args.seed)
     cfg = GnnConfig(
         layers=2, hidden_dim=4, attr_dim=3, n_classes=2, seed=args.seed
@@ -296,11 +271,10 @@ def _cmd_gradcheck(args):
     err = grad_check(loss_fn, params.parameters(), grads)
     if err >= args.tolerance:
         raise NumericalFailure(f"gradient check failed: {err:.3e} >= {args.tolerance}")
-    return _report(args, "gradcheck", {"max_rel_error": err}, started)
+    return {"max_rel_error": err}
 
 
 def _cmd_invariance_check(args):
-    started = time.time()
     kinds = ("tetrahedron", "box", "prism", "pyramid")
     rng = np.random.default_rng(args.seed)
     cfg = GnnConfig(layers=2, hidden_dim=16, attr_dim=0, n_classes=2, seed=args.seed)
@@ -333,16 +307,11 @@ def _cmd_invariance_check(args):
         if rel > 1e-6:
             raise NumericalFailure(f"embedding moved {rel:.3e} on trial {trial}")
         worst_embed = max(worst_embed, rel)
-    return _report(
-        args,
-        "invariance-check",
-        {
-            "trials": args.trials,
-            "max_rigid_deviation": worst_rigid,
-            "max_embedding_rel_deviation": worst_embed,
-        },
-        started,
-    )
+    return {
+        "trials": args.trials,
+        "max_rigid_deviation": worst_rigid,
+        "max_embedding_rel_deviation": worst_embed,
+    }
 
 
 # -- parser -------------------------------------------------------------------
@@ -435,7 +404,9 @@ def cli(argv=None) -> int:
             return EXIT_USAGE
         if not hasattr(args, "_config_hash"):
             args._config_hash = ""
-        return args.func(args)
+        started = time.time()
+        payload = args.func(args)
+        return _report(args, payload, time.time() - started)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

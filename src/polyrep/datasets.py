@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import DataError, GeometryError, InvalidPolyhedronError
 from .geometry import (
     ColorScheme,
+    FaceLoops,
     PolygonFace,
     Polyhedron,
     apply_rigid_transform,
@@ -198,20 +200,25 @@ class TriangleMesh:
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "attrs", attrs)
 
-        directed = {}
-        for ti, (a, b, c) in enumerate(tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                if u == v:
-                    raise DataError(f"triangle {ti} has a degenerate edge")
-                if (u, v) in directed:
-                    raise DataError(
-                        f"directed edge ({u},{v}) used twice: mesh is not "
-                        "consistently oriented or not manifold"
-                    )
-                directed[(int(u), int(v))] = ti
-        for (u, v) in directed:
-            if (v, u) not in directed:
-                raise DataError(f"boundary edge ({u},{v}): mesh is not closed")
+        tail, head = self.face_loops.verts, self.face_loops.heads
+        if np.any(tail == head):
+            raise DataError(f"triangle {np.argmax(tail == head) // 3} has a degenerate edge")
+        order, keys, opposite = self.face_loops.edge_index
+        repeats = order[1:][keys[1:] == keys[:-1]]
+        if len(repeats):
+            s = repeats.min()
+            raise DataError(
+                f"directed edge ({tail[s]},{head[s]}) used twice: mesh is not "
+                "consistently oriented or not manifold"
+            )
+        if np.any(opposite < 0):
+            s = np.argmax(opposite < 0)
+            raise DataError(f"boundary edge ({tail[s]},{head[s]}): mesh is not closed")
+
+    @cached_property
+    def face_loops(self) -> FaceLoops:
+        """The triangles as a face-loop layout: slot ``3 t + i`` is corner ``i``."""
+        return FaceLoops.from_lengths(self.triangles.ravel(), np.full(len(self.triangles), 3))
 
     @property
     def n_triangles(self):
@@ -351,16 +358,15 @@ def merge_coplanar_faces(
     a validated :class:`Polyhedron` or :class:`Rejected`.
     """
     normals = mesh.triangle_normals()
-    tris = mesh.triangles
-    owner = {}
-    for ti, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            owner[(int(u), int(v))] = ti
+    # The triangle across each slot's edge; a TriangleMesh is closed, so
+    # every edge has an opposite.
+    layout = mesh.face_loops
+    across = layout.face[layout.edge_index[2]].tolist()
+    tail, head = layout.verts.tolist(), layout.heads.tolist()
 
-    uf = _UnionFind(len(tris))
-    for (u, v), ti in owner.items():
-        tj = owner.get((v, u))
-        if tj is None or tj <= ti:
+    uf = _UnionFind(mesh.n_triangles)
+    for ti, tj in zip(layout.face.tolist(), across):
+        if tj <= ti:
             continue
         if normals[ti] @ normals[tj] >= 1.0 - normal_tol and np.array_equal(
             mesh.attrs[ti], mesh.attrs[tj]
@@ -368,7 +374,7 @@ def merge_coplanar_faces(
             uf.union(ti, tj)
 
     regions = {}
-    for ti in range(len(tris)):
+    for ti in range(mesh.n_triangles):
         regions.setdefault(uf.find(ti), []).append(ti)
     if len(regions) > max_faces:
         return Rejected(f"residual faces: {len(regions)} > {max_faces}")
@@ -378,13 +384,12 @@ def merge_coplanar_faces(
     for root, members in sorted(regions.items()):
         nxt = {}
         for ti in members:
-            a, b, c = (int(x) for x in tris[ti])
-            for u, v in ((a, b), (b, c), (c, a)):
-                other = owner.get((v, u))
-                if other is None or uf.find(other) != root:
+            for s in range(3 * ti, 3 * ti + 3):
+                if uf.find(across[s]) != root:
+                    u = tail[s]
                     if u in nxt:
                         return Rejected(f"pinched region boundary at vertex {u}")
-                    nxt[u] = v
+                    nxt[u] = head[s]
         if not nxt:
             raise DataError("region without boundary edges")
         start = min(nxt)

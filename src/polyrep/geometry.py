@@ -22,8 +22,15 @@ slot ``s`` holds
   loop, wrapping from the last slot of a loop to its first and back,
 
 and face ``f`` owns the slots ``starts[f] : starts[f] + lengths[f]``.  Slot
-``s`` is also the directed edge ``verts[s] -> verts[nxt[s]]``, so the slot
-ids are the surface graph's edge ids.  Per-face sums are
+``s`` is also the directed edge ``verts[s] -> heads[s]`` (``heads`` is
+``verts[nxt]``), so the slot ids are the surface graph's edge ids, and
+:attr:`FaceLoops.edge_index` pairs each edge with its opposite by one stable
+sort of the keys ``tail * base + head`` and one binary search per reversed
+key.  ``base = verts.max() + 1`` exceeds every head, so the keys sort by
+(tail, head) without a vertex count.  Validation, the surface graph, the
+reconstruction sweep and triangle meshes all read this one cached index,
+which cannot go stale: the arrays it derives from are read-only.  Per-face
+sums are
 :meth:`FaceLoops.sums`, per-face maxima ``np.maximum.reduceat`` over
 ``starts`` (which needs every loop to be non-empty), and per-slot dot
 products :func:`_rowdot`.  Both add their terms as a per-face
@@ -118,6 +125,26 @@ class FaceLoops:
         """Cumulative sums of slot rows along each loop, restarting at each loop."""
         total = np.cumsum(x, axis=0)
         return total - np.repeat(total[self.starts] - x[self.starts], self.lengths, axis=0)
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """Head vertex of each slot's directed edge, ``verts[nxt]``."""
+        return _ro(self.verts[self.nxt])
+
+    @cached_property
+    def edge_index(self) -> tuple:
+        """(order, keys, opposite): the slots sorted by (tail, head), ties in
+        slot order; their sorted keys (module note); and per slot the first
+        slot in that order with swapped ends, or -1.  Ids must be >= 0."""
+        tail, head = self.verts, self.heads
+        base = int(tail.max()) + 1 if len(tail) else 1
+        keys = tail * base + head
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        reverse = head * base + tail
+        at = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
+        opposite = np.where(keys[at] == reverse, order[at], -1)
+        return _ro(order), _ro(keys), _ro(opposite)
 
     @cached_property
     def _xyz_bins(self):
@@ -285,13 +312,13 @@ def validate_polyhedron(
 ) -> ValidationReport:
     """Check closedness, orientation pairing, and face planarity.
 
-    Every defect lands in the report rather than raising: short or repeated
-    loops, zero-length edges, non-coplanar faces (point-to-plane distance
-    above ``coplanarity_tol`` times the bounding-box diagonal), collinear
-    loop vertices, unpaired or duplicated directed edges, and vertices that
-    belong to fewer than two faces.  Inward-pointing normals are reported as
-    warnings only, since the centroid test is meaningful just for convex
-    solids.
+    Every defect lands in the report rather than raising: no faces at all,
+    short or repeated loops, zero-length edges, non-coplanar faces
+    (point-to-plane distance above ``coplanarity_tol`` times the
+    bounding-box diagonal), collinear loop vertices, unpaired or duplicated
+    directed edges, and vertices that belong to fewer than two faces.
+    Inward-pointing normals are reported as warnings only, since the
+    centroid test is meaningful just for convex solids.
 
     Issues come face by face (short loop, repeated vertex, zero-length edges
     and collinear vertices in loop order, then degenerate or non-coplanar
@@ -315,8 +342,7 @@ def validate_polyhedron(
     loops = p.face_loops.subset(kept) if len(short) else p.face_loops
     fid = kept.tolist()  # face id of each kept loop
     owner = kept[loops.face].tolist()  # face id of each slot
-    verts = loops.verts
-    heads = verts[loops.nxt]
+    verts, heads = loops.verts, loops.heads
 
     # One sort of (face, vertex) pairs finds repeats within a loop and the
     # number of distinct faces around each vertex.
@@ -372,25 +398,26 @@ def validate_polyhedron(
         for f in np.flatnonzero(non_coplanar).tolist()
     ]
     found.sort(key=lambda item: item[0])
-    issues = [issue for _, issue in found]
+    issues = [] if p.n_faces else [ValidationIssue("no_faces", "solid")]
+    issues += [issue for _, issue in found]
     warnings = [
         ValidationIssue("inward_normal", f"face {fid[f]}")
         for f in np.flatnonzero(inward).tolist()
     ]
 
-    # Directed edges as encoded (tail, head) keys: one sort counts them, and
-    # an edge is paired when its reversed key is present.
-    proper = verts != heads
-    keys, counts = np.unique(verts[proper] * nv + heads[proper], return_counts=True)
-    paired = np.isin((keys % nv) * nv + keys // nv, keys)
-    for u in np.flatnonzero((counts > 1) | ~paired).tolist():
-        a, b = divmod(int(keys[u]), nv)
-        if counts[u] > 1:
-            issues.append(
-                ValidationIssue("duplicate_directed_edge", f"edge ({a},{b})", int(counts[u]))
-            )
-        if not paired[u]:
-            issues.append(ValidationIssue("unpaired_directed_edge", f"edge ({a},{b})"))
+    # A run of equal keys is one directed edge used several times; self-loops
+    # are skipped, as the repeated-vertex check reports them.
+    order, keys, opposite = loops.edge_index
+    runs = np.flatnonzero(np.diff(keys, prepend=-1) != 0)
+    counts = np.diff(runs, append=len(keys))
+    lead = order[runs]
+    bad = (verts[lead] != heads[lead]) & ((counts > 1) | (opposite[lead] < 0))
+    for s, count in zip(lead[bad].tolist(), counts[bad].tolist()):
+        where = f"edge ({verts[s]},{heads[s]})"
+        if count > 1:
+            issues.append(ValidationIssue("duplicate_directed_edge", where, count))
+        if opposite[s] < 0:
+            issues.append(ValidationIssue("unpaired_directed_edge", where))
 
     issues += [
         ValidationIssue("vertex_in_few_faces", f"vertex {v}", float(faces_per_vertex[v]))

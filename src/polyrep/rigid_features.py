@@ -16,7 +16,8 @@ and reconstruction share it):
 * phi has magnitude arccos(n1 . n2) between outward normals; its sign is the
   sign of (n1 x n2) . w, where w is the edge direction j - i for back-
   tracking paths and the ray cross product for other cross-face paths
-  (falling back to the edge direction, then to +1, when degenerate).
+  (falling back to the edge direction, then to +1, when the projection is
+  below 1e-9, so rounding noise in a rebuilt solid cannot flip it).
 
 Angles live in (-pi, pi]: exactly antiparallel normals map to pi.
 """
@@ -38,6 +39,7 @@ from .geometry import FaceLoops, PolygonFace, Polyhedron, _cross, _ro
 from .surface_graph import SurfaceGraph, SurfaceTopology
 
 _PARALLEL_TOL = 1e-12
+_SIGN_TOL = 1e-9  # a rebuilt solid's hinge projection drifts to 1.5e-12 from 0
 _DEGENERATE_PROJECTION = 1e-9
 _LAST = np.iinfo(np.int64).max
 
@@ -229,10 +231,9 @@ def _dihedral_angles(u1, cross12, n1, n2, backtracking):
     dot = np.clip(np.einsum("pc,pc->p", n1, n2), -1.0, 1.0)
     hinge = _cross(n1, n2)
     hw_cross = np.einsum("pc,pc->p", hinge, cross12)
-    use_edge = backtracking | (np.abs(hw_cross) < _PARALLEL_TOL)
-    hw_edge = np.einsum("pc,pc->p", hinge, -u1)
-    s = np.where(use_edge, np.sign(hw_edge), np.sign(hw_cross))
-    s = np.where(s == 0.0, 1.0, s)
+    use_edge = backtracking | (np.abs(hw_cross) < _SIGN_TOL)
+    hw = np.where(use_edge, np.einsum("pc,pc->p", hinge, -u1), hw_cross)
+    s = np.where(np.abs(hw) < _SIGN_TOL, 1.0, np.sign(hw))
     parallel = np.linalg.norm(hinge, axis=1) < _PARALLEL_TOL
     phi = np.where(parallel, np.where(dot > 0, 0.0, np.pi), s * np.arccos(dot))
     return _wrap_angle(phi)

@@ -5,8 +5,10 @@ face contributes one directed edge owned by that face, so each undirected
 edge of the solid appears as two opposite directed edges in two different
 faces.  The graph holds the solid's flat face-loop layout
 (:class:`polyrep.geometry.FaceLoops`) as it is: edge ``e`` is slot ``e``,
-running from ``verts[e]`` to ``verts[nxt[e]]``, and a face is its slot range
-plus an attribute vector.  The conversion is lossless:
+running from ``verts[e]`` to ``heads[e]``, and a face is its slot range
+plus an attribute vector.  Each edge's opposite and the out-edge order are
+the layout's :attr:`~polyrep.geometry.FaceLoops.edge_index`, which validation
+reads too, so a solid's edges are sorted once.  The conversion is lossless:
 :meth:`SurfaceGraph.to_polyhedron` is an exact inverse of
 :meth:`SurfaceGraph.from_polyhedron`.
 """
@@ -33,17 +35,6 @@ from .geometry import (
     _rowdot,
     validate_polyhedron,
 )
-
-
-def _edge_index(tail, head, n_nodes):
-    """Directed edges sorted by (tail, head): the order, the sorted encoded
-    keys, and each edge's opposite (swapped ends), -1 where there is none."""
-    keys = tail * n_nodes + head
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    reverse = head * n_nodes + tail
-    at = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
-    return order, keys, np.where(keys[at] == reverse, order[at], -1)
 
 
 @dataclass(frozen=True)
@@ -77,21 +68,24 @@ class SurfaceTopology:
         the turned loops in sweep order, their face ids, the sweep index of
         each one's parent, and the sweep index at which each breadth-first
         level starts, then the end.  Faults of the topology itself (no faces,
-        short loops, repeated or unpaired directed edges, faces or nodes the
-        sweep never reaches) raise :class:`DisconnectedSurfaceError`, and a
-        node id outside ``[0, n_nodes)`` raises :class:`GeometryError`.
+        short loops, more nodes than loop slots, repeated or unpaired directed
+        edges, faces or nodes the sweep never reaches) raise
+        :class:`DisconnectedSurfaceError`, and a node id outside
+        ``[0, n_nodes)`` raises :class:`GeometryError`.
         """
         if not self.loops:
             raise DisconnectedSurfaceError("topology has no faces")
         topo = FaceLoops.from_loops(self.loops)
-        verts, heads, n = topo.verts, topo.verts[topo.nxt], self.n_nodes
+        verts, heads, n = topo.verts, topo.heads, self.n_nodes
         if np.any(topo.lengths < 3):
             f = int(np.argmax(topo.lengths < 3))
             raise DisconnectedSurfaceError(f"face {f} has {topo.lengths[f]} vertices")
+        if n > len(verts):  # before any array of n entries is made
+            raise DisconnectedSurfaceError(f"{n} nodes cannot all lie on {len(verts)} slots")
         if np.any((verts < 0) | (verts >= n)):
             s = int(np.argmax((verts < 0) | (verts >= n)))
             raise GeometryError(f"face {topo.face[s]} references vertex {verts[s]} of {n}")
-        by_key, keys, opposite = _edge_index(verts, heads, n)
+        by_key, keys, opposite = topo.edge_index
         if np.any(keys[1:] == keys[:-1]):
             s = int(by_key[1:][keys[1:] == keys[:-1]].min())
             raise DisconnectedSurfaceError(
@@ -164,7 +158,7 @@ class SurfaceGraph:
         attrs.setflags(write=False)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "attrs", attrs)
-        tail, head = loops.verts, _ro(loops.verts[loops.nxt])
+        tail, head = loops.verts, loops.heads
         object.__setattr__(self, "edge_tail", tail)
         object.__setattr__(self, "edge_head", head)
         object.__setattr__(self, "edge_face", loops.face)
@@ -180,9 +174,8 @@ class SurfaceGraph:
         if np.any(tail == head):
             raise GraphError("directed edges must join distinct nodes")
 
-        # Sorting by (tail, head) puts a duplicate next to its twin and lets
-        # every edge find its opposite by binary search.
-        order, sorted_keys, opposite = _edge_index(tail, head, n_nodes)
+        # The edge index puts a duplicate next to its twin.
+        order, sorted_keys, opposite = loops.edge_index
         twin = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
         if len(twin):
             e = order[twin[0]]
@@ -196,12 +189,12 @@ class SurfaceGraph:
             raise GraphError(
                 f"edge ({tail[e]},{head[e]}) and its opposite share face {loops.face[e]}"
             )
-        object.__setattr__(self, "opposite", _ro(opposite))
+        object.__setattr__(self, "opposite", opposite)
 
         # CSR-style out-edge index ordered by (tail, head): neighbors and
         # path enumeration read straight off it in deterministic order.
         starts = np.searchsorted(tail[order], np.arange(n_nodes + 1))
-        object.__setattr__(self, "_out_order", _ro(order))
+        object.__setattr__(self, "_out_order", order)
         object.__setattr__(self, "_out_starts", _ro(starts))
 
     # -- construction -------------------------------------------------------

@@ -108,3 +108,33 @@ def chiral_tetrahedron():
             loop = tuple(reversed(loop))
         faces.append(PolygonFace(loop, np.zeros(0)))
     return Polyhedron(verts, tuple(faces))
+
+
+def banded_column(sides, bands, seed=12, straight=False):
+    """Column over a random star polygon whose sides are cut by hand into
+    ``bands`` stacked quads.  Face 0 is the top cap and face 1 the bottom
+    cap, as in ``extrude_polygon``.
+
+    Ring ``r`` is the polygon scaled by its own factor at its own height, so
+    every band is a planar trapezoid and no two stacked bands are coplanar.
+    With ``straight`` every ring keeps the polygon's own size: the column is
+    a straight prism and the bands of each side are coplanar, which puts
+    some cross-face hinges exactly perpendicular to their sign direction.
+    """
+    rng = np.random.default_rng(seed)
+    poly = random_simple_polygon(rng, sides, sides)
+    heights = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, bands))])
+    scales = np.ones(bands + 1) if straight else rng.uniform(0.8, 1.2, bands + 1)
+    vertices = np.vstack(
+        [np.column_stack([s * poly, np.full(sides, z)]) for s, z in zip(scales, heights)]
+    )
+    faces = [
+        PolygonFace(tuple(range(bands * sides, (bands + 1) * sides)), []),
+        PolygonFace(tuple(reversed(range(sides))), []),
+    ]
+    for band in range(bands):
+        low, high = band * sides, (band + 1) * sides
+        for i in range(sides):
+            j = (i + 1) % sides
+            faces.append(PolygonFace((low + i, low + j, high + j, high + i), []))
+    return Polyhedron(vertices, tuple(faces))

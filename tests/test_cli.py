@@ -12,6 +12,8 @@ from polyrep.datasets import (
     synthetic_dataset,
 )
 
+from conftest import banded_column
+
 
 @pytest.fixture
 def cube_json(tmp_path):
@@ -52,6 +54,48 @@ class TestFeaturesAndReconstruct:
         assert code == 0
         doc = json.loads(rebuilt.read_text())
         assert len(doc["vertices"]) == 8 and len(doc["faces"]) == 6
+
+    def test_report_keys(self, tmp_path, cube_json, capsys):
+        code, out, _ = run(capsys, "features", cube_json, "--out", tmp_path / "r", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert sorted(doc) == ["config_hash", "metrics", "runtime_s", "seed", "task"]
+        assert doc["task"] == "features" and doc["runtime_s"] >= 0
+
+    def test_straight_banded_prism_round_trips(self, tmp_path, capsys):
+        solid = tmp_path / "prism.json"
+        prism = banded_column(6, 2, straight=True)
+        solid.write_text(encode_record(PolyhedronRecord(prism, 0, "prism")) + "\n")
+        rigid = tmp_path / "prism.rigid"
+        topo = tmp_path / "prism.topo.json"
+        code, _, _ = run(capsys, "features", solid, "--out", rigid, "--topology-out", topo)
+        assert code == 0
+        code, _, err = run(
+            capsys, "reconstruct", "--rigid", rigid, "--topology", topo,
+            "--out", tmp_path / "rebuilt.json",
+        )
+        assert code == 0, err
+
+    def test_solid_without_faces_is_data_error(self, tmp_path, capsys):
+        solid = tmp_path / "empty.json"
+        solid.write_text('{"vertices": [], "faces": [], "label": 0}\n')
+        code, _, err = run(capsys, "features", solid, "--out", tmp_path / "empty.rigid")
+        assert code == 2
+        assert "no_faces" in err
+
+    def test_node_count_beyond_loops_is_numerical_failure(self, tmp_path, cube_json, capsys):
+        rigid = tmp_path / "cube.rigid"
+        topo = tmp_path / "cube.topo.json"
+        run(capsys, "features", cube_json, "--out", rigid, "--topology-out", topo)
+        doc = json.loads(topo.read_text())
+        doc["n_nodes"] = 10**15
+        topo.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "reconstruct", "--rigid", rigid, "--topology", topo, "--out", out
+        )
+        assert code == 3
+        assert "cannot all lie on" in err and not out.exists()
 
     def test_corrupt_rigid_set_is_numerical_failure(self, tmp_path, cube_json, capsys):
         rigid = tmp_path / "cube.rigid"

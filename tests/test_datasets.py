@@ -117,6 +117,10 @@ class TestJsonCodec:
         with pytest.raises(DataError, match=r"faces\[4\]\.attr: .*finite"):
             decode_record(json.dumps(doc))
 
+    def test_solid_without_faces_is_invalid(self):
+        with pytest.raises(InvalidPolyhedronError, match="no_faces at solid"):
+            decode_record('{"vertices": [], "faces": [], "label": 0}')
+
     def test_out_of_range_index_is_data_error(self, cube):
         doc = json.loads(encode_record(PolyhedronRecord(cube, 0, "x")))
         doc["faces"][0]["loop"][0] = 99
@@ -194,6 +198,48 @@ class TestObjImport:
             "f 1/1 3/2 2/3\nf 1//1 2//2 4//3\nf 2/1/1 3/2/2 4/3/3\nf 1 4 3\n"
         )
         assert import_obj(obj).n_triangles == 4
+
+
+def _cube_mesh(triangles):
+    """A TriangleMesh on the unit cube's vertices with the given triangles."""
+    vertices = triangulate(make_box()).vertices
+    return TriangleMesh(vertices, triangles, np.zeros((len(triangles), 0)))
+
+
+class TestTriangleMesh:
+    # triangulate(make_box()) gives (4,5,6) (4,6,7) (3,2,1) (3,1,0) (0,1,5)
+    # (0,5,4) (1,2,6) (1,6,5) (2,3,7) (2,7,6) (3,0,4) (3,4,7).
+    CUBE = triangulate(make_box()).triangles.tolist()
+
+    def test_degenerate_edge_message(self):
+        tris = self.CUBE[:3] + [[3, 3, 1]] + self.CUBE[4:]
+        with pytest.raises(DataError, match=r"^triangle 3 has a degenerate edge$"):
+            _cube_mesh(tris)
+
+    def test_edge_used_twice_message(self):
+        with pytest.raises(
+            DataError,
+            match=r"^directed edge \(0,5\) used twice: mesh is not consistently "
+            r"oriented or not manifold$",
+        ):
+            _cube_mesh(self.CUBE + [self.CUBE[5]])
+
+    def test_boundary_edge_message(self):
+        with pytest.raises(DataError, match=r"^boundary edge \(7,4\): mesh is not closed$"):
+            _cube_mesh(self.CUBE[:-1])
+
+    def test_defects_reported_degenerate_then_duplicate_then_boundary(self):
+        # A degenerate edge wins over an earlier repeated triangle, and a
+        # repeated triangle wins over an earlier boundary edge.
+        with pytest.raises(DataError, match="triangle 13 has a degenerate edge"):
+            _cube_mesh(self.CUBE + [self.CUBE[5], [0, 0, 1]])
+        with pytest.raises(DataError, match=r"directed edge \(0,5\) used twice"):
+            _cube_mesh(self.CUBE[:-1] + [self.CUBE[5]])
+
+    def test_layout_is_the_triangles(self):
+        mesh = _cube_mesh(self.CUBE)
+        assert mesh.face_loops.verts.tolist() == sum(self.CUBE, [])
+        assert mesh.face_loops.lengths.tolist() == [3] * 12
 
 
 class TestMerge:

@@ -145,6 +145,12 @@ def _several_defects():
 # its issues and warnings.
 VALIDATION_TABLE = [
     (
+        "no_faces",
+        lambda: Polyhedron(np.zeros((0, 3)), ()),
+        [("no_faces", "solid")],
+        [],
+    ),
+    (
         "short_loop",
         lambda: _with_loops(make_box(), _loops(make_box()) + [(0, 1)]),
         [("short_loop", "face 6")],
@@ -405,6 +411,37 @@ def test_validation_matches_loop_reference(seed):
     got = np.array([i.deviation for i in report.issues], dtype=float)
     want = np.array([i[2] for i in issues], dtype=float)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def _reference_edge_index(loops):
+    """Slots sorted by (tail, head, slot), and each slot's opposite: the
+    first slot in that order with the ends swapped, or -1."""
+    tail, head = loops.verts.tolist(), loops.heads.tolist()
+    order = sorted(range(len(tail)), key=lambda s: (tail[s], head[s], s))
+    first = {}
+    for s in order:
+        first.setdefault((tail[s], head[s]), s)
+    return order, [first.get((head[s], tail[s]), -1) for s in range(len(tail))]
+
+
+@given(st.lists(st.lists(st.integers(0, 6), max_size=5), max_size=6))
+def test_edge_index_matches_dict_reference(raw):
+    # Few vertex ids and short loops: duplicates, unpaired edges,
+    # self-loops, empty loops and the empty layout all come up.
+    loops = FaceLoops.from_loops(raw)
+    order, keys, opposite = loops.edge_index
+    want_order, want_opposite = _reference_edge_index(loops)
+    assert order.tolist() == want_order
+    assert opposite.tolist() == want_opposite
+    pairs = list(zip(loops.verts[order].tolist(), loops.heads[order].tolist()))
+    # Equal keys exactly for equal (tail, head) pairs, increasing with them.
+    assert [a == b for a, b in zip(keys[1:], keys[:-1])] == [
+        a == b for a, b in zip(pairs[1:], pairs[:-1])
+    ]
+    assert np.all(np.diff(keys) >= 0)
+    assert loops.heads.tolist() == loops.verts[loops.nxt].tolist()
+    for arr in (loops.heads, order, keys, opposite):
+        assert not arr.flags.writeable
 
 
 class TestFaceLoops:

@@ -35,7 +35,7 @@ from polyrep import (
 from polyrep.datasets import make_box, make_prism, make_tetrahedron, random_simple_polygon
 from polyrep.rigid_features import RigidTuple, _path_geometry
 
-from conftest import chiral_tetrahedron, solid_corpus
+from conftest import banded_column, chiral_tetrahedron, solid_corpus
 
 
 def _reference_paths(g, include_backtracking):
@@ -456,31 +456,16 @@ class TestSolidReconstruction:
         assert rmsd < 1e-6 * solid.diameter()
         assert rigid_sets_equal(rs, compute_rigid_set(build_surface_graph(rebuilt)), 1e-6)
 
-
-def banded_column(sides, bands, seed=12):
-    """Column over a random star polygon whose sides are cut by hand into
-    ``bands`` stacked quads.  Ring ``r`` is the polygon scaled by its own
-    factor at its own height, so every band is a planar trapezoid and no two
-    stacked bands are coplanar (coplanar neighbours on different sides make
-    the dihedral sign of some cross-face paths a matter of rounding).  Face
-    0 is the top cap and face 1 the bottom cap, as in ``extrude_polygon``."""
-    rng = np.random.default_rng(seed)
-    poly = random_simple_polygon(rng, sides, sides)
-    heights = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, bands))])
-    scales = rng.uniform(0.8, 1.2, bands + 1)
-    vertices = np.vstack(
-        [np.column_stack([s * poly, np.full(sides, z)]) for s, z in zip(scales, heights)]
-    )
-    faces = [
-        PolygonFace(tuple(range(bands * sides, (bands + 1) * sides)), []),
-        PolygonFace(tuple(reversed(range(sides))), []),
-    ]
-    for band in range(bands):
-        low, high = band * sides, (band + 1) * sides
-        for i in range(sides):
-            j = (i + 1) % sides
-            faces.append(PolygonFace((low + i, low + j, high + j, high + i), []))
-    return Polyhedron(vertices, tuple(faces))
+    @pytest.mark.parametrize("sides, bands", [(6, 2), (12, 3), (24, 10), (12, 40)])
+    def test_straight_banded_prism_round_trips(self, sides, bands):
+        # Coplanar bands put some cross-face hinges exactly perpendicular to
+        # the ray cross product in the source; the rebuilt solid has them at
+        # about 1e-12, which must not flip the dihedral sign.
+        solid = banded_column(sides, bands, straight=True)
+        g = build_surface_graph(solid)
+        rs = compute_rigid_set(g)
+        rebuilt = reconstruct_polyhedron(rs, g.topology())
+        assert rigid_sets_equal(rs, compute_rigid_set(build_surface_graph(rebuilt)), 1e-6)
 
 
 def _fifo_sweep(topo):
@@ -634,6 +619,12 @@ class TestTopologyFaults:
         extra = SurfaceTopology(topo.n_nodes + 1, topo.loops, topo.attrs)
         with pytest.raises(DisconnectedSurfaceError, match=r"never placed: \[8\]"):
             reconstruct_polyhedron(rs, extra)
+
+    def test_more_nodes_than_loop_vertices(self):
+        rs, topo = _cube_parts()
+        huge = SurfaceTopology(10**15, topo.loops, topo.attrs)
+        with pytest.raises(DisconnectedSurfaceError, match="cannot all lie on 24 slots"):
+            reconstruct_polyhedron(rs, huge)
 
     def test_short_loop(self):
         rs, topo = _cube_parts()
