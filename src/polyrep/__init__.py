@@ -30,8 +30,6 @@ from .geometry import (
     ValidationReport,
     apply_rigid_transform,
     extrude_polygon,
-    face_area,
-    face_normal,
     kabsch_align,
     sample_random_rotation,
     validate_polyhedron,
@@ -40,11 +38,9 @@ from .surface_graph import SurfaceGraph, SurfaceTopology, build_surface_graph
 from .rigid_features import (
     PathSet,
     RigidSet,
-    RigidTuple,
     compute_rigid_set,
     enumerate_paths,
     read_rigid_set,
-    reconstruct_face,
     reconstruct_polyhedron,
     rigid_sets_equal,
     signed_dihedral_angle,
@@ -61,7 +57,6 @@ from .model import (
     embed_graph,
     gnn_forward,
     gnn_train_step,
-    mask_attributes,
     precompute_graph_features,
 )
 from .datasets import (

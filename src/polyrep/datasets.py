@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -86,9 +87,8 @@ def decode_record(
     raw_verts = _want(doc, "vertices", list, "$")
     verts = []
     for vi, v in enumerate(raw_verts):
-        if not isinstance(v, list) or len(v) != 3 or not all(
-            isinstance(c, (int, float)) for c in v
-        ):
+        # type(), not isinstance(): JSON true and false decode as bool, an int.
+        if not isinstance(v, list) or len(v) != 3 or not all(type(c) in (int, float) for c in v):
             raise DataError(f"vertices[{vi}]: expected [x, y, z] numbers")
         verts.append([float(c) for c in v])
     raw_faces = _want(doc, "faces", list, "$")
@@ -99,13 +99,8 @@ def decode_record(
         loop = _want(f, "loop", list, f"faces[{fi}]")
         if not all(isinstance(i, int) and not isinstance(i, bool) for i in loop):
             raise DataError(f"faces[{fi}].loop: expected integer indices")
-        for i in loop:
-            if i < 0 or i >= len(verts):
-                raise DataError(f"faces[{fi}].loop: index {i} out of range")
         attr = f.get("attr", [])
-        if not isinstance(attr, list) or not all(
-            isinstance(a, (int, float)) for a in attr
-        ):
+        if not isinstance(attr, list) or not all(type(a) in (int, float) for a in attr):
             raise DataError(f"faces[{fi}].attr: expected a number list")
         if expected_attr_dim is not None and len(attr) != expected_attr_dim:
             raise DataError(
@@ -187,6 +182,8 @@ class TriangleMesh:
     def __post_init__(self):
         verts = np.array(self.vertices, dtype=np.float64).reshape(-1, 3)
         tris = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
+        if not len(tris):
+            raise DataError("mesh has no triangles")
         attrs = np.atleast_2d(np.array(self.attrs, dtype=np.float64))
         if attrs.size == 0:
             attrs = attrs.reshape(len(tris), -1)
@@ -284,6 +281,8 @@ def import_obj(path, materials: dict | None = None) -> TriangleMesh:
                 if len(parts) < 4:
                     raise DataError(f"{path}:{lineno}: malformed vertex")
                 verts.append([float(x) for x in parts[1:4]])
+                if not all(map(math.isfinite, verts[-1])):
+                    raise DataError(f"{path}:{lineno}: vertex coordinates must be finite")
             elif cmd == "usemtl":
                 name = parts[1] if len(parts) > 1 else ""
                 if materials is None or name not in materials:

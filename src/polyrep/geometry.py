@@ -56,12 +56,6 @@ DEGENERATE_NORMAL_TOL = 1e-12
 DEFAULT_COPLANARITY_TOL = 1e-6
 
 
-def _frozen(values, dtype=np.float64):
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _ro(arr):
     arr.setflags(write=False)
     return arr
@@ -232,7 +226,7 @@ class Polyhedron:
         for fi, face in enumerate(faces):
             for v in face.loop:
                 if v < 0 or v >= n:
-                    raise GeometryError(f"face {fi} references vertex {v} of {n}")
+                    raise GeometryError(f"face {fi} vertex {v} out of range for {n} vertices")
             dims.add(face.attr.shape[0])
         if len(dims) > 1:
             raise GeometryError(f"inconsistent attribute widths: {sorted(dims)}")
@@ -261,10 +255,6 @@ class Polyhedron:
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(np.linalg.norm(span))
 
-    def diameter(self):
-        """Bounding-box diagonal; the length scale used by relative tolerances."""
-        return self.bbox_diagonal()
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -285,28 +275,6 @@ class ValidationReport:
         return [i.code for i in self.issues]
 
 
-def _face_newell(p: Polyhedron, face_index: int) -> np.ndarray:
-    loop = p.faces[face_index].loop
-    if len(loop) < 3:
-        # Fewer than three points span no area: their cross products cancel.
-        return np.zeros(3)
-    loops = FaceLoops.from_lengths(loop, [len(loop)])
-    return _newell(p.vertices[loops.verts], loops)[0][0]
-
-
-def face_normal(p: Polyhedron, face_index: int) -> np.ndarray:
-    """Outward unit normal of one face, via Newell's method over the loop."""
-    n = _face_newell(p, face_index)
-    norm = np.linalg.norm(n)
-    if norm < DEGENERATE_NORMAL_TOL:
-        raise GeometryError(f"degenerate face {face_index}: |newell| = {norm:.3e}")
-    return n / norm
-
-
-def face_area(p: Polyhedron, face_index: int) -> float:
-    return 0.5 * float(np.linalg.norm(_face_newell(p, face_index)))
-
-
 def validate_polyhedron(
     p: Polyhedron, coplanarity_tol: float = DEFAULT_COPLANARITY_TOL
 ) -> ValidationReport:
@@ -321,11 +289,20 @@ def validate_polyhedron(
     centroid test is meaningful just for convex solids.
 
     Issues come face by face (short loop, repeated vertex, zero-length edges
-    and collinear vertices in loop order, then degenerate or non-coplanar
-    face), then per directed edge in (tail, head) order, then per vertex.
-    Loops shorter than three take part in no other check.
+    and collinear vertices in loop order, then degenerate, non-coplanar or
+    non-finite face), then per directed edge in (tail, head) order, then per
+    vertex.  Loops shorter than three take part in no other check.
+
+    Finite coordinates can still overflow.  A bounding-box diagonal beyond
+    the float64 range is reported as the single issue ``non_finite_scale``,
+    since no tolerance relative to it means anything; a finite one bounds
+    every edge vector.  A face whose Newell vector or its length is not
+    finite is ``non_finite_face``.
     """
     scale = p.bbox_diagonal() or 1.0
+    if not math.isfinite(scale):
+        issue = ValidationIssue("non_finite_scale", "solid", scale)
+        return ValidationReport(ok=False, issues=(issue,))
     solid_centroid = p.vertices.mean(axis=0) if p.n_vertices else np.zeros(3)
     nv = p.n_vertices
 
@@ -396,6 +373,10 @@ def validate_polyhedron(
     found += [
         ((fid[f], 4, 0), ValidationIssue("non_coplanar_face", f"face {fid[f]}", float(dev[f])))
         for f in np.flatnonzero(non_coplanar).tolist()
+    ]
+    found += [
+        ((fid[f], 4, 0), ValidationIssue("non_finite_face", f"face {fid[f]}", float(norm[f])))
+        for f in np.flatnonzero(~np.isfinite(norm)).tolist()
     ]
     found.sort(key=lambda item: item[0])
     issues = [] if p.n_faces else [ValidationIssue("no_faces", "solid")]
@@ -504,7 +485,8 @@ class ColorScheme:
 
     def __post_init__(self):
         for name in ("front", "back", "side", "bottom_side"):
-            object.__setattr__(self, name, _frozen(np.atleast_1d(getattr(self, name))))
+            value = np.array(np.atleast_1d(getattr(self, name)), dtype=np.float64)
+            object.__setattr__(self, name, _ro(value))
         dims = {getattr(self, n).shape[0] for n in ("front", "back", "side", "bottom_side")}
         if len(dims) != 1:
             raise GeometryError("color scheme vectors must share one width")

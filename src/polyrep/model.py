@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, GeometryError
 from .nn import AdamState, Mlp, ParameterRegistry, adam_step, cross_entropy
 from .rigid_features import enumerate_paths, _path_geometry
 from .surface_graph import SurfaceGraph
@@ -73,7 +73,8 @@ def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphFeatures:
     normalization comfortable across object scales.  Attribute columns are
     taken from the faces owning the reversed edges (j -> i, k -> j) by
     default; ``cfg.attr_edge_orientation = "forward"`` switches to the
-    forward edges' own faces.
+    forward edges' own faces.  A non-finite feature raises
+    :class:`GeometryError`, so that no network ever reads one.
     """
     if g.attr_dim != cfg.attr_dim:
         raise ValueError(
@@ -94,6 +95,10 @@ def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphFeatures:
             a1 = g.attrs[face1]
             a2 = g.attrs[face2]
         feats = np.column_stack([feats, a1, a2])
+    if not np.isfinite(feats).all():  # a whole-array test; rows only to name one
+        r = np.flatnonzero(~np.isfinite(feats).all(axis=1))[0]
+        i, j, k = paths.i[r], paths.j[r], paths.k[r]
+        raise GeometryError(f"non-finite feature on path ({i},{j},{k})")
     return GraphFeatures(
         path_i=paths.i.copy(),
         path_j=paths.j.copy(),
@@ -102,14 +107,6 @@ def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphFeatures:
         inner=(face1 == face2),
         n_nodes=g.n_nodes,
     )
-
-
-def mask_attributes(features: GraphFeatures) -> GraphFeatures:
-    """Zero the attribute columns; identical to building from a solid whose
-    face attributes are all zero."""
-    feats = features.feats.copy()
-    feats[:, 4:] = 0.0
-    return replace(features, feats=feats)
 
 
 @dataclass(frozen=True)

@@ -185,10 +185,6 @@ class Mlp(ParameterRegistry):
     def in_dim(self):
         return self.dims[0]
 
-    @property
-    def out_dim(self):
-        return self.dims[-1]
-
     def forward(self, x, train, update_stats=True):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:

@@ -33,7 +33,6 @@ from .errors import (
     GeometryError,
     IncompleteRigidSetError,
     InconsistentRigidSetError,
-    DisconnectedSurfaceError,
 )
 from .geometry import FaceLoops, PolygonFace, Polyhedron, _cross, _ro
 from .surface_graph import SurfaceGraph, SurfaceTopology
@@ -87,15 +86,6 @@ def enumerate_paths(g: SurfaceGraph, include_backtracking: bool = True) -> PathS
 
 
 @dataclass(frozen=True)
-class RigidTuple:
-    d1: float
-    d2: float
-    theta: float
-    phi: float
-    faces: tuple
-
-
-@dataclass(frozen=True)
 class RigidSet:
     """Map from (i, j, k) node triples to rigid tuples, as parallel arrays.
 
@@ -129,10 +119,6 @@ class RigidSet:
     def __len__(self):
         return len(self.keys)
 
-    @property
-    def inner_mask(self):
-        return self.face1 == self.face2
-
     @cached_property
     def _index(self):
         """Sorted distinct node ids, and one int64 code per row, from the
@@ -159,22 +145,6 @@ class RigidSet:
     def row(self, i: int, j: int, k: int) -> int:
         """Row of key (i, j, k): the one-key call of :meth:`rows`."""
         return int(self.rows([i, j, k])[0])
-
-    def _tuple(self, r) -> RigidTuple:
-        return RigidTuple(
-            float(self.d1[r]),
-            float(self.d2[r]),
-            float(self.theta[r]),
-            float(self.phi[r]),
-            (int(self.face1[r]), int(self.face2[r])),
-        )
-
-    def get(self, i: int, j: int, k: int) -> RigidTuple:
-        return self._tuple(self.row(i, j, k))
-
-    def items(self):
-        for r, key in enumerate(self.keys):
-            yield tuple(int(v) for v in key), self._tuple(r)
 
 
 def _encode(rank, base):
@@ -369,33 +339,6 @@ def _lay_flat(rigid: RigidSet, loops: FaceLoops, faces) -> np.ndarray:
         )
     xy[first], xy[first + 1] = tail, 0.0
     return xy
-
-
-def reconstruct_face(rigid: RigidSet, start_edge, face: int) -> dict:
-    """Rebuild one face's loop in 2D from its inner tuples.
-
-    The local frame puts the start edge's head at the origin with the edge
-    along +x (tail at (-d, 0)) and the face's outward normal out of the
-    plane; the loop follows the inner tuples of ``face`` from the start
-    edge.  Returns vertex positions keyed by node id, in loop order starting
-    at the edge tail.
-
-    Raises if a required tuple is missing or the loop fails to close within
-    1e-6 of its perimeter.
-    """
-    inner = np.flatnonzero((rigid.face1 == face) & (rigid.face2 == face))
-    follow = dict(zip(map(tuple, rigid.keys[inner, :2].tolist()), rigid.keys[inner, 2].tolist()))
-    loop = [int(start_edge[0]), int(start_edge[1])]
-    while (nxt := follow.get((loop[-2], loop[-1]))) != loop[0]:
-        if nxt is None:
-            raise IncompleteRigidSetError(
-                f"no inner tuple for edge ({loop[-2]},{loop[-1]}) of face {face}"
-            )
-        if nxt in loop:
-            raise InconsistentRigidSetError(f"face {face} chain does not close")
-        loop.append(nxt)
-    xy = _lay_flat(rigid, FaceLoops.from_lengths(loop, [len(loop)]), [face])
-    return dict(zip(loop, xy))
 
 
 def reconstruct_polyhedron(rigid: RigidSet, topology: SurfaceTopology) -> Polyhedron:

@@ -229,10 +229,6 @@ class SurfaceGraph:
     def attr_dim(self):
         return self.attrs.shape[1]
 
-    def opposite_edge(self, e: int) -> int:
-        """The unique edge with swapped endpoints, owned by the other face."""
-        return int(self.opposite[e])
-
     def neighbors(self, v: int) -> list:
         """Sorted heads of the directed edges leaving v (unique, since no
         directed edge repeats)."""

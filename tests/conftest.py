@@ -138,3 +138,12 @@ def banded_column(sides, bands, seed=12, straight=False):
             j = (i + 1) % sides
             faces.append(PolygonFace((low + i, low + j, high + j, high + i), []))
     return Polyhedron(vertices, tuple(faces))
+
+
+def overflowing_solid(newell_only=False):
+    """A closed solid with finite coordinates whose derived geometry overflows
+    float64: a tetrahedron at 1e308, whose bounding-box diagonal is inf, or,
+    with ``newell_only``, a cube at 1e150, where only the face Newell
+    vectors (which scale as the square of the size) do."""
+    p = make_box() if newell_only else make_tetrahedron()
+    return Polyhedron(p.vertices * (1e150 if newell_only else 1e308), p.faces)

@@ -134,8 +134,8 @@ def test_criterion_03_reconstruction():
         recomputed = compute_rigid_set(build_surface_graph(rebuilt))
         assert rigid_sets_equal(rigid, recomputed, 1e-6)
         _, rmsd = kabsch_align(rebuilt.vertices, solid.vertices)
-        assert rmsd < 1e-6 * solid.diameter()
-        worst_rmsd = max(worst_rmsd, rmsd / solid.diameter())
+        assert rmsd < 1e-6 * solid.bbox_diagonal()
+        worst_rmsd = max(worst_rmsd, rmsd / solid.bbox_diagonal())
     elapsed = time.time() - started
     report(
         3,

@@ -12,7 +12,7 @@ from polyrep.datasets import (
     synthetic_dataset,
 )
 
-from conftest import banded_column
+from conftest import banded_column, overflowing_solid
 
 
 @pytest.fixture
@@ -182,6 +182,14 @@ class TestFeaturesAndReconstruct:
         assert code == 2
         assert "faces[0].attr" in err and "finite" in err
 
+    def test_overflowing_solid_is_data_error(self, tmp_path, capsys):
+        solid = tmp_path / "huge.json"
+        solid.write_text(encode_record(PolyhedronRecord(overflowing_solid(), 0, "huge")) + "\n")
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "features", solid, "--out", tmp_path / "huge.rigid")
+        assert code == 2
+        assert "non_finite_scale" in err
+
 
 class TestChecks:
     def test_invariance_check(self, capsys):
@@ -298,6 +306,18 @@ class TestDatasetAndMerge:
         )
         assert code == 0
         assert json.loads(stdout)["metrics"]["faces"] == 6
+
+    def test_merge_obj_non_finite_vertex_is_data_error(self, tmp_path, capsys):
+        from test_datasets import CUBE_MTL, CUBE_OBJ
+
+        obj = tmp_path / "cube.obj"
+        obj.write_text(CUBE_OBJ.replace("v 1 1 0\n", "v 1 nan 0\n"))
+        mtl = tmp_path / "cube.mtl"
+        mtl.write_text(CUBE_MTL)
+        out = tmp_path / "merged.json"
+        code, _, err = run(capsys, "merge-obj", obj, "--mtl", mtl, "--out", out)
+        assert code == 2
+        assert "cube.obj:4: vertex coordinates must be finite" in err and not out.exists()
 
 
 class TestUsage:

@@ -33,7 +33,7 @@ from polyrep.datasets import (
     with_face_attrs,
 )
 
-from conftest import icosphere_mesh
+from conftest import icosphere_mesh, overflowing_solid
 
 CUBE_OBJ = """\
 # twelve-triangle cube
@@ -124,7 +124,28 @@ class TestJsonCodec:
     def test_out_of_range_index_is_data_error(self, cube):
         doc = json.loads(encode_record(PolyhedronRecord(cube, 0, "x")))
         doc["faces"][0]["loop"][0] = 99
-        with pytest.raises(DataError, match="out of range"):
+        with pytest.raises(DataError, match=r"face.*0.* 99 out of range"):
+            decode_record(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "newell_only, code", [(False, "non_finite_scale"), (True, "non_finite_face")]
+    )
+    def test_overflowing_geometry_is_invalid(self, newell_only, code):
+        text = encode_record(PolyhedronRecord(overflowing_solid(newell_only), 0, "x"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidPolyhedronError, match=f"{code} at") as info:
+                decode_record(text)
+        assert set(info.value.report.codes()) == {code}
+
+    def test_boolean_number_is_data_error(self):
+        text = encode_record(PolyhedronRecord(make_box(attr_dim=3), 0, "x"))
+        doc = json.loads(text)
+        doc["vertices"][2][1] = True
+        with pytest.raises(DataError, match=r"vertices\[2\]"):
+            decode_record(json.dumps(doc))
+        doc = json.loads(text)
+        doc["faces"][4]["attr"][0] = False
+        with pytest.raises(DataError, match=r"faces\[4\]\.attr"):
             decode_record(json.dumps(doc))
 
     def test_corpus_file_round_trip(self, tmp_path, cube):
@@ -185,6 +206,13 @@ class TestObjImport:
         with pytest.raises(DataError, match="out of range"):
             import_obj(obj)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_vertex_names_line(self, tmp_path, bad):
+        obj = tmp_path / "bad.obj"
+        obj.write_text(CUBE_OBJ.replace("v 1 1 0\n", f"v 1 {bad} 0\n"))
+        with pytest.raises(DataError, match=r"bad\.obj:4: vertex coordinates must be finite"):
+            import_obj(obj)
+
     def test_open_mesh_rejected(self, tmp_path):
         obj = tmp_path / "open.obj"
         obj.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
@@ -235,6 +263,10 @@ class TestTriangleMesh:
             _cube_mesh(self.CUBE + [self.CUBE[5], [0, 0, 1]])
         with pytest.raises(DataError, match=r"directed edge \(0,5\) used twice"):
             _cube_mesh(self.CUBE[:-1] + [self.CUBE[5]])
+
+    def test_no_triangles_is_data_error(self):
+        with pytest.raises(DataError, match="no triangles"):
+            TriangleMesh(make_box().vertices, [], np.zeros((0, 0)))
 
     def test_layout_is_the_triangles(self):
         mesh = _cube_mesh(self.CUBE)

@@ -7,20 +7,21 @@ from hypothesis import given, strategies as st
 from polyrep import (
     ColorScheme,
     GeometryError,
+    GraphError,
     InvalidTransformError,
     PolygonFace,
     Polyhedron,
     RigidTransform,
+    SurfaceGraph,
     apply_rigid_transform,
+    build_surface_graph,
     extrude_polygon,
-    face_area,
-    face_normal,
     kabsch_align,
     sample_random_rotation,
     validate_polyhedron,
 )
 from polyrep.datasets import make_box, make_tetrahedron
-from polyrep.geometry import FaceLoops
+from polyrep.geometry import FaceLoops, _newell
 
 from conftest import solid_corpus
 
@@ -103,11 +104,10 @@ class TestValidation:
 
     def test_closed_surface_newell_sum(self):
         for solid in solid_corpus(12, seed=1):
-            total_area = sum(face_area(solid, i) for i in range(solid.n_faces))
-            vec = sum(
-                face_area(solid, i) * face_normal(solid, i)
-                for i in range(solid.n_faces)
-            )
+            loops = solid.face_loops
+            newell = _newell(solid.vertices[loops.verts], loops)[0]  # twice each vector area
+            total_area = 0.5 * np.linalg.norm(newell, axis=1).sum()
+            vec = 0.5 * newell.sum(axis=0)
             assert np.linalg.norm(vec) <= 1e-9 * total_area
 
 
@@ -459,31 +459,33 @@ class TestFaceLoops:
         assert loops.slots([]).tolist() == []
 
 
+def normals(p):
+    return build_surface_graph(p).face_normals()
+
+
 class TestFaceNormal:
     def test_cube_cap_normals(self, cube):
-        normals = [face_normal(cube, i) for i in range(cube.n_faces)]
-        assert any(np.allclose(n, [0, 0, 1]) for n in normals)
-        assert any(np.allclose(n, [0, 0, -1]) for n in normals)
+        assert any(np.allclose(n, [0, 0, 1]) for n in normals(cube))
+        assert any(np.allclose(n, [0, 0, -1]) for n in normals(cube))
 
     def test_tetrahedron_normals_outward(self, tetrahedron):
         centroid = tetrahedron.vertices.mean(axis=0)
-        for i, face in enumerate(tetrahedron.faces):
-            n = face_normal(tetrahedron, i)
+        for face, n in zip(tetrahedron.faces, normals(tetrahedron)):
             face_centroid = tetrahedron.vertices[list(face.loop)].mean(axis=0)
             assert n @ (face_centroid - centroid) > 0
 
     def test_degenerate_face_raises(self):
+        # Both sides of a flat triangle pair every edge, so the graph builds.
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
-        p = Polyhedron(verts, (PolygonFace((0, 1, 2), np.zeros(0)),))
-        with pytest.raises(GeometryError):
-            face_normal(p, 0)
+        g = SurfaceGraph(verts, FaceLoops.from_loops([(0, 1, 2), (2, 1, 0)]), np.zeros((2, 0)))
+        with pytest.raises(GraphError, match="degenerate face 0"):
+            g.face_normals()
 
     def test_normal_rotation_equivariance(self, cube):
         t = sample_random_rotation(11)
         rotated = apply_rigid_transform(cube, t)
-        for i in range(cube.n_faces):
-            expect = t.rotation @ face_normal(cube, i)
-            assert np.abs(face_normal(rotated, i) - expect).max() < 1e-12
+        expect = normals(cube) @ t.rotation.T
+        assert np.abs(normals(rotated) - expect).max() < 1e-12
 
 
 class TestRigidTransform:
@@ -494,8 +496,7 @@ class TestRigidTransform:
     def test_translation_keeps_normals(self, cube):
         t = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
         moved = apply_rigid_transform(cube, t)
-        for i in range(cube.n_faces):
-            assert np.allclose(face_normal(moved, i), face_normal(cube, i), atol=1e-12)
+        assert np.allclose(normals(moved), normals(cube), atol=1e-12)
 
     def test_quarter_turn_maps_plus_x(self, cube):
         angle = math.pi / 2
@@ -507,11 +508,8 @@ class TestRigidTransform:
             ]
         )
         rotated = apply_rigid_transform(cube, RigidTransform(r, np.zeros(3)))
-        idx = next(
-            i for i in range(cube.n_faces)
-            if np.allclose(face_normal(cube, i), [1, 0, 0])
-        )
-        assert np.abs(face_normal(rotated, idx) - np.array([0, 1, 0])).max() < 1e-12
+        idx = next(i for i, n in enumerate(normals(cube)) if np.allclose(n, [1, 0, 0]))
+        assert np.abs(normals(rotated)[idx] - np.array([0, 1, 0])).max() < 1e-12
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(InvalidTransformError):
@@ -554,8 +552,7 @@ class TestExtrusion:
         assert solid.n_faces == 6
         assert solid.n_vertices == 8
         centroid = solid.vertices.mean(axis=0)
-        for i, face in enumerate(solid.faces):
-            n = face_normal(solid, i)
+        for face, n in zip(solid.faces, normals(solid)):
             assert n @ (solid.vertices[list(face.loop)].mean(axis=0) - centroid) > 0
 
     def test_triangle_counts(self):

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyrep import (
+    GeometryError,
     GnnConfig,
     GnnParams,
     PolygonFace,
     Polyhedron,
     RigidTransform,
+    SurfaceGraph,
     apply_rigid_transform,
     build_surface_graph,
     collate,
     embed_graph,
     gnn_forward,
     gnn_train_step,
-    mask_attributes,
     precompute_graph_features,
     sample_random_rotation,
 )
@@ -24,7 +25,7 @@ from polyrep.datasets import make_box, make_tetrahedron, synthetic_solid, with_f
 from polyrep.model import gnn_backward, gnn_loss_and_grads
 from polyrep.nn import AdamState, cross_entropy, grad_check
 
-from conftest import solid_corpus
+from conftest import overflowing_solid, solid_corpus
 
 
 def features_of(solid, cfg):
@@ -78,13 +79,13 @@ class TestPrecompute:
             rev.feats[:, 4:7], g.attrs[g.edge_face[g.opposite[paths.e1]]]
         )
 
-    def test_mask_attributes_equals_zeroed_solid(self, cube):
-        attrs = np.linspace(0.1, 0.9, 18).reshape(6, 3)
-        colored = with_face_attrs(cube, attrs)
-        cfg = GnnConfig(layers=1, hidden_dim=4, attr_dim=3)
-        masked = mask_attributes(features_of(colored, cfg))
-        zeroed = features_of(with_face_attrs(cube, np.zeros((6, 3))), cfg)
-        assert np.array_equal(masked.feats, zeroed.feats)
+    def test_non_finite_feature_raises(self):
+        # Validation refuses this solid; only a graph built without it gets here.
+        p = overflowing_solid()
+        g = SurfaceGraph(p.vertices, p.face_loops, np.zeros((p.n_faces, 0)))
+        with np.errstate(all="ignore"):
+            with pytest.raises(GeometryError, match=r"non-finite feature on path \(0,1,0\)"):
+                precompute_graph_features(g, GnnConfig())
 
 
 class TestForward:

@@ -24,7 +24,6 @@ from polyrep import (
     extrude_polygon,
     kabsch_align,
     read_rigid_set,
-    reconstruct_face,
     reconstruct_polyhedron,
     rigid_sets_equal,
     sample_random_rotation,
@@ -33,7 +32,8 @@ from polyrep import (
     write_rigid_set,
 )
 from polyrep.datasets import make_box, make_prism, make_tetrahedron, random_simple_polygon
-from polyrep.rigid_features import RigidTuple, _path_geometry
+from polyrep.geometry import FaceLoops
+from polyrep.rigid_features import _lay_flat, _path_geometry
 
 from conftest import banded_column, chiral_tetrahedron, solid_corpus
 
@@ -210,7 +210,7 @@ class TestRigidSet:
 
     def test_cube_inner_corners(self, cube):
         rs = compute_rigid_set(build_surface_graph(cube))
-        assert np.allclose(rs.theta[rs.inner_mask], -math.pi / 2)
+        assert np.allclose(rs.theta[rs.face1 == rs.face2], -math.pi / 2)
 
     def test_backtracking_tuples(self):
         for solid in solid_corpus(8, seed=5):
@@ -222,7 +222,7 @@ class TestRigidSet:
 
     def test_path_type_matches_faces(self, cube):
         rs = compute_rigid_set(build_surface_graph(cube))
-        assert np.all(rs.phi[rs.inner_mask] == 0.0)
+        assert np.all(rs.phi[rs.face1 == rs.face2] == 0.0)
 
     @given(st.integers(0, 10**6))
     def test_rigid_motion_invariance(self, seed):
@@ -262,7 +262,7 @@ class TestRigidSet:
     def test_non_finite_values_rejected(self, cube, field, bad):
         rs = compute_rigid_set(build_surface_graph(cube))
         values = {name: np.array(getattr(rs, name)) for name in ("d1", "d2", "theta", "phi")}
-        values[field][np.flatnonzero(rs.inner_mask)[0]] = bad
+        values[field][np.flatnonzero(rs.face1 == rs.face2)[0]] = bad
         with pytest.raises(InconsistentRigidSetError):
             RigidSet(
                 rs.keys, values["d1"], values["d2"], values["theta"], values["phi"],
@@ -298,12 +298,12 @@ class TestRigidSet:
             rs.keys[flipped], rs.d1[flipped], rs.d2[flipped], rs.theta[flipped],
             rs.phi[flipped], rs.face1[flipped], rs.face2[flipped],
         )
-        for r, (key, tup) in enumerate(shuffled.items()):
+        for r, key in enumerate(shuffled.keys.tolist()):
             assert shuffled.row(*key) == r
-            assert shuffled.get(*key) == tup
-            assert tup == RigidTuple(
-                rs.d1[r], rs.d2[r], rs.theta[r], rs.phi[r], (rs.face1[r], rs.face2[r])
-            )
+        rows = shuffled.rows(shuffled.keys)
+        assert np.array_equal(rows, np.arange(len(rs)))
+        for name in ("keys", "d1", "d2", "theta", "phi", "face1", "face2"):
+            assert np.array_equal(getattr(shuffled, name)[rows], getattr(rs, name))
 
     def test_rows_of_many_keys(self):
         rs = compute_rigid_set(build_surface_graph(make_prism(sides=9)))
@@ -322,7 +322,12 @@ class TestRigidSet:
         with pytest.raises(IncompleteRigidSetError):
             rs.row(*key)
         with pytest.raises(IncompleteRigidSetError):
-            rs.get(*key)
+            rs.rows([key])
+
+
+def _flat_face(rs, loop, face):
+    """One loop laid flat by the reconstruction's kernel: (len(loop), 2)."""
+    return _lay_flat(rs, FaceLoops.from_lengths(loop, [len(loop)]), [face])
 
 
 class TestFaceReconstruction:
@@ -330,9 +335,8 @@ class TestFaceReconstruction:
         g = build_surface_graph(cube)
         rs = compute_rigid_set(g)
         loop = g.face_loop(0)
-        flat = reconstruct_face(rs, (loop[0], loop[1]), 0)
-        assert set(flat) == set(loop)
-        pts = np.array([flat[v] for v in loop])
+        pts = _flat_face(rs, loop, 0)
+        assert pts.shape == (len(loop), 2)
         sides = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         assert np.allclose(sides, 1.0, atol=1e-12)
         diag = np.linalg.norm(pts[2] - pts[0])
@@ -342,46 +346,44 @@ class TestFaceReconstruction:
         g = build_surface_graph(cube)
         rs = compute_rigid_set(g)
         theta = np.array(rs.theta)
-        inner_rows = np.nonzero(rs.inner_mask)[0]
+        inner_rows = np.nonzero(rs.face1 == rs.face2)[0]
         theta[inner_rows[0]] += 0.1
         broken = RigidSet(rs.keys, rs.d1, rs.d2, theta, rs.phi, rs.face1, rs.face2)
         face = int(rs.face1[inner_rows[0]])
-        i, j = int(rs.keys[inner_rows[0], 0]), int(rs.keys[inner_rows[0], 1])
         with pytest.raises(InconsistentRigidSetError):
-            reconstruct_face(broken, (i, j), face)
+            _flat_face(broken, g.face_loop(face), face)
 
     def test_zero_length_fails_closure(self, cube):
         # A zero first edge turns every placed vertex into NaN, which no
         # closure tolerance may accept.
-        rs = compute_rigid_set(build_surface_graph(cube))
-        row = np.flatnonzero(rs.inner_mask)[0]
+        g = build_surface_graph(cube)
+        rs = compute_rigid_set(g)
+        row = np.flatnonzero(rs.face1 == rs.face2)[0]
         d1 = np.array(rs.d1)
-        d1[rs.inner_mask & (rs.face1 == rs.face1[row])] = 0.0
+        d1[(rs.face1 == rs.face2) & (rs.face1 == rs.face1[row])] = 0.0
         broken = RigidSet(rs.keys, d1, rs.d2, rs.theta, rs.phi, rs.face1, rs.face2)
-        i, j = int(rs.keys[row, 0]), int(rs.keys[row, 1])
+        face = int(rs.face1[row])
         with np.errstate(invalid="ignore", divide="ignore"):
             with pytest.raises(InconsistentRigidSetError):
-                reconstruct_face(broken, (i, j), int(rs.face1[row]))
+                _flat_face(broken, g.face_loop(face), face)
 
     def test_missing_tuple_detected(self, cube):
         g = build_surface_graph(cube)
         rs = compute_rigid_set(g)
-        keep = ~(rs.inner_mask & (rs.face1 == 0))
+        keep = ~((rs.face1 == rs.face2) & (rs.face1 == 0))
         pruned = RigidSet(
             rs.keys[keep], rs.d1[keep], rs.d2[keep], rs.theta[keep],
             rs.phi[keep], rs.face1[keep], rs.face2[keep],
         )
-        loop = g.face_loop(0)
         with pytest.raises(IncompleteRigidSetError):
-            reconstruct_face(pruned, (loop[0], loop[1]), 0)
+            _flat_face(pruned, g.face_loop(0), 0)
 
     def test_triangle_round_trip(self, tetrahedron):
         g = build_surface_graph(tetrahedron)
         rs = compute_rigid_set(g)
         loop = g.face_loop(2)
-        flat = reconstruct_face(rs, (loop[0], loop[1]), 2)
+        rebuilt = _flat_face(rs, loop, 2)
         original = g.coords[list(loop)]
-        rebuilt = np.array([flat[v] for v in loop])
         d_orig = np.linalg.norm(original[1] - original[2])
         d_flat = np.linalg.norm(rebuilt[1] - rebuilt[2])
         assert abs(d_orig - d_flat) < 1e-12
@@ -405,7 +407,7 @@ class TestSolidReconstruction:
             rs = compute_rigid_set(g)
             rebuilt = reconstruct_polyhedron(rs, g.topology())
             _, rmsd = kabsch_align(rebuilt.vertices, solid.vertices)
-            assert rmsd < 1e-6 * solid.diameter()
+            assert rmsd < 1e-6 * solid.bbox_diagonal()
 
     def test_mirrored_set_builds_mirror_image(self, cube):
         g = build_surface_graph(cube)
@@ -453,7 +455,7 @@ class TestSolidReconstruction:
         rs = compute_rigid_set(g)
         rebuilt = reconstruct_polyhedron(rs, g.topology())
         _, rmsd = kabsch_align(rebuilt.vertices, solid.vertices)
-        assert rmsd < 1e-6 * solid.diameter()
+        assert rmsd < 1e-6 * solid.bbox_diagonal()
         assert rigid_sets_equal(rs, compute_rigid_set(build_surface_graph(rebuilt)), 1e-6)
 
     @pytest.mark.parametrize("sides, bands", [(6, 2), (12, 3), (24, 10), (12, 40)])
@@ -560,7 +562,8 @@ class TestLoopReference:
         g = build_surface_graph(solid)
         rs, topo = compute_rigid_set(g), g.topology()
         rebuilt = reconstruct_polyhedron(rs, topo).vertices
-        assert np.abs(rebuilt - _loop_reconstruction(rs, topo)).max() <= 1e-11 * solid.diameter()
+        deviation = np.abs(rebuilt - _loop_reconstruction(rs, topo)).max()
+        assert deviation <= 1e-11 * solid.bbox_diagonal()
 
 
 def cyclic_equal(a, b):

@@ -103,8 +103,8 @@ class TestInvariants:
         for solid in solid_corpus(6, seed=3):
             g = build_surface_graph(solid)
             for e in range(g.n_edges):
-                o = g.opposite_edge(e)
-                assert g.opposite_edge(o) == e
+                o = g.opposite[e]
+                assert g.opposite[o] == e
                 assert g.edge_face[o] != g.edge_face[e]
                 assert g.edge_tail[o] == g.edge_head[e]
                 assert g.edge_head[o] == g.edge_tail[e]
@@ -198,7 +198,7 @@ class TestQueries:
             e for e in range(g.n_edges)
             if g.edge_tail[e] == 4 and g.edge_head[e] == 5
         )
-        o = g.opposite_edge(e)
+        o = g.opposite[e]
         assert (g.edge_tail[o], g.edge_head[o]) == (5, 4)
         assert g.edge_face[o] != g.edge_face[e]
 

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from polyrep import DataError, DivergenceError, TrainConfig, model, train
-from polyrep.datasets import synthetic_dataset
+from polyrep import DataError, DivergenceError, InvalidPolyhedronError, TrainConfig, model, train
+from polyrep.datasets import PolyhedronRecord, synthetic_dataset
 from polyrep.training import (
     evaluate_classification,
     evaluate_retrieval,
     features_for_records,
 )
+
+from conftest import overflowing_solid
 
 
 def quick_config(**overrides):
@@ -140,6 +142,16 @@ class TestEvaluation:
         ]
         with pytest.raises(DataError, match="classes"):
             evaluate_classification(result.checkpoint.params, bad)
+
+    @pytest.mark.parametrize(
+        "evaluate", [evaluate_classification, evaluate_retrieval], ids=["classify", "retrieve"]
+    )
+    def test_overflowing_solid_is_refused(self, tiny_run, evaluate):
+        result, _ = tiny_run
+        records = [*result.test_records, PolyhedronRecord(overflowing_solid(), 0, "huge")]
+        with np.errstate(all="ignore"):
+            with pytest.raises(InvalidPolyhedronError, match="non_finite_scale"):
+                evaluate(result.checkpoint.params, records)
 
 
 class TestConfig:
