@@ -90,7 +90,10 @@ def decode_record(
         # type(), not isinstance(): JSON true and false decode as bool, an int.
         if not isinstance(v, list) or len(v) != 3 or not all(type(c) in (int, float) for c in v):
             raise DataError(f"vertices[{vi}]: expected [x, y, z] numbers")
-        verts.append([float(c) for c in v])
+        try:
+            verts.append([float(c) for c in v])
+        except OverflowError as exc:
+            raise DataError(f"vertices[{vi}]: {exc}") from exc
     raw_faces = _want(doc, "faces", list, "$")
     faces = []
     for fi, f in enumerate(raw_faces):
@@ -108,7 +111,7 @@ def decode_record(
             )
         try:
             faces.append(PolygonFace(tuple(loop), np.array(attr, dtype=np.float64)))
-        except GeometryError as exc:
+        except (GeometryError, OverflowError) as exc:
             raise DataError(f"faces[{fi}].attr: {exc}") from exc
     label = doc.get("label", 0)
     if not isinstance(label, int) or isinstance(label, bool) or label < 0:
@@ -280,7 +283,11 @@ def import_obj(path, materials: dict | None = None) -> TriangleMesh:
             if cmd == "v":
                 if len(parts) < 4:
                     raise DataError(f"{path}:{lineno}: malformed vertex")
-                verts.append([float(x) for x in parts[1:4]])
+                try:
+                    verts.append([float(x) for x in parts[1:4]])
+                except ValueError as exc:
+                    msg = f"{path}:{lineno}: vertex coordinates must be numbers"
+                    raise DataError(msg) from exc
                 if not all(map(math.isfinite, verts[-1])):
                     raise DataError(f"{path}:{lineno}: vertex coordinates must be finite")
             elif cmd == "usemtl":
@@ -292,7 +299,11 @@ def import_obj(path, materials: dict | None = None) -> TriangleMesh:
                 idx = []
                 for token in parts[1:]:
                     head = token.split("/")[0]
-                    i = int(head)
+                    try:
+                        i = int(head)
+                    except ValueError as exc:
+                        msg = f"{path}:{lineno}: face index {head!r} is not an integer"
+                        raise DataError(msg) from exc
                     if i < 0:
                         i = len(verts) + i
                     else:

@@ -239,16 +239,16 @@ class _PathType:
         return [_SegmentSum(ids, self.n_nodes) for ids in (self.i, self.j, self.k)]
 
 
-def _psi_affine(psi, g, h, part):
-    """First psi layer on ``hstack(h[i], h[j], h[k], g)`` for the rows of
-    ``part``, with the node blocks of its weight applied once per node and
+def _psi_affine(w, b, g, h, part):
+    """First psi affine ``w``, ``b`` on ``hstack(h[i], h[j], h[k], g)`` for the
+    rows of ``part``, with the node blocks of ``w`` applied once per node and
     then gathered; ``h is None`` stands for all-zero embeddings."""
-    lin = psi.blocks[0].linear
     d = g.shape[1]
-    a = g[part.rows] @ lin.w[3 * d :] + lin.b
+    a = g[part.rows] @ w[3 * d :]
+    a += b
     if h is not None:
         for x, ids in enumerate((part.i, part.j, part.k)):
-            a += (h @ lin.w[x * d : (x + 1) * d])[ids]
+            a += (h @ w[x * d : (x + 1) * d])[ids]
     return a
 
 
@@ -262,7 +262,7 @@ def gnn_forward(
     """Run the network over a batch; train mode keeps caches for backward.
 
     Batchnorm statistics span all paths (message/guide nets) or all graphs
-    (classifier) in the batch.
+    (classifier) in the batch; eval mode folds in the running statistics.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -290,7 +290,9 @@ def gnn_forward(
         for (psi, w, _), part in zip(layer.message_nets(), parts):
             y = None
             if len(part.rows):
-                y = psi.forward_from_affine(_psi_affine(psi, g, h, part), train, update_stats)
+                first = psi.blocks[0]
+                wb = (first.linear.w, first.linear.b) if train else first.folded()
+                y = psi.forward_from_affine(_psi_affine(*wb, g, h, part), train, update_stats)
                 m[part.rows] = w[0] * y
             ys.append(y)
         if train:

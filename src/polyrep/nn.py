@@ -40,9 +40,9 @@ class Linear:
 
 
 class BatchNorm:
-    """Per-feature normalization; batch statistics in train mode, running
-    statistics in eval mode.  Running variance uses the unbiased batch
-    estimate; normalization the biased one."""
+    """Per-feature normalization over the batch; eval mode applies the
+    running statistics through :meth:`DenseBlock.folded`.  Running variance
+    uses the unbiased batch estimate; normalization the biased one."""
 
     def __init__(self, dim, eps=1e-5, momentum=0.1):
         self.eps = eps
@@ -55,26 +55,22 @@ class BatchNorm:
         self.gbeta = np.zeros_like(self.beta)
         self._cache = None
 
-    def forward(self, x, train, update_stats=True):
-        if train:
-            n = x.shape[0]
-            if n < 2:
-                raise BatchTooSmallError(
-                    f"batchnorm needs a batch of >= 2 in train mode, got {n}"
-                )
-            mean = x.mean(axis=0)
-            xc = x - mean
-            var = (xc * xc).mean(axis=0)  # bitwise equal to x.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = xc * inv_std
-            if update_stats:
-                m = self.momentum
-                self.running_mean = (1 - m) * self.running_mean + m * mean
-                self.running_var = (1 - m) * self.running_var + m * var * n / (n - 1)
-            self._cache = (xhat, inv_std, n)
-        else:
-            xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-            self._cache = None
+    def forward(self, x, train=True, update_stats=True):
+        if not train:
+            raise ValueError("eval-mode batchnorm is folded into its affine: DenseBlock.folded")
+        n = x.shape[0]
+        if n < 2:
+            raise BatchTooSmallError(f"batchnorm needs a batch of >= 2 in train mode, got {n}")
+        mean = x.mean(axis=0)
+        xc = x - mean
+        var = (xc * xc).mean(axis=0)  # bitwise equal to x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = xc * inv_std
+        if update_stats:
+            m = self.momentum
+            self.running_mean = (1 - m) * self.running_mean + m * mean
+            self.running_var = (1 - m) * self.running_var + m * var * n / (n - 1)
+        self._cache = (xhat, inv_std, n)
         return self.gamma * xhat + self.beta
 
     def backward(self, dy):
@@ -105,12 +101,32 @@ class DenseBlock:
         self._pre = None
 
     def forward(self, x, train, update_stats=True):
-        return self.post_forward(self.linear.forward(x), train, update_stats)
+        if train:
+            return self.post_forward(self.linear.forward(x), train, update_stats)
+        w, b = self.folded()
+        y = x @ w
+        y += b
+        return self.post_forward(y, train)
 
     def backward(self, dy):
         return self.linear.backward(self.post_backward(dy))
 
+    def folded(self):
+        """The eval-mode block before its ReLU as one affine ``(w, b)``, built
+        on every call so it cannot go stale.  Drops the activations kept for
+        backward, so an evaluated model holds (and clones) no train batch."""
+        self.linear._x = self._pre = None
+        lin, bn = self.linear, self.bn
+        if bn is None:
+            return lin.w, lin.b
+        bn._cache = None
+        s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+        return lin.w * s, (lin.b - bn.running_mean) * s + bn.beta
+
     def post_forward(self, y, train, update_stats=True):
+        """Steps after the affine output ``y``; of :meth:`folded` in eval mode."""
+        if not train:
+            return np.maximum(y, 0.0, out=y) if self.relu else y
         if self.bn is not None:
             y = self.bn.forward(y, train, update_stats)
         if self.relu:
@@ -189,10 +205,12 @@ class Mlp(ParameterRegistry):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (n, {self.in_dim}) input, got {x.shape}")
-        return self.forward_from_affine(self.blocks[0].linear.forward(x), train, update_stats)
+        for block in self.blocks:
+            x = block.forward(x, train, update_stats)
+        return x
 
     def forward_from_affine(self, y, train, update_stats=True):
-        """The forward pass after the first block's affine output ``y``."""
+        """The forward pass after the first block's (eval: folded) affine ``y``."""
         y = self.blocks[0].post_forward(y, train, update_stats)
         for block in self.blocks[1:]:
             y = block.forward(y, train, update_stats)
@@ -265,19 +283,36 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update, in place: ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g g`` and ``p -= lr (m / c1) / (sqrt(v / c2) +
+    eps)``, each operation in the order written but into two views of one
+    scratch buffer, so the result is bitwise that of the expressions."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and state must align")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
+    scratch = np.empty(2 * max((p.size for p in params), default=0))
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-        m[...] = b1 * m + (1 - b1) * g
-        v[...] = b2 * v + (1 - b2) * g * g
-        p[...] -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        t = scratch[: p.size].reshape(p.shape)
+        step = scratch[p.size : 2 * p.size].reshape(p.shape)
+        np.multiply(g, 1 - b1, out=t)
+        m *= b1
+        m += t
+        np.multiply(g, 1 - b2, out=t)
+        t *= g
+        v *= b2
+        v += t
+        np.divide(v, c2, out=t)
+        np.sqrt(t, out=t)
+        t += state.eps
+        np.divide(m, c1, out=step)
+        step *= lr
+        step /= t
+        p -= step
 
 
 @dataclass

@@ -249,6 +249,11 @@ class SurfaceGraph:
         degenerate = np.flatnonzero(norm < DEGENERATE_NORMAL_TOL)
         if len(degenerate):
             raise GraphError(f"degenerate face {degenerate[0]} in surface graph")
+        # An overflowing length would make zero normals; a NaN one (from a
+        # non-finite Newell vector) gives NaN normals, which features refuse.
+        overflow = np.flatnonzero(np.isinf(norm))
+        if len(overflow):
+            raise GraphError(f"face {overflow[0]} normal overflows in surface graph")
         return newell / norm[:, None]
 
     def mean_edge_length(self) -> float:

@@ -147,3 +147,32 @@ def overflowing_solid(newell_only=False):
     vectors (which scale as the square of the size) do."""
     p = make_box() if newell_only else make_tetrahedron()
     return Polyhedron(p.vertices * (1e150 if newell_only else 1e308), p.faces)
+
+
+# Eval outputs of the folded blocks against ``unfolded_eval``, relative to
+# the largest output: folding reorders a few roundings per entry (about
+# 4e-15 at most on random batchnorm statistics, hidden width 64).
+FOLD_RTOL = 1e-12
+
+
+def unfolded_eval(mlp, x):
+    """An eval-mode MLP written out block by block: affine, then batchnorm
+    with its running statistics, then ReLU, each into a new array."""
+    for block in mlp.blocks:
+        x = x @ block.linear.w + block.linear.b
+        bn = block.bn
+        if bn is not None:
+            x = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma + bn.beta
+        if block.relu:
+            x = np.maximum(x, 0.0)
+    return x
+
+
+def randomize_batchnorm(registry, rng):
+    """Give every batchnorm of ``registry`` its own gamma, beta and running
+    statistics, in place."""
+    for name, arr in registry.named_state():
+        if name.endswith(("bn.gamma", "bn.running_var")):
+            arr[...] = rng.uniform(0.5, 2.0, arr.shape)
+        elif name.endswith(("bn.beta", "bn.running_mean")):
+            arr[...] = rng.normal(0.0, 0.5, arr.shape)

@@ -190,6 +190,15 @@ class TestFeaturesAndReconstruct:
         assert code == 2
         assert "non_finite_scale" in err
 
+    def test_integer_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        doc = json.loads(encode_record(PolyhedronRecord(make_box(), 0, "cube")))
+        doc["vertices"][0][0] = 10**400
+        solid = tmp_path / "cube.json"
+        solid.write_text(json.dumps(doc) + "\n")
+        code, _, err = run(capsys, "features", solid, "--out", tmp_path / "cube.rigid")
+        assert code == 2
+        assert "vertices[0]" in err
+
 
 class TestChecks:
     def test_invariance_check(self, capsys):
@@ -318,6 +327,25 @@ class TestDatasetAndMerge:
         code, _, err = run(capsys, "merge-obj", obj, "--mtl", mtl, "--out", out)
         assert code == 2
         assert "cube.obj:4: vertex coordinates must be finite" in err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("v 1 1 0\n", "v a 1 0\n", "cube.obj:4: vertex coordinates must be numbers"),
+            ("f 1 3 2\n", "f 1 2 x\n", "cube.obj:12: face index 'x' is not an integer"),
+        ],
+    )
+    def test_merge_obj_non_numeric_token_is_data_error(self, tmp_path, capsys, old, new, message):
+        from test_datasets import CUBE_MTL, CUBE_OBJ
+
+        obj = tmp_path / "cube.obj"
+        obj.write_text(CUBE_OBJ.replace(old, new))
+        mtl = tmp_path / "cube.mtl"
+        mtl.write_text(CUBE_MTL)
+        out = tmp_path / "merged.json"
+        code, _, err = run(capsys, "merge-obj", obj, "--mtl", mtl, "--out", out)
+        assert code == 2
+        assert message in err and not out.exists()
 
 
 class TestUsage:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ class TestJsonCodec:
         with pytest.raises(DataError, match=r"faces\[4\]\.attr"):
             decode_record(json.dumps(doc))
 
+    def test_integer_beyond_float_range_is_data_error(self):
+        text = encode_record(PolyhedronRecord(make_box(attr_dim=3), 0, "x"))
+        doc = json.loads(text)
+        doc["vertices"][2][1] = 10**400
+        with pytest.raises(DataError, match=r"vertices\[2\]: .*too large"):
+            decode_record(json.dumps(doc))
+        doc = json.loads(text)
+        doc["faces"][4]["attr"][0] = -(10**400)
+        with pytest.raises(DataError, match=r"faces\[4\]\.attr: .*too large"):
+            decode_record(json.dumps(doc))
+
     def test_corpus_file_round_trip(self, tmp_path, cube):
         records = [PolyhedronRecord(cube, i % 2, f"c{i}") for i in range(4)]
         path = tmp_path / "corpus.jsonl"
@@ -212,6 +224,20 @@ class TestObjImport:
         obj.write_text(CUBE_OBJ.replace("v 1 1 0\n", f"v 1 {bad} 0\n"))
         with pytest.raises(DataError, match=r"bad\.obj:4: vertex coordinates must be finite"):
             import_obj(obj)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("v 1 1 0\n", "v a 1 0\n", "bad.obj:4: vertex coordinates must be numbers"),
+            ("f 1 3 2\n", "f 1 3 x\n", "bad.obj:12: face index 'x' is not an integer"),
+            ("f 1 3 2\n", "f 1 3/1 /2\n", "bad.obj:12: face index '' is not an integer"),
+        ],
+    )
+    def test_non_numeric_token_names_line(self, tmp_path, old, new, message):
+        obj = tmp_path / "bad.obj"
+        obj.write_text(CUBE_OBJ.replace(old, new))
+        with pytest.raises(DataError, match=re.escape(message)):
+            import_obj(obj, {"paint": [1.0]})
 
     def test_open_mesh_rejected(self, tmp_path):
         obj = tmp_path / "open.obj"

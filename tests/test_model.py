@@ -25,7 +25,13 @@ from polyrep.datasets import make_box, make_tetrahedron, synthetic_solid, with_f
 from polyrep.model import gnn_backward, gnn_loss_and_grads
 from polyrep.nn import AdamState, cross_entropy, grad_check
 
-from conftest import overflowing_solid, solid_corpus
+from conftest import (
+    FOLD_RTOL,
+    overflowing_solid,
+    randomize_batchnorm,
+    solid_corpus,
+    unfolded_eval,
+)
 
 
 def features_of(solid, cfg):
@@ -256,6 +262,10 @@ def _add_at(values, segments, n_segments):
 
 def reference_forward(params, batch, mode="eval", update_stats=True):
     train = mode == "train"
+
+    def run(mlp, x):
+        return mlp.forward(x, True, update_stats) if train else unfolded_eval(mlp, x)
+
     d = params.cfg.hidden_dim
     inner = batch.inner
     cross = ~inner
@@ -263,21 +273,21 @@ def reference_forward(params, batch, mode="eval", update_stats=True):
     caches = []
     layer_sums = []
     for layer in params.layers:
-        g = layer.guide.forward(batch.feats, train, update_stats)
+        g = run(layer.guide, batch.feats)
         msg_in = np.hstack([h[batch.path_i], h[batch.path_j], h[batch.path_k], g])
         m = np.zeros((len(batch.path_i), d))
         y_inner = y_cross = None
         if inner.any():
-            y_inner = layer.psi_inner.forward(msg_in[inner], train, update_stats)
+            y_inner = run(layer.psi_inner, msg_in[inner])
             m[inner] = layer.w_inner[0] * y_inner
         if cross.any():
-            y_cross = layer.psi_cross.forward(msg_in[cross], train, update_stats)
+            y_cross = run(layer.psi_cross, msg_in[cross])
             m[cross] = layer.w_cross[0] * y_cross
         h = _add_at(m, batch.path_i, batch.n_nodes)
         layer_sums.append(_add_at(h, batch.node_graph, batch.n_graphs))
         caches.append((y_inner, y_cross))
     h_graph = np.hstack(layer_sums)
-    logits = params.classifier.forward(h_graph, train, update_stats)
+    logits = run(params.classifier, h_graph)
     return h_graph, logits, caches
 
 
@@ -335,6 +345,23 @@ def _without_paths_from(batch, node):
         feats=batch.feats[keep],
         inner=batch.inner[keep],
     )
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every array reachable from ``obj`` through attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    return [a for child in children for a in _reachable_arrays(child, seen)]
 
 
 def _close(a, b, scale):
@@ -419,6 +446,38 @@ class TestAgainstMaterializedReference:
         h_graph, logits, _ = reference_forward(params, batch, mode="eval")
         assert _close(out.h_graph, h_graph, np.abs(h_graph).max())
         assert _close(out.logits, logits, np.abs(logits).max())
+
+    def test_eval_matches_unfolded_reference(self):
+        cfg, batch, _ = _reference_batch()
+        params = GnnParams(cfg)
+        randomize_batchnorm(params, np.random.default_rng(4))
+        out = gnn_forward(params, batch, mode="eval")
+        h_graph, logits, _ = reference_forward(params, batch, mode="eval")
+        assert np.abs(out.h_graph - h_graph).max() <= FOLD_RTOL * np.abs(h_graph).max()
+        assert np.abs(out.logits - logits).max() <= FOLD_RTOL * np.abs(logits).max()
+
+    def test_eval_is_repeatable_and_leaves_state_unchanged(self):
+        cfg, batch, _ = _reference_batch()
+        params = GnnParams(cfg)
+        randomize_batchnorm(params, np.random.default_rng(5))
+        before = [(name, arr.copy()) for name, arr in params.named_state()]
+        first = gnn_forward(params, batch, mode="eval")
+        second = gnn_forward(params, batch, mode="eval")
+        assert np.array_equal(first.h_graph, second.h_graph)
+        assert np.array_equal(first.logits, second.logits)
+        for (name, old), (_, new) in zip(before, params.named_state()):
+            assert np.array_equal(old, new), name
+
+    def test_eval_drops_training_activations(self):
+        # A model cloned after evaluation (the best epoch's snapshot in
+        # training) must copy its state and grads only, not the last batch.
+        cfg, batch, labels = _reference_batch()
+        params = GnnParams(cfg)
+        gnn_train_step(params, batch, labels, AdamState.for_params(params.parameters()), 1e-3)
+        gnn_forward(params, batch, mode="eval")
+        owned = {id(a) for _, a in params.named_state()} | {id(g) for g in params.grads()}
+        extra = [a.shape for a in _reachable_arrays(params) if id(a) not in owned]
+        assert extra == []
 
     def test_gradient_check_on_shuffled_batch(self):
         cfg, batch, labels = _reference_batch(n_solids=3, hidden_dim=4, seed=3)

@@ -15,6 +15,8 @@ from polyrep.nn import (
     plateau_step,
 )
 
+from conftest import FOLD_RTOL, randomize_batchnorm, unfolded_eval
+
 
 def mlp_loss_closure(mlp, x, y):
     def loss_fn():
@@ -84,6 +86,33 @@ class TestForward:
         xhat = (x - mean) * (1.0 / np.sqrt(var + bn.eps))
         assert np.array_equal(out, bn.gamma * xhat + bn.beta)
         assert np.array_equal(bn.running_var, 0.9 * np.ones(d) + 0.1 * var * n / (n - 1))
+
+
+class TestFoldedEval:
+    @pytest.mark.parametrize("batchnorm_output", [True, False])
+    def test_matches_unfolded_reference(self, batchnorm_output):
+        rng = np.random.default_rng(8)
+        mlp = Mlp(rng, [5, 16, 16, 3], batchnorm_output=batchnorm_output)
+        randomize_batchnorm(mlp, rng)
+        x = rng.standard_normal((40, 5)) * 3.0
+        want = unfolded_eval(mlp, x)
+        got = mlp.forward(x, train=False)
+        assert np.abs(got - want).max() <= FOLD_RTOL * np.abs(want).max()
+
+    def test_eval_leaves_state_unchanged(self):
+        rng = np.random.default_rng(9)
+        mlp = Mlp(rng, [4, 8, 8, 2])
+        randomize_batchnorm(mlp, rng)
+        before = [(name, arr.copy()) for name, arr in mlp.named_state()]
+        mlp.forward(rng.standard_normal((6, 4)), train=False)
+        for (name, old), (_, new) in zip(before, mlp.named_state()):
+            assert np.array_equal(old, new), name
+
+    def test_batchnorm_has_no_eval_mode(self):
+        from polyrep.nn import BatchNorm
+
+        with pytest.raises(ValueError, match="folded"):
+            BatchNorm(3).forward(np.ones((4, 3)), train=False)
 
 
 class TestBackward:
@@ -198,6 +227,28 @@ class TestAdam:
             assert abs(p[0][0] - prev) <= 0.01 + 1e-9
             prev = p[0][0]
         assert prev < 0
+
+    def test_update_is_bitwise_the_textbook_expression(self):
+        rng = np.random.default_rng(10)
+        shapes = [(7, 5), (5,), (1,), (3, 4)]
+        params = [rng.standard_normal(s) for s in shapes]
+        ref = [p.copy() for p in params]
+        state = AdamState.for_params(params)
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.003
+        for t in range(1, 7):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            adam_step(params, grads, state, lr)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for a, g in enumerate(grads):
+                m[a] = b1 * m[a] + (1 - b1) * g
+                v[a] = b2 * v[a] + (1 - b2) * g * g
+                ref[a] = ref[a] - lr * (m[a] / c1) / (np.sqrt(v[a] / c2) + eps)
+            for a in range(len(shapes)):
+                assert np.array_equal(params[a], ref[a])
+                assert np.array_equal(state.m[a], m[a]) and np.array_equal(state.v[a], v[a])
+        assert state.t == 6
 
     def test_shape_mismatch(self):
         p = [np.zeros(3)]

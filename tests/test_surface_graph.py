@@ -19,7 +19,7 @@ from polyrep.datasets import make_box, make_tetrahedron, random_simple_polygon, 
 from polyrep.geometry import FaceLoops
 from polyrep.surface_graph import SurfaceGraph
 
-from conftest import solid_corpus
+from conftest import overflowing_solid, solid_corpus
 
 
 def cyclic_equal(a, b):
@@ -175,6 +175,20 @@ class TestQueries:
                 q = pts - pts.mean(axis=0)
                 n = np.cross(q, np.roll(q, -1, axis=0)).sum(axis=0)
                 assert np.allclose(normal, n / np.linalg.norm(n), rtol=0, atol=1e-15)
+
+    def test_overflowing_normal_raises(self, cube):
+        # Validation refuses this cube; a graph built without it must not get
+        # zero normals, which give phi 1.0 where the cube has |phi| <= 0.5.
+        cfg = GnnConfig(layers=1, hidden_dim=4)
+        phi = precompute_graph_features(build_surface_graph(cube), cfg).feats[:, 3]
+        assert np.abs(phi).max() == 0.5
+        p = overflowing_solid(newell_only=True)
+        g = SurfaceGraph(p.vertices, p.face_loops, np.zeros((p.n_faces, 0)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(GraphError, match="face 0 normal overflows"):
+                g.face_normals()
+            with pytest.raises(GraphError, match="normal overflows"):
+                precompute_graph_features(g, cfg)
 
     def test_cube_neighbors(self, cube):
         g = build_surface_graph(cube)
