@@ -52,7 +52,6 @@ from .model import (
     GnnConfig,
     GnnParams,
     GraphBatch,
-    GraphFeatures,
     collate,
     embed_graph,
     gnn_forward,

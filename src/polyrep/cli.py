@@ -23,9 +23,11 @@ from .datasets import (
     Rejected,
     build_extrusion_dataset,
     decode_record,
+    dump_topology,
     encode_record,
     import_obj,
     load_records,
+    load_topology,
     merge_coplanar_faces,
     parse_mtl,
     save_records,
@@ -59,7 +61,7 @@ from .rigid_features import (
     rigid_sets_equal,
     write_rigid_set,
 )
-from .surface_graph import SurfaceTopology, build_surface_graph
+from .surface_graph import build_surface_graph
 from .training import TrainConfig, evaluate_classification, evaluate_retrieval, train
 
 logger = logging.getLogger(__name__)
@@ -98,38 +100,6 @@ def _report(args, payload, runtime_s):
         for key, value in payload.items():
             print(f"  {key}: {value}")
     return EXIT_OK
-
-
-def _load_topology(path) -> SurfaceTopology:
-    with open(path, encoding="utf-8") as fp:
-        doc = json.load(fp)
-    if not isinstance(doc, dict) or "faces" not in doc or "n_nodes" not in doc:
-        raise DataError(f"{path}: topology needs n_nodes and faces")
-    loops, attrs = [], []
-    for fi, face in enumerate(doc["faces"]):
-        if "loop" not in face:
-            raise DataError(f"{path}: faces[{fi}].loop missing")
-        loops.append(tuple(int(v) for v in face["loop"]))
-        attrs.append([float(a) for a in face.get("attr", [])])
-    width = max((len(a) for a in attrs), default=0)
-    if any(len(a) not in (0, width) for a in attrs):
-        raise DataError(f"{path}: inconsistent attr widths")
-    attr_arr = np.array([a or [0.0] * width for a in attrs], dtype=np.float64)
-    if not np.all(np.isfinite(attr_arr)):
-        raise DataError(f"{path}: face attribute must be finite")
-    return SurfaceTopology(int(doc["n_nodes"]), tuple(loops), attr_arr.reshape(len(loops), width))
-
-
-def _dump_topology(topo: SurfaceTopology, path):
-    doc = {
-        "n_nodes": topo.n_nodes,
-        "faces": [
-            {"loop": list(loop), "attr": [float(a) for a in topo.attrs[fi]]}
-            for fi, loop in enumerate(topo.loops)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(doc, fp)
 
 
 # -- subcommand handlers: each returns its report's metrics --------------------
@@ -175,7 +145,7 @@ def _cmd_features(args):
     else:
         write_rigid_set(rigid, sys.stdout)
     if args.topology_out:
-        _dump_topology(graph.topology(), args.topology_out)
+        dump_topology(graph.topology(), args.topology_out)
     payload = {"paths": len(rigid), "nodes": graph.n_nodes, "faces": graph.n_faces}
     if args.out:
         payload["out"] = args.out
@@ -185,7 +155,7 @@ def _cmd_features(args):
 def _cmd_reconstruct(args):
     with open(args.rigid, encoding="utf-8") as fp:
         rigid = read_rigid_set(fp)
-    topo = _load_topology(args.topology)
+    topo = load_topology(args.topology)
     solid = reconstruct_polyhedron(rigid, topo)
     recomputed = compute_rigid_set(build_surface_graph(solid))
     if not rigid_sets_equal(rigid, recomputed, 1e-6):
@@ -293,16 +263,12 @@ def _cmd_invariance_check(args):
         r2 = compute_rigid_set(g2)
         if not rigid_sets_equal(r1, r2, 1e-9):
             raise NumericalFailure(f"rigid features moved beyond 1e-9 on trial {trial}")
-        dev = max(
-            np.abs(r1.d1 - r2.d1).max(),
-            np.abs(r1.d2 - r2.d2).max(),
-            np.abs(r1.theta - r2.theta).max(),
-            np.abs(r1.phi - r2.phi).max(),
-        )
-        worst_rigid = max(worst_rigid, float(dev))
+        for col in ("d1", "d2", "theta", "phi"):
+            dev = np.abs(getattr(r1, col) - getattr(r2, col)).max()
+            worst_rigid = max(worst_rigid, float(dev))
 
-        h1 = embed_graph(params, collate([precompute_graph_features(g1, cfg)]))
-        h2 = embed_graph(params, collate([precompute_graph_features(g2, cfg)]))
+        h1 = embed_graph(params, precompute_graph_features(g1, cfg))
+        h2 = embed_graph(params, precompute_graph_features(g2, cfg))
         rel = float(np.linalg.norm(h1 - h2) / (1.0 + np.linalg.norm(h1)))
         if rel > 1e-6:
             raise NumericalFailure(f"embedding moved {rel:.3e} on trial {trial}")

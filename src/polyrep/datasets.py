@@ -28,6 +28,7 @@ from .geometry import (
     sample_random_rotation,
     validate_polyhedron,
 )
+from .surface_graph import SurfaceTopology
 
 logger = logging.getLogger(__name__)
 
@@ -74,9 +75,33 @@ def _want(obj, key, kinds, path):
     return val
 
 
-def decode_record(
-    text: str, expected_attr_dim: int | None = None, validate: bool = True
-) -> PolyhedronRecord:
+def _numbers(val, field, expected="a number list", length=None):
+    """A JSON list of numbers as floats; else a DataError naming ``field``."""
+    # type(), not isinstance(): JSON true and false decode as bool, an int.
+    if (
+        not isinstance(val, list)
+        or length not in (None, len(val))
+        or not all(type(c) in (int, float) for c in val)
+    ):
+        raise DataError(f"{field}: expected {expected}")
+    try:
+        return [float(c) for c in val]
+    except OverflowError as exc:
+        raise DataError(f"{field}: {exc}") from exc
+
+
+def _face(face, field):
+    """The loop (a tuple of ints) and attributes (floats) of a JSON face
+    object; else a DataError naming ``field``, for records and topologies."""
+    if not isinstance(face, dict):
+        raise DataError(f"{field}: expected an object")
+    loop = _want(face, "loop", list, field)
+    if not all(type(i) is int for i in loop):
+        raise DataError(f"{field}.loop: expected integer indices")
+    return tuple(loop), _numbers(face.get("attr", []), f"{field}.attr")
+
+
+def decode_record(text: str, expected_attr_dim: int | None = None) -> PolyhedronRecord:
     """Parse and verify one record; diagnostics name the offending field."""
     try:
         doc = json.loads(text)
@@ -84,34 +109,20 @@ def decode_record(
         raise DataError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError("top level: expected an object")
-    raw_verts = _want(doc, "vertices", list, "$")
-    verts = []
-    for vi, v in enumerate(raw_verts):
-        # type(), not isinstance(): JSON true and false decode as bool, an int.
-        if not isinstance(v, list) or len(v) != 3 or not all(type(c) in (int, float) for c in v):
-            raise DataError(f"vertices[{vi}]: expected [x, y, z] numbers")
-        try:
-            verts.append([float(c) for c in v])
-        except OverflowError as exc:
-            raise DataError(f"vertices[{vi}]: {exc}") from exc
-    raw_faces = _want(doc, "faces", list, "$")
+    verts = [
+        _numbers(v, f"vertices[{vi}]", "[x, y, z] numbers", 3)
+        for vi, v in enumerate(_want(doc, "vertices", list, "$"))
+    ]
     faces = []
-    for fi, f in enumerate(raw_faces):
-        if not isinstance(f, dict):
-            raise DataError(f"faces[{fi}]: expected an object")
-        loop = _want(f, "loop", list, f"faces[{fi}]")
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in loop):
-            raise DataError(f"faces[{fi}].loop: expected integer indices")
-        attr = f.get("attr", [])
-        if not isinstance(attr, list) or not all(type(a) in (int, float) for a in attr):
-            raise DataError(f"faces[{fi}].attr: expected a number list")
+    for fi, f in enumerate(_want(doc, "faces", list, "$")):
+        loop, attr = _face(f, f"faces[{fi}]")
         if expected_attr_dim is not None and len(attr) != expected_attr_dim:
             raise DataError(
                 f"faces[{fi}].attr: width {len(attr)} != expected {expected_attr_dim}"
             )
         try:
-            faces.append(PolygonFace(tuple(loop), np.array(attr, dtype=np.float64)))
-        except (GeometryError, OverflowError) as exc:
+            faces.append(PolygonFace(loop, np.array(attr, dtype=np.float64)))
+        except GeometryError as exc:
             raise DataError(f"faces[{fi}].attr: {exc}") from exc
     label = doc.get("label", 0)
     if not isinstance(label, int) or isinstance(label, bool) or label < 0:
@@ -123,10 +134,9 @@ def decode_record(
         poly = Polyhedron(np.array(verts, dtype=np.float64).reshape(-1, 3), tuple(faces))
     except GeometryError as exc:
         raise DataError(str(exc)) from exc
-    if validate:
-        report = validate_polyhedron(poly)
-        if not report.ok:
-            raise InvalidPolyhedronError(report)
+    report = validate_polyhedron(poly)
+    if not report.ok:
+        raise InvalidPolyhedronError(report)
     return PolyhedronRecord(poly, label, source_id)
 
 
@@ -168,6 +178,46 @@ def load_records(path, expected_attr_dim: int | None = None) -> list:
             else:
                 records.append(decode_record(line, expected_attr_dim))
     return records
+
+
+def load_topology(path) -> SurfaceTopology:
+    """Read a topology file, ``{"n_nodes": n, "faces": [{"loop": [...],
+    "attr": [...]}, ...]}``, under the record codec's field rules; each
+    diagnostic names the file and the field."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            doc = json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: top level: expected an object")
+    n_nodes = doc.get("n_nodes")
+    if type(n_nodes) is not int or n_nodes < 0:
+        raise DataError(f"{path}: n_nodes: expected a nonnegative integer")
+    loops, attrs = [], []
+    for fi, face in enumerate(_want(doc, "faces", list, f"{path}: $")):
+        loop, attr = _face(face, f"{path}: faces[{fi}]")
+        if not all(map(math.isfinite, attr)):
+            raise DataError(f"{path}: faces[{fi}].attr: face attribute must be finite")
+        loops.append(loop)
+        attrs.append(attr)
+    width = max((len(a) for a in attrs), default=0)
+    if any(len(a) not in (0, width) for a in attrs):
+        raise DataError(f"{path}: inconsistent attr widths")
+    attr_arr = np.array([a or [0.0] * width for a in attrs], dtype=np.float64)
+    return SurfaceTopology(n_nodes, tuple(loops), attr_arr.reshape(len(loops), width))
+
+
+def dump_topology(topo: SurfaceTopology, path) -> None:
+    doc = {
+        "n_nodes": topo.n_nodes,
+        "faces": [
+            {"loop": list(loop), "attr": [float(a) for a in topo.attrs[fi]]}
+            for fi, loop in enumerate(topo.loops)
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(doc, fp)
 
 
 # ---------------------------------------------------------------------------

@@ -53,20 +53,23 @@ class GnnConfig:
 
 
 @dataclass(frozen=True)
-class GraphFeatures:
-    """Precomputed per-graph path features: node ids, scaled rigid features
-    plus the two face-attribute vectors, and the inner/cross flag."""
+class GraphBatch:
+    """Graphs packed into one set of arrays: path node ids, scaled rigid
+    features plus the two face-attribute vectors, the inner/cross flag, and
+    each node's graph.  One graph is a batch of one."""
 
     path_i: np.ndarray
     path_j: np.ndarray
     path_k: np.ndarray
     feats: np.ndarray
     inner: np.ndarray
+    node_graph: np.ndarray
     n_nodes: int
+    n_graphs: int
 
 
-def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphFeatures:
-    """Path features for one graph.
+def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphBatch:
+    """Path features for one graph, as a batch of one.
 
     Distances are divided by the graph's mean edge length and angles by pi;
     both scalings are rigid-motion invariant, and they keep batch
@@ -85,8 +88,7 @@ def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphFeatures:
         raise ValueError("graph yields no two-hop paths")
     d1, d2, theta, phi, face1, face2 = _path_geometry(g, paths)
     scale = g.mean_edge_length()
-    cols = [d1 / scale, d2 / scale, theta / np.pi, phi / np.pi]
-    feats = np.column_stack(cols)
+    feats = np.column_stack([d1 / scale, d2 / scale, theta / np.pi, phi / np.pi])
     if cfg.attr_dim > 0:
         if cfg.attr_edge_orientation == "reversed":
             a1 = g.attrs[g.edge_face[g.opposite[paths.e1]]]
@@ -99,53 +101,39 @@ def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphFeatures:
         r = np.flatnonzero(~np.isfinite(feats).all(axis=1))[0]
         i, j, k = paths.i[r], paths.j[r], paths.k[r]
         raise GeometryError(f"non-finite feature on path ({i},{j},{k})")
-    return GraphFeatures(
-        path_i=paths.i.copy(),
-        path_j=paths.j.copy(),
-        path_k=paths.k.copy(),
+    return GraphBatch(
+        path_i=paths.i,
+        path_j=paths.j,
+        path_k=paths.k,
         feats=feats,
         inner=(face1 == face2),
+        node_graph=np.zeros(g.n_nodes, dtype=np.int64),
         n_nodes=g.n_nodes,
+        n_graphs=1,
     )
 
 
-@dataclass(frozen=True)
-class GraphBatch:
-    """Several graphs packed into one set of arrays with node-id offsets."""
-
-    path_i: np.ndarray
-    path_j: np.ndarray
-    path_k: np.ndarray
-    feats: np.ndarray
-    inner: np.ndarray
-    node_graph: np.ndarray
-    n_nodes: int
-    n_graphs: int
-
-
-def collate(graphs) -> GraphBatch:
-    graphs = list(graphs)
-    if not graphs:
+def collate(batches) -> GraphBatch:
+    """Join batches in order into one; node ids and graph ids are offset by
+    the nodes and graphs of the batches before them."""
+    batches = list(batches)
+    if not batches:
         raise ValueError("empty batch")
-    pi, pj, pk, feats, inner, node_graph = [], [], [], [], [], []
-    offset = 0
-    for gi, g in enumerate(graphs):
-        pi.append(g.path_i + offset)
-        pj.append(g.path_j + offset)
-        pk.append(g.path_k + offset)
-        feats.append(g.feats)
-        inner.append(g.inner)
-        node_graph.append(np.full(g.n_nodes, gi, dtype=np.int64))
-        offset += g.n_nodes
+    node_off = np.cumsum([0] + [b.n_nodes for b in batches]).tolist()
+    graph_off = np.cumsum([0] + [b.n_graphs for b in batches]).tolist()
+
+    def joined(field, offsets):
+        return np.concatenate([getattr(b, field) + o for b, o in zip(batches, offsets)])
+
     return GraphBatch(
-        path_i=np.concatenate(pi),
-        path_j=np.concatenate(pj),
-        path_k=np.concatenate(pk),
-        feats=np.vstack(feats),
-        inner=np.concatenate(inner),
-        node_graph=np.concatenate(node_graph),
-        n_nodes=offset,
-        n_graphs=len(graphs),
+        path_i=joined("path_i", node_off),
+        path_j=joined("path_j", node_off),
+        path_k=joined("path_k", node_off),
+        feats=np.vstack([b.feats for b in batches]),
+        inner=np.concatenate([b.inner for b in batches]),
+        node_graph=joined("node_graph", graph_off),
+        n_nodes=node_off[-1],
+        n_graphs=graph_off[-1],
     )
 
 
@@ -196,7 +184,7 @@ class GnnParams(ParameterRegistry):
 @dataclass(frozen=True)
 class EmbeddingOutput:
     h_graph: np.ndarray  # (n_graphs, layers * hidden_dim)
-    logits: np.ndarray | None
+    logits: np.ndarray  # (n_graphs, n_classes)
 
 
 class _SegmentSum:
@@ -253,11 +241,7 @@ def _psi_affine(w, b, g, h, part):
 
 
 def gnn_forward(
-    params: GnnParams,
-    batch: GraphBatch,
-    mode: str = "eval",
-    update_stats: bool = True,
-    with_logits: bool = True,
+    params: GnnParams, batch: GraphBatch, mode: str = "eval", update_stats: bool = True
 ):
     """Run the network over a batch; train mode keeps caches for backward.
 
@@ -291,7 +275,7 @@ def gnn_forward(
             y = None
             if len(part.rows):
                 first = psi.blocks[0]
-                wb = (first.linear.w, first.linear.b) if train else first.folded()
+                wb = (first.w, first.b) if train else first.folded()
                 y = psi.forward_from_affine(_psi_affine(*wb, g, h, part), train, update_stats)
                 m[part.rows] = w[0] * y
             ys.append(y)
@@ -300,8 +284,7 @@ def gnn_forward(
         h = messages(m)
         layer_sums.append(readout(h))
     h_graph = np.hstack(layer_sums)
-    logits = params.classifier.forward(h_graph, train, update_stats) if with_logits else None
-    out = EmbeddingOutput(h_graph=h_graph, logits=logits)
+    out = EmbeddingOutput(h_graph, params.classifier.forward(h_graph, train, update_stats))
     return (out, (parts, layer_caches)) if train else out
 
 
@@ -332,15 +315,15 @@ def gnn_backward(params: GnnParams, batch: GraphBatch, caches, d_logits):
             dm = dh[part.i]
             gw += (dm * y).sum()
             da = psi.backward_to_affine(w[0] * dm)
-            lin = psi.blocks[0].linear
-            lin.gb += da.sum(axis=0)
-            lin.gw[3 * d :] += g[part.rows].T @ da
-            dg[part.rows] = da @ lin.w[3 * d :].T
+            first = psi.blocks[0]
+            first.gb += da.sum(axis=0)
+            first.gw[3 * d :] += g[part.rows].T @ da
+            dg[part.rows] = da @ first.w[3 * d :].T
             if h_in is not None:
                 for x, segsum in enumerate(part.node_sums):
                     s = segsum(da)
-                    lin.gw[x * d : (x + 1) * d] += h_in.T @ s
-                    dh_prev += s @ lin.w[x * d : (x + 1) * d].T
+                    first.gw[x * d : (x + 1) * d] += h_in.T @ s
+                    dh_prev += s @ first.w[x * d : (x + 1) * d].T
         layer.guide.backward(dg)
         dh = dh_prev
     # Layer 0 saw the all-zero initial embeddings: no gradient flows past it.
@@ -373,6 +356,5 @@ def gnn_train_step(
 
 
 def embed_graph(params: GnnParams, batch: GraphBatch) -> np.ndarray:
-    """Eval-mode graph vectors only (no classifier)."""
-    out = gnn_forward(params, batch, mode="eval", with_logits=False)
-    return out.h_graph
+    """Eval-mode graph vectors."""
+    return gnn_forward(params, batch, mode="eval").h_graph

@@ -21,24 +21,6 @@ def kaiming_uniform(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-class Linear:
-    def __init__(self, rng, fan_in, fan_out):
-        self.w = kaiming_uniform(rng, fan_in, fan_out)
-        self.b = np.zeros(fan_out)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-        self._x = None
-
-    def forward(self, x):
-        self._x = x
-        return x @ self.w + self.b
-
-    def backward(self, dy):
-        self.gw += self._x.T @ dy
-        self.gb += dy.sum(axis=0)
-        return dy @ self.w.T
-
-
 class BatchNorm:
     """Per-feature normalization over the batch; eval mode applies the
     running statistics through :meth:`DenseBlock.folded`.  Running variance
@@ -55,9 +37,7 @@ class BatchNorm:
         self.gbeta = np.zeros_like(self.beta)
         self._cache = None
 
-    def forward(self, x, train=True, update_stats=True):
-        if not train:
-            raise ValueError("eval-mode batchnorm is folded into its affine: DenseBlock.folded")
+    def forward(self, x, update_stats=True):
         n = x.shape[0]
         if n < 2:
             raise BatchTooSmallError(f"batchnorm needs a batch of >= 2 in train mode, got {n}")
@@ -95,40 +75,46 @@ class DenseBlock:
     """
 
     def __init__(self, rng, fan_in, fan_out, batchnorm=True, relu=True):
-        self.linear = Linear(rng, fan_in, fan_out)
+        self.w = kaiming_uniform(rng, fan_in, fan_out)
+        self.b = np.zeros(fan_out)
+        self.gw = np.zeros_like(self.w)
+        self.gb = np.zeros_like(self.b)
         self.bn = BatchNorm(fan_out) if batchnorm else None
         self.relu = relu
-        self._pre = None
+        self._x = self._pre = None
 
     def forward(self, x, train, update_stats=True):
         if train:
-            return self.post_forward(self.linear.forward(x), train, update_stats)
-        w, b = self.folded()
+            self._x = x
+        w, b = (self.w, self.b) if train else self.folded()
         y = x @ w
         y += b
-        return self.post_forward(y, train)
+        return self.post_forward(y, train, update_stats)
 
     def backward(self, dy):
-        return self.linear.backward(self.post_backward(dy))
+        dy = self.post_backward(dy)
+        self.gw += self._x.T @ dy
+        self.gb += dy.sum(axis=0)
+        return dy @ self.w.T
 
     def folded(self):
         """The eval-mode block before its ReLU as one affine ``(w, b)``, built
         on every call so it cannot go stale.  Drops the activations kept for
         backward, so an evaluated model holds (and clones) no train batch."""
-        self.linear._x = self._pre = None
-        lin, bn = self.linear, self.bn
+        self._x = self._pre = None
+        bn = self.bn
         if bn is None:
-            return lin.w, lin.b
+            return self.w, self.b
         bn._cache = None
         s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-        return lin.w * s, (lin.b - bn.running_mean) * s + bn.beta
+        return self.w * s, (self.b - bn.running_mean) * s + bn.beta
 
     def post_forward(self, y, train, update_stats=True):
         """Steps after the affine output ``y``; of :meth:`folded` in eval mode."""
         if not train:
             return np.maximum(y, 0.0, out=y) if self.relu else y
         if self.bn is not None:
-            y = self.bn.forward(y, train, update_stats)
+            y = self.bn.forward(y, update_stats)
         if self.relu:
             self._pre = y
             y = np.maximum(y, 0.0)
@@ -187,15 +173,8 @@ class Mlp(ParameterRegistry):
         self.blocks = []
         last = len(dims) - 2
         for idx, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            self.blocks.append(
-                DenseBlock(
-                    rng,
-                    fan_in,
-                    fan_out,
-                    batchnorm=batchnorm_output if idx == last else True,
-                    relu=idx != last,
-                )
-            )
+            bn = batchnorm_output if idx == last else True
+            self.blocks.append(DenseBlock(rng, fan_in, fan_out, batchnorm=bn, relu=idx != last))
 
     @property
     def in_dim(self):
@@ -217,7 +196,9 @@ class Mlp(ParameterRegistry):
         return y
 
     def backward(self, dy):
-        return self.blocks[0].linear.backward(self.backward_to_affine(dy))
+        for block in reversed(self.blocks):
+            dy = block.backward(dy)
+        return dy
 
     def backward_to_affine(self, dy):
         """Gradient wrt the first block's affine output; the first affine's
@@ -230,8 +211,8 @@ class Mlp(ParameterRegistry):
         stats = []
         for idx, block in enumerate(self.blocks):
             name = f"{prefix}{idx}."
-            yield name + "w", block.linear.w, block.linear.gw
-            yield name + "b", block.linear.b, block.linear.gb
+            yield name + "w", block.w, block.gw
+            yield name + "b", block.b, block.gb
             if block.bn is not None:
                 yield name + "bn.gamma", block.bn.gamma, block.bn.ggamma
                 yield name + "bn.beta", block.bn.beta, block.bn.gbeta

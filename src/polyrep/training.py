@@ -8,6 +8,7 @@ validation accuracy and restores the best parameters.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -29,7 +30,6 @@ from .model import (
     GnnConfig,
     GnnParams,
     collate,
-    embed_graph,
     gnn_forward,
     gnn_train_step,
     precompute_graph_features,
@@ -119,12 +119,14 @@ def _minibatches(n, batch_size, rng):
     return batches
 
 
-def _eval_logits(params, features, batch_size):
-    outs = []
-    for s in range(0, len(features), batch_size):
-        batch = collate(features[s : s + batch_size])
-        outs.append(gnn_forward(params, batch, mode="eval").logits)
-    return np.vstack(outs)
+def _eval_outputs(params, features, batch_size):
+    """Eval-mode graph vectors and logits, over batches of ``batch_size``
+    graphs in the order given."""
+    outs = [
+        gnn_forward(params, collate(features[s : s + batch_size]), mode="eval")
+        for s in range(0, len(features), batch_size)
+    ]
+    return np.vstack([o.h_graph for o in outs]), np.vstack([o.logits for o in outs])
 
 
 def train(cfg: TrainConfig, records=None) -> TrainResult:
@@ -183,7 +185,7 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
             np.average(batch_losses, weights=batch_sizes) if batch_losses else 0.0
         )
 
-        val_logits = _eval_logits(params, feats_val, cfg.batch_size)
+        _, val_logits = _eval_outputs(params, feats_val, cfg.batch_size)
         val_loss, _ = cross_entropy(val_logits, y_val)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"epoch {epoch}, validation: non-finite loss {val_loss}")
@@ -202,15 +204,7 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_state = (
-                params.clone(),
-                AdamState(
-                    m=[x.copy() for x in adam.m],
-                    v=[x.copy() for x in adam.v],
-                    t=adam.t,
-                ),
-                dataclasses.replace(scheduler),
-            )
+            best_state = (params.clone(), copy.deepcopy(adam), dataclasses.replace(scheduler))
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -242,7 +236,7 @@ def evaluate_classification(
             f"test labels reach {labels.max()} but the model has "
             f"{params.cfg.n_classes} classes"
         )
-    logits = _eval_logits(params, feats, batch_size)
+    _, logits = _eval_outputs(params, feats, batch_size)
     return classification_metrics(logits, labels)
 
 
@@ -251,7 +245,5 @@ def evaluate_retrieval(
 ) -> RetrievalMetrics:
     feats = features_for_records(records, params.cfg)
     labels = np.array([r.label for r in records], dtype=np.int64)
-    embs = []
-    for s in range(0, len(feats), batch_size):
-        embs.append(embed_graph(params, collate(feats[s : s + batch_size])))
-    return retrieval_metrics(np.vstack(embs), labels, similarity)
+    embs, _ = _eval_outputs(params, feats, batch_size)
+    return retrieval_metrics(embs, labels, similarity)

@@ -159,7 +159,7 @@ def unfolded_eval(mlp, x):
     """An eval-mode MLP written out block by block: affine, then batchnorm
     with its running statistics, then ReLU, each into a new array."""
     for block in mlp.blocks:
-        x = x @ block.linear.w + block.linear.b
+        x = x @ block.w + block.b
         bn = block.bn
         if bn is not None:
             x = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma + bn.beta

@@ -173,6 +173,59 @@ class TestFeaturesAndReconstruct:
         assert code == 2
         assert "finite" in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "face, key, value, field",
+        [
+            (0, "loop", [4, 5.4, 6, 7], "faces[0].loop"),
+            (0, "loop", [4, "5", 6, 7], "faces[0].loop"),
+            (0, "loop", "4567", "faces[0].loop"),
+            (1, "attr", [True], "faces[1].attr"),
+            (1, "attr", ["0.5"], "faces[1].attr"),
+            (1, "attr", 0.5, "faces[1].attr"),
+            (2, None, 7, "faces[2]"),
+            (None, "n_nodes", "8", "n_nodes"),
+            (None, "n_nodes", 8.7, "n_nodes"),
+            (None, "n_nodes", True, "n_nodes"),
+        ],
+        ids=[
+            "fractional-index", "string-index", "string-loop", "boolean-attr",
+            "string-attr", "number-attr", "number-face", "string-n_nodes",
+            "fractional-n_nodes", "boolean-n_nodes",
+        ],
+    )
+    def test_topology_takes_the_record_field_rules(
+        self, tmp_path, cube_json, capsys, face, key, value, field
+    ):
+        rigid = tmp_path / "cube.rigid"
+        topo = tmp_path / "cube.topo.json"
+        run(capsys, "features", cube_json, "--out", rigid, "--topology-out", topo)
+        doc = json.loads(topo.read_text())
+        assert doc["faces"][0]["loop"] == [4, 5, 6, 7]
+        if face is None:
+            doc[key] = value
+        elif key is None:
+            doc["faces"][face] = value
+        else:
+            doc["faces"][face][key] = value
+        topo.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "reconstruct", "--rigid", rigid, "--topology", topo, "--out", out
+        )
+        assert code == 2, err
+        assert f"{topo}: {field}" in err and not out.exists()
+
+    def test_topology_that_is_not_json_is_data_error(self, tmp_path, cube_json, capsys):
+        rigid = tmp_path / "cube.rigid"
+        topo = tmp_path / "cube.topo.json"
+        run(capsys, "features", cube_json, "--out", rigid, "--topology-out", topo)
+        topo.write_text(topo.read_text()[:-5])
+        code, _, err = run(
+            capsys, "reconstruct", "--rigid", rigid, "--topology", topo, "--out", tmp_path / "x"
+        )
+        assert code == 2
+        assert f"{topo}: not valid JSON" in err
+
     def test_non_finite_record_attribute_is_data_error(self, tmp_path, capsys):
         doc = json.loads(encode_record(PolyhedronRecord(make_box(attr_dim=3), 0, "cube")))
         doc["faces"][0]["attr"][2] = float("inf")

@@ -91,7 +91,7 @@ class TestJsonCodec:
                 for loop in [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]
             ),
         )
-        back = decode_record(encode_record(PolyhedronRecord(solid, 0, "t")), validate=False)
+        back = decode_record(encode_record(PolyhedronRecord(solid, 0, "t")))
         assert np.array_equal(back.polyhedron.vertices, verts)
 
     def test_missing_loop_names_field(self, cube):

@@ -251,6 +251,39 @@ class TestTrainStep:
             gnn_forward(params, empty, mode="eval")
 
 
+class TestCollate:
+    """One graph is a batch of one, and collating batches nests."""
+
+    FIELDS = ("path_i", "path_j", "path_k", "feats", "inner", "node_graph", "n_nodes", "n_graphs")
+
+    @staticmethod
+    def _three():
+        cfg = GnnConfig(attr_dim=3)
+        rng = np.random.default_rng(5)
+        kinds = ("box", "tetrahedron", "prism")
+        return [features_of(synthetic_solid(k, rng, jitter=0.1, attr_dim=3), cfg) for k in kinds]
+
+    def _assert_same(self, got, want):
+        for name in self.FIELDS:
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_nested_collate_equals_flat_collate(self):
+        a, b, c = self._three()
+        flat = collate([a, b, c])
+        self._assert_same(collate([collate([a, b]), c]), flat)
+        self._assert_same(collate([a, collate([b, c])]), flat)
+        assert flat.n_graphs == 3
+        assert np.array_equal(np.unique(flat.node_graph), [0, 1, 2])
+
+    def test_one_graph_is_a_batch_of_one(self):
+        for x in self._three():
+            assert x.n_graphs == 1
+            assert np.array_equal(x.node_graph, np.zeros(x.n_nodes, dtype=np.int64))
+            self._assert_same(collate([x]), x)
+
+
 # The materialized form of the network, kept as a reference: the first psi
 # layer multiplies hstack(h[i], h[j], h[k], g) with one row per path, and
 # every segment sum is an np.add.at scatter.

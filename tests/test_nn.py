@@ -30,16 +30,16 @@ class TestForward:
         rng = np.random.default_rng(0)
         mlp = Mlp(rng, [3, 4, 2], batchnorm_output=False)
         for block in mlp.blocks:
-            block.linear.w[...] = 0.0
-            block.linear.b[...] = 0.0
+            block.w[...] = 0.0
+            block.b[...] = 0.0
         out = mlp.forward(np.ones((4, 3)), train=False)
         assert np.all(out == 0.0)
 
     def test_identity_linear_layer(self):
         rng = np.random.default_rng(0)
         mlp = Mlp(rng, [3, 3], batchnorm_output=False)
-        mlp.blocks[0].linear.w[...] = np.eye(3)
-        mlp.blocks[0].linear.b[...] = 0.0
+        mlp.blocks[0].w[...] = np.eye(3)
+        mlp.blocks[0].b[...] = 0.0
         x = rng.standard_normal((5, 3))
         assert np.array_equal(mlp.forward(x, train=False), x)
 
@@ -69,7 +69,7 @@ class TestForward:
         # The normalized tensor's variance is var / (var + eps); with
         # eps = 1e-5 the 1e-6 bound needs batch variance >= 10.
         x = rng.standard_normal((256, 5)) * 15.0 + 4.0
-        out = bn.forward(x, train=True)
+        out = bn.forward(x)
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
@@ -81,7 +81,7 @@ class TestForward:
         bn = BatchNorm(d)
         bn.gamma[...] = np.linspace(0.5, 2.0, d)
         bn.beta[...] = np.linspace(-1.0, 1.0, d)
-        out = bn.forward(x, train=True)
+        out = bn.forward(x)
         mean, var = x.mean(axis=0), x.var(axis=0)
         xhat = (x - mean) * (1.0 / np.sqrt(var + bn.eps))
         assert np.array_equal(out, bn.gamma * xhat + bn.beta)
@@ -107,12 +107,6 @@ class TestFoldedEval:
         mlp.forward(rng.standard_normal((6, 4)), train=False)
         for (name, old), (_, new) in zip(before, mlp.named_state()):
             assert np.array_equal(old, new), name
-
-    def test_batchnorm_has_no_eval_mode(self):
-        from polyrep.nn import BatchNorm
-
-        with pytest.raises(ValueError, match="folded"):
-            BatchNorm(3).forward(np.ones((4, 3)), train=False)
 
 
 class TestBackward:

@@ -2,7 +2,9 @@
 by the benchmark's own workloads, through the module global its ``PATCHES``
 entry names.  A call that moves to another module escapes its span without
 an error, so each entry gets its own counter here and one round of every
-workload must hit them all."""
+workload must hit them all.  The round then goes through the benchmark's
+own output checks, ``check_round`` and ``check_final``, which must find no
+problem: they recompute the reported metrics and call the model directly."""
 
 import importlib
 from pathlib import Path
@@ -33,5 +35,8 @@ def test_one_round_of_each_workload_calls_every_patched_name(tmp_path, monkeypat
         run.setup()
         assert run.headline()[1] == 0, f"{name}: headline operations failed"
         run.featurize()
+        run.check_round()
+        run.check_final()
+        assert run.problems == [], f"{name}: {run.problems}"
 
     assert [key for key, count in calls.items() if not count] == []

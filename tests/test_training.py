@@ -107,7 +107,7 @@ class TestDivergence:
         records = synthetic_dataset(6, seed=1)
         batch = model.collate(features_for_records(records, cfg))
         labels = np.array([r.label for r in records])
-        params.classifier.blocks[-1].linear.w[0, 0] = np.nan
+        params.classifier.blocks[-1].w[0, 0] = np.nan
         before = [p.copy() for p in params.parameters()]
         state = model.AdamState.for_params(params.parameters())
         with np.errstate(all="ignore"):
