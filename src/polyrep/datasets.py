@@ -101,6 +101,16 @@ def _face(face, field):
     return tuple(loop), _numbers(face.get("attr", []), f"{field}.attr")
 
 
+def _label_and_id(label, source_id, where=""):
+    """A record's label, a nonnegative JSON integer, and its id, a string;
+    else a DataError naming the field, for records and manifest rows."""
+    if type(label) is not int or label < 0:
+        raise DataError(f"{where}label: expected a nonnegative integer")
+    if not isinstance(source_id, str):
+        raise DataError(f"{where}id: expected a string")
+    return label, source_id
+
+
 def decode_record(text: str, expected_attr_dim: int | None = None) -> PolyhedronRecord:
     """Parse and verify one record; diagnostics name the offending field."""
     try:
@@ -124,12 +134,7 @@ def decode_record(text: str, expected_attr_dim: int | None = None) -> Polyhedron
             faces.append(PolygonFace(loop, np.array(attr, dtype=np.float64)))
         except GeometryError as exc:
             raise DataError(f"faces[{fi}].attr: {exc}") from exc
-    label = doc.get("label", 0)
-    if not isinstance(label, int) or isinstance(label, bool) or label < 0:
-        raise DataError("label: expected a nonnegative integer")
-    source_id = doc.get("id", "")
-    if not isinstance(source_id, str):
-        raise DataError("id: expected a string")
+    label, source_id = _label_and_id(doc.get("label", 0), doc.get("id", ""))
     try:
         poly = Polyhedron(np.array(verts, dtype=np.float64).reshape(-1, 3), tuple(faces))
     except GeometryError as exc:
@@ -162,19 +167,17 @@ def load_records(path, expected_attr_dim: int | None = None) -> list:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             if isinstance(doc, dict) and "path" in doc and "vertices" not in doc:
+                where = f"{path}:{lineno}: "
+                if not isinstance(doc["path"], str):
+                    raise DataError(f"{where}path: expected a string")
                 target = path.parent / doc["path"]
                 try:
                     text = target.read_text(encoding="utf-8")
                 except OSError as exc:
-                    raise DataError(f"{path}:{lineno}: cannot read {target}: {exc}")
+                    raise DataError(f"{where}cannot read {target}: {exc}")
                 rec = decode_record(text, expected_attr_dim)
-                records.append(
-                    PolyhedronRecord(
-                        rec.polyhedron,
-                        int(doc.get("label", rec.label)),
-                        str(doc.get("id", rec.source_id)),
-                    )
-                )
+                fields = doc.get("label", rec.label), doc.get("id", rec.source_id)
+                records.append(PolyhedronRecord(rec.polyhedron, *_label_and_id(*fields, where)))
             else:
                 records.append(decode_record(line, expected_attr_dim))
     return records
@@ -242,6 +245,8 @@ class TriangleMesh:
             attrs = attrs.reshape(len(tris), -1)
         if len(attrs) != len(tris):
             raise DataError("one attribute row per triangle required")
+        if not np.isfinite(attrs).all():
+            raise DataError("triangle attributes must be finite")
         if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise DataError("triangle index out of range")
         for arr in (verts, tris, attrs):
@@ -294,7 +299,7 @@ def parse_mtl(path) -> dict:
     materials = {}
     current = None
     with open(path, encoding="utf-8") as fp:
-        for line in fp:
+        for lineno, line in enumerate(fp, start=1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
@@ -303,9 +308,20 @@ def parse_mtl(path) -> dict:
                 materials[current] = np.zeros(3)
             elif parts[0] == "Kd" and current is not None:
                 if len(parts) < 4:
-                    raise DataError(f"{path}: malformed Kd line: {line.strip()}")
-                materials[current] = np.array([float(x) for x in parts[1:4]])
+                    raise DataError(f"{path}:{lineno}: malformed Kd line: {line.strip()}")
+                materials[current] = np.array(_finite(parts[1:4], f"{path}:{lineno}: Kd values"))
     return materials
+
+
+def _finite(tokens, what):
+    """OBJ/MTL number tokens as finite floats; else a DataError naming ``what``."""
+    try:
+        vals = [float(x) for x in tokens]
+    except ValueError as exc:
+        raise DataError(f"{what} must be numbers") from exc
+    if not all(map(math.isfinite, vals)):
+        raise DataError(f"{what} must be finite")
+    return vals
 
 
 def import_obj(path, materials: dict | None = None) -> TriangleMesh:
@@ -333,13 +349,7 @@ def import_obj(path, materials: dict | None = None) -> TriangleMesh:
             if cmd == "v":
                 if len(parts) < 4:
                     raise DataError(f"{path}:{lineno}: malformed vertex")
-                try:
-                    verts.append([float(x) for x in parts[1:4]])
-                except ValueError as exc:
-                    msg = f"{path}:{lineno}: vertex coordinates must be numbers"
-                    raise DataError(msg) from exc
-                if not all(map(math.isfinite, verts[-1])):
-                    raise DataError(f"{path}:{lineno}: vertex coordinates must be finite")
+                verts.append(_finite(parts[1:4], f"{path}:{lineno}: vertex coordinates"))
             elif cmd == "usemtl":
                 name = parts[1] if len(parts) > 1 else ""
                 if materials is None or name not in materials:

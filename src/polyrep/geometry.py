@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import GeometryError, InvalidTransformError
 
-# Newell vectors shorter than this are considered degenerate.
+# Newell vectors shorter than this times the squared bounding-box diagonal
+# are considered degenerate (the length grows as the square of the size).
 DEGENERATE_NORMAL_TOL = 1e-12
 
 # Default relative coplanarity tolerance (scaled by the bounding-box diagonal).
@@ -176,6 +177,11 @@ def _newell(pts, loops: FaceLoops):
     return loops.sums(_cross(centered, centered[loops.nxt])), centroids, centered
 
 
+def bbox_diagonal(points):
+    """Length of the bounding-box diagonal of (n, 3) points; 0 when empty."""
+    return float(np.linalg.norm(np.ptp(points, axis=0))) if len(points) else 0.0
+
+
 @dataclass(frozen=True)
 class PolygonFace:
     """One face: an ordered vertex-index loop plus an attribute vector."""
@@ -250,10 +256,7 @@ class Polyhedron:
         return self.faces[0].attr.shape[0] if self.faces else 0
 
     def bbox_diagonal(self):
-        if self.n_vertices == 0:
-            return 0.0
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(span))
+        return bbox_diagonal(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -361,7 +364,7 @@ def validate_polyhedron(
 
     newell, centroids, centered = _newell(pts, loops)
     norm = np.sqrt(_rowdot(newell, newell))
-    degenerate = norm < DEGENERATE_NORMAL_TOL
+    degenerate = norm / scale / scale < DEGENERATE_NORMAL_TOL
     unit = newell / np.where(degenerate, 1.0, norm)[:, None]
     dev = np.maximum.reduceat(np.abs(_rowdot(centered, unit[loops.face])), loops.starts)
     non_coplanar = ~degenerate & (dev > coplanarity_tol * scale)

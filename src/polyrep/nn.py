@@ -11,6 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class BatchTooSmallError(ValueError):
     """Train-mode batch normalization needs at least two rows."""
@@ -21,67 +27,25 @@ def kaiming_uniform(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-class BatchNorm:
-    """Per-feature normalization over the batch; eval mode applies the
-    running statistics through :meth:`DenseBlock.folded`.  Running variance
-    uses the unbiased batch estimate; normalization the biased one."""
-
-    def __init__(self, dim, eps=1e-5, momentum=0.1):
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = np.ones(dim)
-        self.beta = np.zeros(dim)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self.ggamma = np.zeros_like(self.gamma)
-        self.gbeta = np.zeros_like(self.beta)
-        self._cache = None
-
-    def forward(self, x, update_stats=True):
-        n = x.shape[0]
-        if n < 2:
-            raise BatchTooSmallError(f"batchnorm needs a batch of >= 2 in train mode, got {n}")
-        mean = x.mean(axis=0)
-        xc = x - mean
-        var = (xc * xc).mean(axis=0)  # bitwise equal to x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = xc * inv_std
-        if update_stats:
-            m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean
-            self.running_var = (1 - m) * self.running_var + m * var * n / (n - 1)
-        self._cache = (xhat, inv_std, n)
-        return self.gamma * xhat + self.beta
-
-    def backward(self, dy):
-        if self._cache is None:
-            raise ValueError("backward requires a preceding train-mode forward")
-        xhat, inv_std, n = self._cache
-        self.ggamma += (dy * xhat).sum(axis=0)
-        self.gbeta += dy.sum(axis=0)
-        dxhat = dy * self.gamma
-        # Standard batch-statistics terms folded into one expression.
-        dx = (
-            dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
-        ) * inv_std
-        return dx
-
-
 class DenseBlock:
-    """Affine -> optional batchnorm -> optional ReLU.
-
+    """Affine -> optional batchnorm (each feature over the batch, then
+    ``gamma`` and ``beta``; eval mode folds in the running statistics, whose
+    variance is the unbiased batch estimate) -> optional ReLU.
     ``post_forward``/``post_backward`` are the steps after the affine, for
-    callers that compute the affine output themselves.
-    """
+    callers that compute the affine output themselves."""
 
     def __init__(self, rng, fan_in, fan_out, batchnorm=True, relu=True):
         self.w = kaiming_uniform(rng, fan_in, fan_out)
         self.b = np.zeros(fan_out)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self.bn = BatchNorm(fan_out) if batchnorm else None
+        self.batchnorm = batchnorm
+        if batchnorm:
+            self.gamma, self.beta = np.ones(fan_out), np.zeros(fan_out)
+            self.ggamma, self.gbeta = np.zeros(fan_out), np.zeros(fan_out)
+            self.running_mean, self.running_var = np.zeros(fan_out), np.ones(fan_out)
         self.relu = relu
-        self._x = self._pre = None
+        self._x = self._pre = self._bn = None
 
     def forward(self, x, train, update_stats=True):
         if train:
@@ -101,31 +65,53 @@ class DenseBlock:
         """The eval-mode block before its ReLU as one affine ``(w, b)``, built
         on every call so it cannot go stale.  Drops the activations kept for
         backward, so an evaluated model holds (and clones) no train batch."""
-        self._x = self._pre = None
-        bn = self.bn
-        if bn is None:
+        self._x = self._pre = self._bn = None
+        if not self.batchnorm:
             return self.w, self.b
-        bn._cache = None
-        s = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-        return self.w * s, (self.b - bn.running_mean) * s + bn.beta
+        s = self.gamma / np.sqrt(self.running_var + BN_EPS)
+        return self.w * s, (self.b - self.running_mean) * s + self.beta
 
     def post_forward(self, y, train, update_stats=True):
         """Steps after the affine output ``y``; of :meth:`folded` in eval mode."""
         if not train:
             return np.maximum(y, 0.0, out=y) if self.relu else y
-        if self.bn is not None:
-            y = self.bn.forward(y, update_stats)
+        if self.batchnorm:
+            y = self._normalize(y, update_stats)
         if self.relu:
             self._pre = y
             y = np.maximum(y, 0.0)
         return y
 
+    def _normalize(self, y, update_stats):
+        """Train-mode batchnorm of ``y``; keeps ``(xhat, inv_std)`` for backward."""
+        n = y.shape[0]
+        if n < 2:
+            raise BatchTooSmallError(f"batchnorm needs a batch of >= 2 in train mode, got {n}")
+        mean = y.mean(axis=0)
+        yc = y - mean
+        var = (yc * yc).mean(axis=0)  # bitwise equal to y.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = yc * inv_std
+        if update_stats:
+            m = BN_MOMENTUM
+            self.running_mean = (1 - m) * self.running_mean + m * mean
+            self.running_var = (1 - m) * self.running_var + m * var * n / (n - 1)
+        self._bn = (xhat, inv_std)
+        return self.gamma * xhat + self.beta
+
     def post_backward(self, dy):
         """Gradient wrt the affine output."""
         if self.relu:
             dy = dy * (self._pre > 0)
-        if self.bn is not None:
-            dy = self.bn.backward(dy)
+        if self.batchnorm:
+            if self._bn is None:
+                raise ValueError("backward requires a preceding train-mode forward")
+            xhat, inv_std = self._bn
+            self.ggamma += (dy * xhat).sum(axis=0)
+            self.gbeta += dy.sum(axis=0)
+            dxhat = dy * self.gamma
+            # Standard batch-statistics terms folded into one expression.
+            dy = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) * inv_std
         return dy
 
 
@@ -135,7 +121,7 @@ class ParameterRegistry:
     ``_walk(prefix)`` yields ``(name, array, grad)`` for every array the
     module owns, in checkpoint order, with ``grad=None`` for batchnorm
     running statistics (saved state that is not trained).  The walk runs on
-    every call because ``BatchNorm.forward`` rebinds the running statistics.
+    every call because a train-mode forward rebinds the running statistics.
     """
 
     def named_parameters(self, prefix=""):
@@ -176,14 +162,10 @@ class Mlp(ParameterRegistry):
             bn = batchnorm_output if idx == last else True
             self.blocks.append(DenseBlock(rng, fan_in, fan_out, batchnorm=bn, relu=idx != last))
 
-    @property
-    def in_dim(self):
-        return self.dims[0]
-
     def forward(self, x, train, update_stats=True):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(f"expected (n, {self.in_dim}) input, got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != self.dims[0]:
+            raise ValueError(f"expected (n, {self.dims[0]}) input, got {x.shape}")
         for block in self.blocks:
             x = block.forward(x, train, update_stats)
         return x
@@ -213,11 +195,11 @@ class Mlp(ParameterRegistry):
             name = f"{prefix}{idx}."
             yield name + "w", block.w, block.gw
             yield name + "b", block.b, block.gb
-            if block.bn is not None:
-                yield name + "bn.gamma", block.bn.gamma, block.bn.ggamma
-                yield name + "bn.beta", block.bn.beta, block.bn.gbeta
-                stats.append((name + "bn.running_mean", block.bn.running_mean, None))
-                stats.append((name + "bn.running_var", block.bn.running_var, None))
+            if block.batchnorm:
+                yield name + "bn.gamma", block.gamma, block.ggamma
+                yield name + "bn.beta", block.beta, block.gbeta
+                stats.append((name + "bn.running_mean", block.running_mean, None))
+                stats.append((name + "bn.running_var", block.running_var, None))
         yield from stats
 
 
@@ -251,9 +233,6 @@ class AdamState:
     m: list
     v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params):
@@ -271,7 +250,7 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and state must align")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     scratch = np.empty(2 * max((p.size for p in params), default=0))
@@ -289,7 +268,7 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         v += t
         np.divide(v, c2, out=t)
         np.sqrt(t, out=t)
-        t += state.eps
+        t += ADAM_EPS
         np.divide(m, c1, out=step)
         step *= lr
         step /= t

@@ -33,6 +33,7 @@ from .geometry import (
     _newell,
     _ro,
     _rowdot,
+    bbox_diagonal,
     validate_polyhedron,
 )
 
@@ -246,7 +247,8 @@ class SurfaceGraph:
         loops = self.face_loops
         newell = _newell(self.coords[loops.verts], loops)[0]
         norm = np.sqrt(_rowdot(newell, newell))
-        degenerate = np.flatnonzero(norm < DEGENERATE_NORMAL_TOL)
+        scale = bbox_diagonal(self.coords) or 1.0
+        degenerate = np.flatnonzero(norm / scale / scale < DEGENERATE_NORMAL_TOL)
         if len(degenerate):
             raise GraphError(f"degenerate face {degenerate[0]} in surface graph")
         # An overflowing length would make zero normals; a NaN one (from a

@@ -16,6 +16,7 @@ from polyrep.datasets import (
     random_simple_polygon,
     synthetic_solid,
 )
+from polyrep.nn import BN_EPS
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.register_profile("deep", max_examples=300, deadline=None)
@@ -160,9 +161,9 @@ def unfolded_eval(mlp, x):
     with its running statistics, then ReLU, each into a new array."""
     for block in mlp.blocks:
         x = x @ block.w + block.b
-        bn = block.bn
-        if bn is not None:
-            x = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma + bn.beta
+        if block.batchnorm:
+            x = (x - block.running_mean) / np.sqrt(block.running_var + BN_EPS) * block.gamma
+            x = x + block.beta
         if block.relu:
             x = np.maximum(x, 0.0)
     return x

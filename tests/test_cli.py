@@ -400,6 +400,25 @@ class TestDatasetAndMerge:
         assert code == 2
         assert message in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "kd, message",
+        [
+            ("Kd a 0 0\n", "cube.mtl:2: Kd values must be numbers"),
+            ("Kd nan 0 0\n", "cube.mtl:2: Kd values must be finite"),
+        ],
+    )
+    def test_merge_obj_bad_kd_is_data_error(self, tmp_path, capsys, kd, message):
+        from test_datasets import CUBE_MTL, CUBE_OBJ
+
+        obj = tmp_path / "cube.obj"
+        obj.write_text(CUBE_OBJ)
+        mtl = tmp_path / "cube.mtl"
+        mtl.write_text(CUBE_MTL.replace("Kd 0.8 0.1 0.2\n", kd))
+        out = tmp_path / "merged.json"
+        code, _, err = run(capsys, "merge-obj", obj, "--mtl", mtl, "--out", out)
+        assert code == 2
+        assert message in err and not out.exists()
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -177,6 +177,25 @@ class TestJsonCodec:
         assert len(back) == 1
         assert back[0].label == 5 and back[0].source_id == "m"
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ({"path": "cube.json", "label": "a"}, "label"),
+            ({"path": "cube.json", "label": -3}, "label"),
+            ({"path": "cube.json", "label": True}, "label"),
+            ({"path": "cube.json", "label": 1.7}, "label"),
+            ({"path": 5}, "path"),
+            ({"path": "cube.json", "id": 7}, "id"),
+        ],
+        ids=["label-text", "label-negative", "label-bool", "label-float", "path-number", "id-number"],
+    )
+    def test_manifest_row_fields_follow_record_rules(self, tmp_path, cube, row, field):
+        (tmp_path / "cube.json").write_text(encode_record(PolyhedronRecord(cube, 0, "cube")))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps({"path": "cube.json"}) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(DataError, match=rf"manifest\.jsonl:2: {field}: expected"):
+            load_records(manifest)
+
 
 class TestObjImport:
     def test_cube_with_material(self, tmp_path):
@@ -238,6 +257,22 @@ class TestObjImport:
         obj.write_text(CUBE_OBJ.replace(old, new))
         with pytest.raises(DataError, match=re.escape(message)):
             import_obj(obj, {"paint": [1.0]})
+
+    @pytest.mark.parametrize(
+        "kd, message",
+        [("Kd a 0 0", "Kd values must be numbers"), ("Kd nan 0 0", "Kd values must be finite")],
+    )
+    def test_bad_kd_names_line(self, tmp_path, kd, message):
+        mtl = tmp_path / "bad.mtl"
+        mtl.write_text(CUBE_MTL.replace("Kd 0.1 0.1 0.9", kd))
+        with pytest.raises(DataError, match=re.escape(f"bad.mtl:4: {message}")):
+            parse_mtl(mtl)
+
+    def test_non_finite_material_is_data_error(self, tmp_path):
+        obj = tmp_path / "cube.obj"
+        obj.write_text(CUBE_OBJ)
+        with pytest.raises(DataError, match="triangle attributes must be finite"):
+            import_obj(obj, {"paint": [np.nan]})
 
     def test_open_mesh_rejected(self, tmp_path):
         obj = tmp_path / "open.obj"

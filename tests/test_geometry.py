@@ -575,6 +575,27 @@ class TestExtrusion:
         with pytest.raises(GeometryError):
             extrude_polygon(bowtie, 1.0)
 
+    @pytest.mark.parametrize(
+        "polygon",
+        [
+            # vertex (2, 0) lies inside the non-adjacent bottom edge
+            [(0, 0), (4, 0), (4, 3), (2, 0), (0, 3)],
+            # edge (3, 0)-(1, 0) overlaps the collinear bottom edge
+            [(0, 0), (4, 0), (4, 2), (3, 0), (1, 0), (0, 2)],
+            # the loop passes through (2, 1) twice
+            [(0, 0), (2, 1), (4, 0), (4, 2), (2, 1), (0, 2)],
+        ],
+        ids=["vertex-on-edge", "collinear-overlap", "repeated-point"],
+    )
+    def test_rejects_touching_polygon(self, polygon):
+        with pytest.raises(GeometryError, match="self-intersecting"):
+            extrude_polygon(np.array(polygon, dtype=float), 1.0)
+
+    def test_concave_simple_polygon_accepted(self):
+        solid = extrude_polygon(np.array([[0, 0], [4, 0], [4, 4], [2, 1], [0, 4]]), 1.0)
+        assert solid.n_faces == 7
+        assert validate_polyhedron(solid).ok
+
     def test_scheme_roles_on_square(self):
         scheme = ColorScheme.rgb_default()
         solid = extrude_polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]), 1.0, scheme)

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyrep.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    BN_EPS,
     AdamState,
     BatchTooSmallError,
+    DenseBlock,
     Mlp,
     PlateauState,
     adam_step,
@@ -62,30 +67,26 @@ class TestForward:
             mlp.forward(np.ones((5, 7)), train=False)
 
     def test_batchnorm_normalizes_batch(self):
-        from polyrep.nn import BatchNorm
-
         rng = np.random.default_rng(2)
-        bn = BatchNorm(5)
+        block = DenseBlock(np.random.default_rng(0), 5, 5, relu=False)
         # The normalized tensor's variance is var / (var + eps); with
         # eps = 1e-5 the 1e-6 bound needs batch variance >= 10.
         x = rng.standard_normal((256, 5)) * 15.0 + 4.0
-        out = bn.forward(x)
+        out = block.post_forward(x, train=True)
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
     @pytest.mark.parametrize("n,d", [(2, 1), (3, 4), (17, 64), (1150, 64), (4000, 4)])
     def test_batchnorm_equals_np_var_form_bitwise(self, n, d):
-        from polyrep.nn import BatchNorm
-
         x = np.random.default_rng(n + d).standard_normal((n, d)) * 3.0 + 1.5
-        bn = BatchNorm(d)
-        bn.gamma[...] = np.linspace(0.5, 2.0, d)
-        bn.beta[...] = np.linspace(-1.0, 1.0, d)
-        out = bn.forward(x)
+        block = DenseBlock(np.random.default_rng(0), d, d, relu=False)
+        block.gamma[...] = np.linspace(0.5, 2.0, d)
+        block.beta[...] = np.linspace(-1.0, 1.0, d)
+        out = block.post_forward(x, train=True)
         mean, var = x.mean(axis=0), x.var(axis=0)
-        xhat = (x - mean) * (1.0 / np.sqrt(var + bn.eps))
-        assert np.array_equal(out, bn.gamma * xhat + bn.beta)
-        assert np.array_equal(bn.running_var, 0.9 * np.ones(d) + 0.1 * var * n / (n - 1))
+        xhat = (x - mean) * (1.0 / np.sqrt(var + BN_EPS))
+        assert np.array_equal(out, block.gamma * xhat + block.beta)
+        assert np.array_equal(block.running_var, 0.9 * np.ones(d) + 0.1 * var * n / (n - 1))
 
 
 class TestFoldedEval:
@@ -230,7 +231,7 @@ class TestAdam:
         state = AdamState.for_params(params)
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.003
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 0.003
         for t in range(1, 7):
             grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
             adam_step(params, grads, state, lr)

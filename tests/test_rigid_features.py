@@ -446,6 +446,19 @@ class TestSolidReconstruction:
             reconstruct_polyhedron(broken, topo)
 
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e-9, 1e-12])
+    def test_tiny_solid_round_trips(self, scale):
+        # Newell lengths shrink as the square of the size; the degenerate-face
+        # test is relative to the bounding-box diagonal, so a tiny solid is
+        # as valid as its unit-size original.
+        prism = make_prism(np.random.default_rng(1), 0.1, sides=7)
+        solid = Polyhedron(prism.vertices * scale, prism.faces)
+        g = build_surface_graph(solid)
+        rs = compute_rigid_set(g)
+        rebuilt = reconstruct_polyhedron(rs, g.topology())
+        _, rmsd = kabsch_align(rebuilt.vertices, solid.vertices)
+        assert rmsd < 1e-12 * solid.bbox_diagonal()
+
     def test_deep_adjacency_tree_does_not_drift(self):
         # 12 sides cut into 40 stacked bands: the gluing sweep reaches the
         # bottom cap 41 folds away from the top cap, so placement errors
