@@ -3,8 +3,9 @@
 Layout: an 8-byte big-endian header length, a canonical JSON header (version
 tag, config, tensor manifest, optimizer/scheduler scalars, RNG state), the
 raw little-endian float64 tensor blob, and a trailing SHA-256 digest of
-everything before it.  Loading verifies the digest and every tensor shape,
-so truncation, bit corruption, and config mismatches all fail loudly.
+everything before it.  Loading verifies the digest, every tensor shape and
+every tensor value, so truncation, bit corruption, config mismatches and
+non-finite or negative-variance state all fail loudly.
 """
 
 from __future__ import annotations
@@ -154,7 +155,9 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _read_tensors(specs, blob) -> dict:
     """Name -> array for every manifest entry; an entry whose span leaves
-    the blob or whose size disagrees with its shape is refused."""
+    the blob, whose size disagrees with its shape, that holds a non-finite
+    value, or that is a variance (``bn.running_var``, ``adam.v``) below zero
+    is refused."""
     loaded = {}
     for spec in specs:
         name = str(spec["name"])
@@ -165,5 +168,10 @@ def _read_tensors(specs, blob) -> dict:
         if min(shape, default=0) < 0 or nbytes != 8 * math.prod(shape):
             raise CheckpointError(f"tensor {name}: {nbytes} bytes do not fit shape {shape}")
         arr = np.frombuffer(blob[start : start + nbytes], dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name} is not finite")
+        is_variance = name.endswith("bn.running_var") or name.startswith("adam.v.")
+        if is_variance and (arr < 0).any():
+            raise CheckpointError(f"tensor {name} is negative")
         loaded[name] = arr.reshape(shape).copy()
     return loaded

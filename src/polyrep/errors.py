@@ -44,7 +44,7 @@ class DisconnectedSurfaceError(ReconstructionError):
 
 
 class DivergenceError(PolyrepError):
-    """Training produced a non-finite loss or gradient."""
+    """A non-finite loss or gradient in training, or a non-finite model output."""
 
 
 class DataError(PolyrepError):

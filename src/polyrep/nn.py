@@ -45,7 +45,7 @@ class DenseBlock:
             self.ggamma, self.gbeta = np.zeros(fan_out), np.zeros(fan_out)
             self.running_mean, self.running_var = np.zeros(fan_out), np.ones(fan_out)
         self.relu = relu
-        self._x = self._pre = self._bn = None
+        self._x = self._out = self._bn = None
 
     def forward(self, x, train, update_stats=True):
         if train:
@@ -65,53 +65,65 @@ class DenseBlock:
         """The eval-mode block before its ReLU as one affine ``(w, b)``, built
         on every call so it cannot go stale.  Drops the activations kept for
         backward, so an evaluated model holds (and clones) no train batch."""
-        self._x = self._pre = self._bn = None
+        self._x = self._out = self._bn = None
         if not self.batchnorm:
             return self.w, self.b
         s = self.gamma / np.sqrt(self.running_var + BN_EPS)
         return self.w * s, (self.b - self.running_mean) * s + self.beta
 
     def post_forward(self, y, train, update_stats=True):
-        """Steps after the affine output ``y``; of :meth:`folded` in eval mode."""
+        """Steps after the affine output ``y``; of :meth:`folded` in eval mode.
+        Train mode never writes into ``y``."""
         if not train:
             return np.maximum(y, 0.0, out=y) if self.relu else y
         if self.batchnorm:
             y = self._normalize(y, update_stats)
         if self.relu:
-            self._pre = y
-            y = np.maximum(y, 0.0)
+            y = np.maximum(y, 0.0, out=y if self.batchnorm else None)
+            self._out = y  # out > 0 exactly where the ReLU input was > 0
         return y
 
     def _normalize(self, y, update_stats):
-        """Train-mode batchnorm of ``y``; keeps ``(xhat, inv_std)`` for backward."""
+        """Train-mode batchnorm of ``y`` into a new buffer, through one other
+        buffer; keeps ``(xhat, inv_std)`` for backward."""
         n = y.shape[0]
         if n < 2:
             raise BatchTooSmallError(f"batchnorm needs a batch of >= 2 in train mode, got {n}")
         mean = y.mean(axis=0)
-        yc = y - mean
-        var = (yc * yc).mean(axis=0)  # bitwise equal to y.var(axis=0)
+        xhat = y - mean
+        out = np.multiply(xhat, xhat)
+        var = out.mean(axis=0)  # bitwise equal to y.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = yc * inv_std
+        xhat *= inv_std
         if update_stats:
             m = BN_MOMENTUM
-            self.running_mean = (1 - m) * self.running_mean + m * mean
-            self.running_var = (1 - m) * self.running_var + m * var * n / (n - 1)
+            self.running_mean *= 1 - m
+            self.running_mean += m * mean
+            self.running_var *= 1 - m
+            self.running_var += m * var * n / (n - 1)
         self._bn = (xhat, inv_std)
-        return self.gamma * xhat + self.beta
+        np.multiply(self.gamma, xhat, out=out)
+        out += self.beta
+        return out
 
     def post_backward(self, dy):
-        """Gradient wrt the affine output."""
+        """Gradient wrt the affine output; never writes into ``dy``."""
         if self.relu:
-            dy = dy * (self._pre > 0)
+            dy = np.multiply(dy, self._out > 0)
         if self.batchnorm:
             if self._bn is None:
                 raise ValueError("backward requires a preceding train-mode forward")
             xhat, inv_std = self._bn
-            self.ggamma += (dy * xhat).sum(axis=0)
-            self.gbeta += dy.sum(axis=0)
-            dxhat = dy * self.gamma
-            # Standard batch-statistics terms folded into one expression.
-            dy = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) * inv_std
+            n = dy.shape[0]
+            scratch = np.multiply(dy, xhat)
+            sdy, sdx = dy.sum(axis=0), scratch.sum(axis=0)
+            self.ggamma += sdx
+            self.gbeta += sdy
+            # (gamma inv_std) (dy - mean(dy) - xhat mean(dy xhat)), the
+            # batch-statistics terms written with the two sums above.
+            dy = np.subtract(dy, sdy / n, out=dy if self.relu else None)
+            dy -= np.multiply(xhat, sdx / n, out=scratch)
+            dy *= self.gamma * inv_std
         return dy
 
 
@@ -120,8 +132,8 @@ class ParameterRegistry:
 
     ``_walk(prefix)`` yields ``(name, array, grad)`` for every array the
     module owns, in checkpoint order, with ``grad=None`` for batchnorm
-    running statistics (saved state that is not trained).  The walk runs on
-    every call because a train-mode forward rebinds the running statistics.
+    running statistics (saved state that is not trained).  Every array is
+    updated in place, so the arrays a walk yields stay the module's own.
     """
 
     def named_parameters(self, prefix=""):

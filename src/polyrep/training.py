@@ -237,7 +237,7 @@ def evaluate_classification(
             f"{params.cfg.n_classes} classes"
         )
     _, logits = _eval_outputs(params, feats, batch_size)
-    return classification_metrics(logits, labels)
+    return classification_metrics(_finite(logits, records, "logit"), labels)
 
 
 def evaluate_retrieval(
@@ -246,4 +246,13 @@ def evaluate_retrieval(
     feats = features_for_records(records, params.cfg)
     labels = np.array([r.label for r in records], dtype=np.int64)
     embs, _ = _eval_outputs(params, feats, batch_size)
-    return retrieval_metrics(embs, labels, similarity)
+    return retrieval_metrics(_finite(embs, records, "graph vector"), labels, similarity)
+
+
+def _finite(outputs, records, what):
+    """``outputs`` (one row per record) if all finite; else ``DivergenceError``
+    naming the first record whose row is not, so no non-finite output is scored."""
+    if not np.isfinite(outputs).all():  # a whole-array test; rows only to name one
+        r = int(np.flatnonzero(~np.isfinite(outputs).all(axis=1))[0])
+        raise DivergenceError(f"non-finite {what} for graph {r} ({records[r].source_id!r})")
+    return outputs

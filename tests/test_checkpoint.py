@@ -6,17 +6,20 @@ import pytest
 
 from polyrep import (
     CheckpointError,
+    DivergenceError,
     GnnConfig,
     GnnParams,
     collate,
     build_surface_graph,
+    evaluate_classification,
+    evaluate_retrieval,
     gnn_forward,
     load_checkpoint,
     precompute_graph_features,
     save_checkpoint,
 )
 from polyrep.checkpoint import Checkpoint
-from polyrep.datasets import make_box, make_tetrahedron
+from polyrep.datasets import make_box, make_tetrahedron, save_records, synthetic_dataset
 from polyrep.nn import AdamState, PlateauState
 
 
@@ -341,3 +344,101 @@ class TestMalformedHeader:
         code = main(["eval", "--checkpoint", str(path), "--data", str(corpus)])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+
+def _resigned_value(path, name, value, index=0):
+    """Write ``value`` at flat ``index`` of tensor ``name`` in the checkpoint
+    at ``path`` and give the file a valid digest again."""
+    raw = bytearray(path.read_bytes()[:-32])
+    header_len = int.from_bytes(raw[:8], "big")
+    specs = json.loads(raw[8 : 8 + header_len])["tensors"]
+    spec = next(s for s in specs if s["name"] == name)
+    at = 8 + header_len + spec["offset"] + 8 * index
+    raw[at : at + 8] = np.array(value, dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw) + hashlib.sha256(raw).digest())
+
+
+def _cli(command, ckpt_path, tmp_path):
+    from polyrep.cli import main
+
+    corpus = tmp_path / "data.jsonl"
+    save_records(synthetic_dataset(6, seed=0), corpus)
+    return main([command, "--checkpoint", str(ckpt_path), "--data", str(corpus)])
+
+
+BAD_STATE = {
+    "nan weight": ("layer0.guide.0.w", float("nan")),
+    "inf bias": ("classifier.3.b", float("inf")),
+    "-inf running mean": ("layer1.psi_cross.2.bn.running_mean", float("-inf")),
+    "negative running var": ("layer0.guide.0.bn.running_var", -1.0),
+    "negative adam v": ("adam.v.0", -1e-12),
+}
+
+
+class TestNonFiniteState:
+    """Files with a valid digest whose tensors no training run can write."""
+
+    @pytest.mark.parametrize("name,value", BAD_STATE.values(), ids=BAD_STATE.keys())
+    def test_raises_checkpoint_error_naming_the_tensor(self, tmp_path, name, value):
+        ckpt, _ = small_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        _resigned_value(path, name, value)
+        with pytest.raises(CheckpointError, match=f"tensor {name} "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    @pytest.mark.parametrize(
+        "name,value", [BAD_STATE["nan weight"], BAD_STATE["negative running var"]]
+    )
+    def test_cli_exits_with_data_error(self, tmp_path, capsys, command, name, value):
+        ckpt, _ = small_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        _resigned_value(path, name, value)
+        assert _cli(command, path, tmp_path) == 2
+        assert name in capsys.readouterr().err
+
+    def test_zero_variances_load(self, tmp_path):
+        ckpt, _ = small_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        _resigned_value(path, "layer0.guide.0.bn.running_var", 0.0)
+        _resigned_value(path, "adam.v.0", -0.0)
+        load_checkpoint(path)
+
+
+def _overflowing(ckpt, command):
+    """Scale finite weights so the outputs ``command`` scores overflow:
+    the classifier's for logits, the path-type weights for graph vectors."""
+    if command == "eval":
+        for block in ckpt.params.classifier.blocks:
+            block.w *= 1e200
+    else:
+        for layer in ckpt.params.layers:
+            layer.w_inner[...] = layer.w_cross[...] = 1e300
+    return ckpt
+
+
+class TestNonFiniteOutput:
+    """A finite checkpoint whose outputs overflow is never scored."""
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_api_raises_divergence_error(self, command):
+        params = _overflowing(small_checkpoint()[0], command).params
+        records = synthetic_dataset(6, seed=0)
+        evaluate, what = (
+            (evaluate_classification, "logit") if command == "eval"
+            else (evaluate_retrieval, "graph vector")
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=f"non-finite {what} for graph 0"):
+                evaluate(params, records)
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_cli_exits_with_numerical_failure(self, tmp_path, capsys, command):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_overflowing(small_checkpoint()[0], command), path)
+        with np.errstate(all="ignore"):
+            assert _cli(command, path, tmp_path) == 3
+        assert "non-finite" in capsys.readouterr().err

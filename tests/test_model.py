@@ -214,6 +214,32 @@ class TestTrainStep:
         for b, p in zip(before, params.parameters()):
             assert np.array_equal(b, p)
 
+    def test_train_step_updates_state_in_place(self):
+        cfg, batch, labels = _reference_batch(n_solids=3, hidden_dim=4)
+        params = GnnParams(cfg)
+        before = [(name, id(arr), arr.copy()) for name, arr in params.named_state()]
+        gnn_train_step(params, batch, labels, AdamState.for_params(params.parameters()), 1e-3)
+        for (name, ident, old), (_, arr) in zip(before, params.named_state()):
+            assert id(arr) == ident, name
+            if ".bn.running_" in name:
+                assert not np.array_equal(arr, old), name
+
+    def test_train_steps_from_cloned_state_are_bitwise_equal(self):
+        cfg, batch, labels = _reference_batch(n_solids=3, hidden_dim=4)
+        runs = []
+        base = GnnParams(cfg)
+        for _ in range(2):
+            params = base.clone()
+            state = AdamState.for_params(params.parameters())
+            losses = [gnn_train_step(params, batch, labels, state, 1e-3) for _ in range(2)]
+            runs.append((losses, params))
+        (losses_a, a), (losses_b, b) = runs
+        assert losses_a == losses_b
+        for (name, x), (_, y) in zip(a.named_state(), b.named_state()):
+            assert np.array_equal(x, y), name
+        for (name, x), (_, y) in zip(a.named_grads(), b.named_grads()):
+            assert np.array_equal(x, y), name
+
     def test_overfits_tiny_problem(self):
         cfg = GnnConfig(layers=2, hidden_dim=16, attr_dim=0, n_classes=3, seed=10)
         params = GnnParams(cfg)

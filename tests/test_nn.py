@@ -89,6 +89,64 @@ class TestForward:
         assert np.array_equal(block.running_var, 0.9 * np.ones(d) + 0.1 * var * n / (n - 1))
 
 
+def _textbook_backward(x, gamma, beta, dy, relu):
+    """Gradients of train-mode batchnorm (then ReLU) of ``x`` written out as
+    in Ioffe & Szegedy: ``(dx, dgamma, dbeta)``."""
+    n = x.shape[0]
+    mean, var = x.mean(axis=0), x.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean) * inv_std
+    if relu:
+        dy = dy * (gamma * xhat + beta > 0)
+    dxhat = dy * gamma
+    dx = inv_std / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+BLOCK_SHAPES = [(2, 1), (3, 4), (17, 64), (1152, 64), (4000, 4)]
+
+
+def _bn_case(n, d, relu):
+    """A block and an affine output ``x`` whose first column (if d > 1) is
+    constant, so its variance is 0 and, with beta 0 there, its ReLU input is
+    exactly 0; ``dy`` is an upstream gradient."""
+    rng = np.random.default_rng(n + d)
+    x = rng.standard_normal((n, d)) * 3.0 + 1.5
+    block = DenseBlock(np.random.default_rng(0), d, d, relu=relu)
+    block.gamma[...] = np.linspace(0.5, 2.0, d)
+    block.beta[...] = np.linspace(-1.0, 1.0, d)
+    if d > 1:
+        x[:, 0] = 2.5
+        block.beta[0] = 0.0
+    return block, x, rng.standard_normal((n, d))
+
+
+class TestFusedBatchnorm:
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("n,d", BLOCK_SHAPES)
+    def test_backward_matches_textbook(self, n, d, relu):
+        block, x, dy = _bn_case(n, d, relu)
+        block.post_forward(x, train=True)
+        got = block.post_backward(dy)
+        dx, dgamma, dbeta = _textbook_backward(x, block.gamma, block.beta, dy, relu)
+        np.testing.assert_allclose(got, dx, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(block.ggamma, dgamma, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(block.gbeta, dbeta, rtol=1e-12, atol=1e-14)
+        if relu and d > 1:
+            assert not got[:, 0].any()  # ReLU input exactly 0: no gradient
+
+    @pytest.mark.parametrize("batchnorm,relu", [(True, True), (True, False), (False, True)])
+    def test_train_mode_leaves_inputs_unchanged(self, batchnorm, relu):
+        rng = np.random.default_rng(12)
+        block = DenseBlock(rng, 6, 6, batchnorm=batchnorm, relu=relu)
+        x, dy = rng.standard_normal((9, 6)), rng.standard_normal((9, 6))
+        x_before, dy_before = x.copy(), dy.copy()
+        out = block.post_forward(x, train=True)
+        assert out is not x and np.array_equal(x, x_before)
+        dx = block.post_backward(dy)
+        assert dx is not dy and np.array_equal(dy, dy_before)
+
+
 class TestFoldedEval:
     @pytest.mark.parametrize("batchnorm_output", [True, False])
     def test_matches_unfolded_reference(self, batchnorm_output):
