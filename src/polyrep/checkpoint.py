@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,39 +37,21 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    tensors = []
-    blob = bytearray()
-    offset = 0
-
-    def add(name, arr):
-        nonlocal offset
+    tensors, blob = [], bytearray()
+    for name, arr in ckpt.params.named_state() + _moments(ckpt.params, ckpt.adam):
         data = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
         tensors.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(data)}
+            {"name": name, "shape": list(arr.shape), "offset": len(blob), "nbytes": len(data)}
         )
         blob.extend(data)
-        offset += len(data)
-
-    for name, arr in ckpt.params.named_state():
-        add(name, arr)
-    for idx, m in enumerate(ckpt.adam.m):
-        add(f"adam.m.{idx}", m)
-    for idx, v in enumerate(ckpt.adam.v):
-        add(f"adam.v.{idx}", v)
-
+    best = ckpt.scheduler.best
+    scheduler = asdict(ckpt.scheduler) | {"best": None if best == math.inf else best}
     header = {
         "version": ckpt.version,
         "config": ckpt.config,
         "tensors": tensors,
         "adam": {"t": ckpt.adam.t},
-        "scheduler": {
-            "lr": ckpt.scheduler.lr,
-            "factor": ckpt.scheduler.factor,
-            "patience": ckpt.scheduler.patience,
-            "min_lr": ckpt.scheduler.min_lr,
-            "best": None if ckpt.scheduler.best == float("inf") else ckpt.scheduler.best,
-            "bad_epochs": ckpt.scheduler.bad_epochs,
-        },
+        "scheduler": scheduler,
         "best_epoch": ckpt.best_epoch,
         "rng_state": ckpt.rng_state,
     }
@@ -106,8 +89,8 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         loaded = _read_tensors(header["tensors"], blob)
         config = dict(header["config"])
-        gnn_keys = {f.name for f in GnnConfig.__dataclass_fields__.values()}
-        params = GnnParams(GnnConfig(**{k: v for k, v in config.items() if k in gnn_keys}))
+        fields = GnnConfig.__dataclass_fields__
+        gnn_cfg = GnnConfig(**{k: v for k, v in config.items() if k in fields})
         adam_t = int(header["adam"]["t"])
         sch = header["scheduler"]
         scheduler = PlateauState(
@@ -123,7 +106,10 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed header: {type(exc).__name__}: {exc}") from exc
 
-    for name, arr in params.named_state():
+    _check_config(gnn_cfg, {name: arr.shape for name, arr in loaded.items()})
+    params = GnnParams(gnn_cfg)
+    adam = AdamState(np.empty_like(params.theta), np.empty_like(params.theta), adam_t)
+    for name, arr in params.named_state() + _moments(params, adam):
         if name not in loaded:
             raise CheckpointError(f"missing tensor {name}")
         if loaded[name].shape != arr.shape:
@@ -132,16 +118,6 @@ def load_checkpoint(path) -> Checkpoint:
                 f"model {arr.shape}"
             )
         arr[...] = loaded[name]
-
-    m, v = [], []
-    for idx, p in enumerate(params.parameters()):
-        for store, key in ((m, f"adam.m.{idx}"), (v, f"adam.v.{idx}")):
-            if key not in loaded:
-                raise CheckpointError(f"missing tensor {key}")
-            if loaded[key].shape != p.shape:
-                raise CheckpointError(f"dimension mismatch for {key}")
-            store.append(loaded[key])
-    adam = AdamState(m=m, v=v, t=adam_t)
     return Checkpoint(
         config=config,
         params=params,
@@ -151,6 +127,25 @@ def load_checkpoint(path) -> Checkpoint:
         rng_state=rng_state,
         version=header["version"],
     )
+
+
+def _check_config(cfg: GnnConfig, shapes) -> None:
+    """Refuse a config that the manifest's ``shapes`` contradict, before a
+    model is built from it: the model is then a small multiple of the first
+    classifier weight, which the file holds, whatever the header claims."""
+    heads = [shape for name, shape in shapes.items() if re.fullmatch(r"classifier\.\d+\.w", name)]
+    layers = sum(bool(re.fullmatch(r"layer\d+\.w_inner", name)) for name in shapes)
+    found = (shapes.get("layer0.guide.0.w"), heads[:1], heads[-1:], layers)
+    d = cfg.hidden_dim
+    implied = ((cfg.guide_in_dim, d), [(cfg.readout_dim, d)], [(d, cfg.n_classes)], cfg.layers)
+    if found != implied:  # guide weight, first and last classifier weights, layers
+        raise CheckpointError(f"dimension mismatch: file {found}, config {implied}")
+
+
+def _moments(params, adam):
+    """The flat Adam moments as ``adam.m.{i}``/``adam.v.{i}`` parameter-shaped views."""
+    views = [(key, params.split(getattr(adam, key))) for key in ("m", "v")]
+    return [(f"adam.{key}.{i}", view) for key, vs in views for i, view in enumerate(vs)]
 
 
 def _read_tensors(specs, blob) -> dict:

@@ -232,13 +232,13 @@ def _cmd_gradcheck(args):
     labels = np.array([0, 1])
 
     gnn_loss_and_grads(params, batch, labels, update_stats=False)
-    grads = [g.copy() for g in params.grads()]
+    grad = params.grad.copy()
 
     def loss_fn():
         out, _ = gnn_forward(params, batch, mode="train", update_stats=False)
         return cross_entropy(out.logits, labels)[0]
 
-    err = grad_check(loss_fn, params.parameters(), grads)
+    err = grad_check(loss_fn, params.theta, grad)
     if err >= args.tolerance:
         raise NumericalFailure(f"gradient check failed: {err:.3e} >= {args.tolerance}")
     return {"max_rel_error": err}
@@ -360,7 +360,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def cli(argv=None) -> int:
+def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     parser = _build_parser()
     try:
@@ -382,10 +382,6 @@ def cli(argv=None) -> int:
     except (NumericalFailure, DivergenceError, ReconstructionError, GeometryError, GraphError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-def main(argv=None):
-    return cli(argv)
 
 
 if __name__ == "__main__":

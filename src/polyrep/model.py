@@ -15,7 +15,6 @@ so is the graph vector.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 
@@ -143,10 +142,8 @@ class GnnLayer:
         self.guide = Mlp(rng, [cfg.guide_in_dim, d], batchnorm_output=True)
         self.psi_inner = Mlp(rng, [4 * d, d, d, d, d], batchnorm_output=True)
         self.psi_cross = Mlp(rng, [4 * d, d, d, d, d], batchnorm_output=True)
-        self.w_inner = np.ones(1)
-        self.w_cross = np.ones(1)
-        self.gw_inner = np.zeros(1)
-        self.gw_cross = np.zeros(1)
+        self.w_inner, self.w_cross = np.ones(1), np.ones(1)
+        self.gw_inner, self.gw_cross = np.zeros(1), np.zeros(1)
 
     def message_nets(self):
         """(psi net, type weight, its grad) for inner, then cross paths."""
@@ -167,18 +164,25 @@ class GnnParams(ParameterRegistry):
         self.classifier = Mlp(
             rng, [cfg.readout_dim, d, d, d, cfg.n_classes], batchnorm_output=False
         )
+        self.flatten()
 
-    def _walk(self, prefix=""):
+    def _walk(self):
         for li, layer in enumerate(self.layers):
-            name = f"{prefix}layer{li}."
+            name = f"layer{li}."
             for net in ("guide", "psi_inner", "psi_cross"):
                 yield from getattr(layer, net)._walk(f"{name}{net}.")
-            yield name + "w_inner", layer.w_inner, layer.gw_inner
-            yield name + "w_cross", layer.w_cross, layer.gw_cross
-        yield from self.classifier._walk(f"{prefix}classifier.")
+            yield name + "w_inner", layer, "w_inner", True
+            yield name + "w_cross", layer, "w_cross", True
+        yield from self.classifier._walk("classifier.")
 
     def clone(self):
-        return copy.deepcopy(self)
+        """A copy of the state and gradients, without train-mode activations."""
+        twin = GnnParams(self.cfg)
+        twin.theta[...], twin.grad[...] = self.theta, self.grad
+        for (_, owner, attr, trained), (_, source, _, _) in zip(twin._walk(), self._walk()):
+            if not trained:  # a batchnorm running statistic
+                getattr(owner, attr)[...] = getattr(source, attr)
+        return twin
 
 
 @dataclass(frozen=True)
@@ -348,10 +352,10 @@ def gnn_train_step(
     loss = gnn_loss_and_grads(params, batch, labels)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
-    for name, grad in params.named_grads():
-        if not np.all(np.isfinite(grad)):
-            raise DivergenceError(f"non-finite gradient {name}")
-    adam_step(params.parameters(), params.grads(), state, lr)
+    if not np.isfinite(params.grad).all():  # a whole-buffer test; tensors only to name one
+        name = next(name for name, g in params.named_grads() if not np.isfinite(g).all())
+        raise DivergenceError(f"non-finite gradient {name}")
+    adam_step(params.theta, params.grad, state, lr)
     return loss
 
 

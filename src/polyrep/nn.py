@@ -37,8 +37,7 @@ class DenseBlock:
     def __init__(self, rng, fan_in, fan_out, batchnorm=True, relu=True):
         self.w = kaiming_uniform(rng, fan_in, fan_out)
         self.b = np.zeros(fan_out)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+        self.gw, self.gb = np.zeros_like(self.w), np.zeros_like(self.b)
         self.batchnorm = batchnorm
         if batchnorm:
             self.gamma, self.beta = np.ones(fan_out), np.zeros(fan_out)
@@ -130,21 +129,22 @@ class DenseBlock:
 class ParameterRegistry:
     """Named views of a module's arrays, all read from one walk.
 
-    ``_walk(prefix)`` yields ``(name, array, grad)`` for every array the
-    module owns, in checkpoint order, with ``grad=None`` for batchnorm
-    running statistics (saved state that is not trained).  Every array is
-    updated in place, so the arrays a walk yields stay the module's own.
+    ``_walk(prefix)`` yields ``(name, owner, attr, trained)`` for every array,
+    in checkpoint order: the array is ``owner.<attr>``, a trained one's
+    gradient ``owner.g<attr>``; batchnorm running statistics are not trained.
+    After :meth:`flatten` the trained arrays and gradients are views of the
+    flat ``theta`` and ``grad``, laid out in walk order and updated in place.
     """
 
-    def named_parameters(self, prefix=""):
-        return [(name, p) for name, p, g in self._walk(prefix) if g is not None]
+    def named_parameters(self):
+        return [(name, getattr(o, a)) for name, o, a, trained in self._walk() if trained]
 
-    def named_grads(self, prefix=""):
-        return [(name, g) for name, _, g in self._walk(prefix) if g is not None]
+    def named_grads(self):
+        return [(name, getattr(o, "g" + a)) for name, o, a, trained in self._walk() if trained]
 
-    def named_state(self, prefix=""):
+    def named_state(self):
         """Parameters plus batchnorm running statistics."""
-        return [(name, p) for name, p, _ in self._walk(prefix)]
+        return [(name, getattr(o, a)) for name, o, a, _ in self._walk()]
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -152,9 +152,23 @@ class ParameterRegistry:
     def grads(self):
         return [g for _, g in self.named_grads()]
 
+    def split(self, flat):
+        """Views of ``flat``, one per parameter, shaped like it and at its walk offset."""
+        params = self.parameters()
+        ends = np.cumsum([p.size for p in params]).tolist()
+        return [flat[end - p.size : end].reshape(p.shape) for end, p in zip(ends, params)]
+
+    def flatten(self):
+        """Move the trained arrays and grads into ``theta`` and ``grad``, as views."""
+        slots = [(owner, attr) for _, owner, attr, trained in self._walk() if trained]
+        self.theta = np.concatenate([p.ravel() for p in self.parameters()])
+        self.grad = np.concatenate([g.ravel() for g in self.grads()])
+        for (owner, attr), p, g in zip(slots, self.split(self.theta), self.split(self.grad)):
+            setattr(owner, attr, p)
+            setattr(owner, "g" + attr, g)
+
     def zero_grads(self):
-        for g in self.grads():
-            g[...] = 0.0
+        self.grad[...] = 0.0
 
 
 class Mlp(ParameterRegistry):
@@ -205,13 +219,13 @@ class Mlp(ParameterRegistry):
         stats = []
         for idx, block in enumerate(self.blocks):
             name = f"{prefix}{idx}."
-            yield name + "w", block.w, block.gw
-            yield name + "b", block.b, block.gb
+            yield name + "w", block, "w", True
+            yield name + "b", block, "b", True
             if block.batchnorm:
-                yield name + "bn.gamma", block.gamma, block.ggamma
-                yield name + "bn.beta", block.beta, block.gbeta
-                stats.append((name + "bn.running_mean", block.running_mean, None))
-                stats.append((name + "bn.running_var", block.running_var, None))
+                yield name + "bn.gamma", block, "gamma", True
+                yield name + "bn.beta", block, "beta", True
+                stats.append((name + "bn.running_mean", block, "running_mean", False))
+                stats.append((name + "bn.running_var", block, "running_var", False))
         yield from stats
 
 
@@ -240,51 +254,42 @@ def cross_entropy(logits, labels):
 
 @dataclass
 class AdamState:
-    """First/second moments aligned with a fixed parameter list."""
+    """First/second moments of a flat parameter vector."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params):
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def for_params(cls, theta):
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update, in place: ``m = b1 m + (1 - b1) g``,
-    ``v = b2 v + (1 - b2) g g`` and ``p -= lr (m / c1) / (sqrt(v / c2) +
-    eps)``, each operation in the order written but into two views of one
-    scratch buffer, so the result is bitwise that of the expressions."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads, and state must align")
+def adam_step(theta, grad, state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update of the flat vector ``theta``, in place: ``m =
+    b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and ``theta -= lr (m / c1)
+    / (sqrt(v / c2) + eps)``, each operation in the order written but into two
+    scratch vectors, so the result is bitwise that of the expressions."""
+    if not theta.shape == grad.shape == state.m.shape:
+        raise ValueError(f"shape mismatch {theta.shape}, {grad.shape}, {state.m.shape}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    scratch = np.empty(2 * max((p.size for p in params), default=0))
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-        t = scratch[: p.size].reshape(p.shape)
-        step = scratch[p.size : 2 * p.size].reshape(p.shape)
-        np.multiply(g, 1 - b1, out=t)
-        m *= b1
-        m += t
-        np.multiply(g, 1 - b2, out=t)
-        t *= g
-        v *= b2
-        v += t
-        np.divide(v, c2, out=t)
-        np.sqrt(t, out=t)
-        t += ADAM_EPS
-        np.divide(m, c1, out=step)
-        step *= lr
-        step /= t
-        p -= step
+    t = np.multiply(grad, 1 - b1)
+    state.m *= b1
+    state.m += t
+    np.multiply(grad, 1 - b2, out=t)
+    t *= grad
+    state.v *= b2
+    state.v += t
+    np.divide(state.v, c2, out=t)
+    np.sqrt(t, out=t)
+    t += ADAM_EPS
+    step = np.divide(state.m, c1)
+    step *= lr
+    step /= t
+    theta -= step
 
 
 @dataclass
@@ -312,33 +317,32 @@ def plateau_step(state: PlateauState, metric: float) -> float:
     return state.lr
 
 
-def grad_check(loss_fn, params, grads, step=1e-5, max_entries=10000, seed=0, atol=1e-10):
+def grad_check(loss_fn, theta, grad, step=1e-5, max_entries=10000, seed=0, atol=1e-10):
     """Max relative error of analytic grads vs central finite differences.
 
-    ``loss_fn`` re-evaluates the loss from the current parameter values (it
-    must be deterministic); ``grads`` are the analytic gradients already
-    computed for those values.  Above ``max_entries`` total parameters, a
-    seeded subsample is probed.  Relative error is |a - n| / max(|a|, |n|,
-    1e-8); differences below ``atol`` count as agreement, since central
-    differences in double precision cannot resolve gradients beneath
-    eps * |loss| / step (~1e-11 here), which would otherwise read as noise.
+    ``loss_fn`` re-evaluates the loss from the current values of the flat
+    parameter vector ``theta`` (it must be deterministic); ``grad`` is the
+    flat analytic gradient already computed for those values.  Above
+    ``max_entries`` entries, a seeded subsample is probed.  Relative error
+    is |a - n| / max(|a|, |n|, 1e-8); differences below ``atol`` count as
+    agreement, since central differences in double precision cannot resolve
+    gradients beneath eps * |loss| / step (~1e-11 here), which would
+    otherwise read as noise.
     """
-    entries = [(a, idx) for a, p in enumerate(params) for idx in range(p.size)]
-    if len(entries) > max_entries:
+    entries = range(theta.size)
+    if theta.size > max_entries:
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(entries), size=max_entries, replace=False)
-        entries = [entries[c] for c in sorted(chosen)]
+        entries = sorted(rng.choice(theta.size, size=max_entries, replace=False))
     worst = 0.0
-    for a, idx in entries:
-        flat = params[a].reshape(-1)
-        orig = flat[idx]
-        flat[idx] = orig + step
+    for idx in entries:
+        orig = theta[idx]
+        theta[idx] = orig + step
         up = loss_fn()
-        flat[idx] = orig - step
+        theta[idx] = orig - step
         down = loss_fn()
-        flat[idx] = orig
+        theta[idx] = orig
         numeric = (up - down) / (2 * step)
-        analytic = grads[a].reshape(-1)[idx]
+        analytic = grad[idx]
         diff = abs(analytic - numeric)
         if diff <= atol:
             continue

@@ -154,7 +154,7 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
     y_val = np.array([r.label for r in val_recs], dtype=np.int64)
 
     params = GnnParams(gnn_cfg)
-    adam = AdamState.for_params(params.parameters())
+    adam = AdamState.for_params(params.theta)
     scheduler = PlateauState(
         lr=cfg.lr,
         factor=cfg.scheduler_factor,

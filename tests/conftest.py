@@ -177,3 +177,18 @@ def randomize_batchnorm(registry, rng):
             arr[...] = rng.uniform(0.5, 2.0, arr.shape)
         elif name.endswith(("bn.beta", "bn.running_mean")):
             arr[...] = rng.normal(0.0, 0.5, arr.shape)
+
+
+def assert_flat_views(params):
+    """Every trained array of ``params`` and its gradient are the views of
+    the model's own ``theta`` and ``grad`` at the array's walk offset."""
+    offset = 0
+    for (name, p), (_, g) in zip(params.named_parameters(), params.named_grads()):
+        at = slice(offset, offset + p.size)
+        for arr, flat in ((p, params.theta), (g, params.grad)):
+            assert np.shares_memory(arr, flat[at]), name
+            assert not np.shares_memory(arr, flat[: at.start]), name
+            assert not np.shares_memory(arr, flat[at.stop :]), name
+            assert np.array_equal(arr.ravel(), flat[at]), name
+        offset = at.stop
+    assert offset == params.theta.size == params.grad.size

@@ -159,13 +159,13 @@ def test_criterion_04_gradient_correctness():
     )
     labels = np.array([0, 1])
     gnn_loss_and_grads(params, batch, labels, update_stats=False)
-    grads = [g.copy() for g in params.grads()]
+    grad = params.grad.copy()
 
     def loss_fn():
         out, _ = gnn_forward(params, batch, mode="train", update_stats=False)
         return cross_entropy(out.logits, labels)[0]
 
-    err = grad_check(loss_fn, params.parameters(), grads, step=1e-5)
+    err = grad_check(loss_fn, params.theta, grad, step=1e-5)
     elapsed = time.time() - started
     report(
         4,

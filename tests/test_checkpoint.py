@@ -22,6 +22,8 @@ from polyrep.checkpoint import Checkpoint
 from polyrep.datasets import make_box, make_tetrahedron, save_records, synthetic_dataset
 from polyrep.nn import AdamState, PlateauState
 
+from conftest import assert_flat_views
+
 
 def small_checkpoint(seed=0, hidden=8):
     cfg = GnnConfig(layers=2, hidden_dim=hidden, attr_dim=0, n_classes=3, seed=seed)
@@ -34,9 +36,8 @@ def small_checkpoint(seed=0, hidden=8):
         ]
     )
     gnn_forward(params, batch, mode="train")
-    adam = AdamState.for_params(params.parameters())
-    for m in adam.m:
-        m += 0.25
+    adam = AdamState.for_params(params.theta)
+    adam.m += 0.25
     adam.t = 7
     sched = PlateauState(lr=5e-4, best=0.123, bad_epochs=3)
     config = {
@@ -59,13 +60,22 @@ class TestRoundTrip:
         assert np.array_equal(before.logits, after.logits)
         assert np.array_equal(before.h_graph, after.h_graph)
 
+    def test_loaded_parameters_are_views_of_the_flat_buffers(self, tmp_path):
+        ckpt, _ = small_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert_flat_views(loaded.params)
+        assert np.array_equal(loaded.params.theta, ckpt.params.theta)
+        assert loaded.adam.m.shape == loaded.adam.v.shape == loaded.params.theta.shape
+
     def test_optimizer_and_scheduler_state(self, tmp_path):
         ckpt, _ = small_checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
         assert loaded.adam.t == 7
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.adam.m, ckpt.adam.m))
+        assert np.array_equal(loaded.adam.m, ckpt.adam.m)
         assert loaded.scheduler.lr == 5e-4
         assert loaded.scheduler.best == 0.123
         assert loaded.scheduler.bad_epochs == 3
@@ -344,6 +354,45 @@ class TestMalformedHeader:
         code = main(["eval", "--checkpoint", str(path), "--data", str(corpus)])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+
+FORGED_CONFIGS = {
+    "huge hidden_dim": {"hidden_dim": 10**6},
+    "huge layers": {"layers": 10**6},
+    "other attr_dim": {"attr_dim": 2},
+    "other n_classes": {"n_classes": 5},
+}
+
+
+def _forged_config(tmp_path, monkeypatch, changes):
+    """A checkpoint whose re-signed header config says ``changes``, with
+    ``GnnParams`` in the loader made to fail the test if it is called: a
+    forged width must be refused before any model is built from it."""
+    ckpt, _ = small_checkpoint()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    _resigned(path, lambda header: header | {"config": header["config"] | changes})
+
+    def refuse(cfg):
+        pytest.fail(f"GnnParams built from a forged header: {cfg}")
+
+    monkeypatch.setattr("polyrep.checkpoint.GnnParams", refuse)
+    return path
+
+
+class TestForgedConfig:
+    """Files with a valid digest whose config their tensors contradict."""
+
+    @pytest.mark.parametrize("changes", FORGED_CONFIGS.values(), ids=FORGED_CONFIGS.keys())
+    def test_refused_before_building_a_model(self, tmp_path, monkeypatch, changes):
+        path = _forged_config(tmp_path, monkeypatch, changes)
+        with pytest.raises(CheckpointError, match="dimension mismatch"):
+            load_checkpoint(path)
+
+    def test_cli_exits_with_data_error(self, tmp_path, monkeypatch, capsys):
+        path = _forged_config(tmp_path, monkeypatch, FORGED_CONFIGS["huge hidden_dim"])
+        assert _cli("eval", path, tmp_path) == 2
+        assert "dimension mismatch" in capsys.readouterr().err
 
 
 def _resigned_value(path, name, value, index=0):

@@ -27,6 +27,7 @@ from polyrep.nn import AdamState, cross_entropy, grad_check
 
 from conftest import (
     FOLD_RTOL,
+    assert_flat_views,
     overflowing_solid,
     randomize_batchnorm,
     solid_corpus,
@@ -194,13 +195,13 @@ class TestTrainStep:
         batch = collate([features_of(s, cfg) for s in solids])
         labels = np.array([0, 1])
         gnn_loss_and_grads(params, batch, labels, update_stats=False)
-        grads = [g.copy() for g in params.grads()]
+        grad = params.grad.copy()
 
         def loss_fn():
             out, _ = gnn_forward(params, batch, mode="train", update_stats=False)
             return cross_entropy(out.logits, labels)[0]
 
-        err = grad_check(loss_fn, params.parameters(), grads, step=1e-5)
+        err = grad_check(loss_fn, params.theta, grad, step=1e-5)
         assert err < 1e-4
 
     def test_zero_lr_keeps_params(self, cube, tetrahedron):
@@ -208,7 +209,7 @@ class TestTrainStep:
         params = GnnParams(cfg)
         batch = collate([features_of(cube, cfg), features_of(tetrahedron, cfg)])
         before = [p.copy() for p in params.parameters()]
-        state = AdamState.for_params(params.parameters())
+        state = AdamState.for_params(params.theta)
         loss = gnn_train_step(params, batch, np.array([0, 1]), state, lr=0.0)
         assert np.isfinite(loss)
         for b, p in zip(before, params.parameters()):
@@ -218,7 +219,7 @@ class TestTrainStep:
         cfg, batch, labels = _reference_batch(n_solids=3, hidden_dim=4)
         params = GnnParams(cfg)
         before = [(name, id(arr), arr.copy()) for name, arr in params.named_state()]
-        gnn_train_step(params, batch, labels, AdamState.for_params(params.parameters()), 1e-3)
+        gnn_train_step(params, batch, labels, AdamState.for_params(params.theta), 1e-3)
         for (name, ident, old), (_, arr) in zip(before, params.named_state()):
             assert id(arr) == ident, name
             if ".bn.running_" in name:
@@ -230,7 +231,7 @@ class TestTrainStep:
         base = GnnParams(cfg)
         for _ in range(2):
             params = base.clone()
-            state = AdamState.for_params(params.parameters())
+            state = AdamState.for_params(params.theta)
             losses = [gnn_train_step(params, batch, labels, state, 1e-3) for _ in range(2)]
             runs.append((losses, params))
         (losses_a, a), (losses_b, b) = runs
@@ -240,6 +241,35 @@ class TestTrainStep:
         for (name, x), (_, y) in zip(a.named_grads(), b.named_grads()):
             assert np.array_equal(x, y), name
 
+    def test_parameters_stay_views_of_the_flat_buffers(self):
+        cfg, batch, labels = _reference_batch(n_solids=3, hidden_dim=4)
+        params = GnnParams(cfg)
+        assert_flat_views(params)
+        gnn_train_step(params, batch, labels, AdamState.for_params(params.theta), 1e-3)
+        assert_flat_views(params)
+
+    def test_clone_owns_its_buffers(self):
+        cfg, batch, labels = _reference_batch(n_solids=3, hidden_dim=4)
+        source = GnnParams(cfg)
+        state = AdamState.for_params(source.theta)
+        gnn_train_step(source, batch, labels, state, 1e-3)
+        twin = source.clone()
+        assert_flat_views(twin)
+
+        def arrays(params):
+            return params.named_state() + [("theta", params.theta), ("grad", params.grad)]
+
+        for (name, a), (_, b) in zip(arrays(twin), arrays(source)):
+            assert np.array_equal(a, b), name
+        for name, a in arrays(twin):
+            assert not any(np.shares_memory(a, b) for _, b in arrays(source)), name
+        frozen = [(name, a.copy()) for name, a in arrays(twin)]
+        for _ in range(2):
+            gnn_train_step(source, batch, labels, state, 1e-3)
+        assert not np.array_equal(source.theta, twin.theta)
+        for (name, old), (_, a) in zip(frozen, arrays(twin)):
+            assert np.array_equal(old, a), name
+
     def test_overfits_tiny_problem(self):
         cfg = GnnConfig(layers=2, hidden_dim=16, attr_dim=0, n_classes=3, seed=10)
         params = GnnParams(cfg)
@@ -248,7 +278,7 @@ class TestTrainStep:
         solids = [synthetic_solid(kinds[i % 3], rng, 0.05) for i in range(12)]
         labels = np.array([i % 3 for i in range(12)])
         batch = collate([features_of(s, cfg) for s in solids])
-        state = AdamState.for_params(params.parameters())
+        state = AdamState.for_params(params.theta)
         for _ in range(200):
             gnn_train_step(params, batch, labels, state, lr=0.001)
         out = gnn_forward(params, batch, mode="eval")
@@ -532,9 +562,10 @@ class TestAgainstMaterializedReference:
         # training) must copy its state and grads only, not the last batch.
         cfg, batch, labels = _reference_batch()
         params = GnnParams(cfg)
-        gnn_train_step(params, batch, labels, AdamState.for_params(params.parameters()), 1e-3)
+        gnn_train_step(params, batch, labels, AdamState.for_params(params.theta), 1e-3)
         gnn_forward(params, batch, mode="eval")
         owned = {id(a) for _, a in params.named_state()} | {id(g) for g in params.grads()}
+        owned |= {id(params.theta), id(params.grad)}
         extra = [a.shape for a in _reachable_arrays(params) if id(a) not in owned]
         assert extra == []
 
@@ -543,10 +574,10 @@ class TestAgainstMaterializedReference:
         batch = _shuffled(batch, seed=1)
         params = GnnParams(cfg)
         gnn_loss_and_grads(params, batch, labels, update_stats=False)
-        grads = [g.copy() for g in params.grads()]
+        grad = params.grad.copy()
 
         def loss_fn():
             out, _ = gnn_forward(params, batch, mode="train", update_stats=False)
             return cross_entropy(out.logits, labels)[0]
 
-        assert grad_check(loss_fn, params.parameters(), grads, step=1e-5) < 1e-4
+        assert grad_check(loss_fn, params.theta, grad, step=1e-5) < 1e-4

@@ -174,14 +174,13 @@ class TestBackward:
         mlp = Mlp(rng, [3, 4, 2], batchnorm_output=False)
         x = rng.standard_normal((6, 3))
         y = rng.integers(0, 2, 6)
+        mlp.flatten()
         mlp.zero_grads()
         logits = mlp.forward(x, train=True, update_stats=False)
         _, dlogits = cross_entropy(logits, y)
         mlp.backward(dlogits)
-        grads = [g.copy() for _, g in mlp.named_grads()]
-        err = grad_check(
-            mlp_loss_closure(mlp, x, y), [p for _, p in mlp.named_parameters()], grads
-        )
+        grad = mlp.grad.copy()
+        err = grad_check(mlp_loss_closure(mlp, x, y), mlp.theta, grad)
         assert err < 1e-6
 
     def test_batchnorm_gradients(self):
@@ -189,14 +188,13 @@ class TestBackward:
         mlp = Mlp(rng, [3, 4, 4, 2], batchnorm_output=True)
         x = rng.standard_normal((8, 3))
         y = rng.integers(0, 2, 8)
+        mlp.flatten()
         mlp.zero_grads()
         logits = mlp.forward(x, train=True, update_stats=False)
         _, dlogits = cross_entropy(logits, y)
         mlp.backward(dlogits)
-        grads = [g.copy() for _, g in mlp.named_grads()]
-        err = grad_check(
-            mlp_loss_closure(mlp, x, y), [p for _, p in mlp.named_parameters()], grads
-        )
+        grad = mlp.grad.copy()
+        err = grad_check(mlp_loss_closure(mlp, x, y), mlp.theta, grad)
         assert err < 1e-6
 
     def test_corrupted_backward_is_caught(self):
@@ -204,15 +202,14 @@ class TestBackward:
         mlp = Mlp(rng, [3, 4, 2], batchnorm_output=False)
         x = rng.standard_normal((6, 3))
         y = rng.integers(0, 2, 6)
+        mlp.flatten()
         mlp.zero_grads()
         logits = mlp.forward(x, train=True, update_stats=False)
         _, dlogits = cross_entropy(logits, y)
         mlp.backward(dlogits)
-        grads = [g.copy() for _, g in mlp.named_grads()]
-        grads[0][0, 0] += 1.0
-        err = grad_check(
-            mlp_loss_closure(mlp, x, y), [p for _, p in mlp.named_parameters()], grads
-        )
+        grad = mlp.grad.copy()
+        grad[0] += 1.0  # the first weight, blocks[0].w[0, 0]
+        err = grad_check(mlp_loss_closure(mlp, x, y), mlp.theta, grad)
         assert err > 1e-2
 
     def test_linearity_in_output_grad(self):
@@ -220,6 +217,7 @@ class TestBackward:
         mlp = Mlp(rng, [3, 4, 2], batchnorm_output=False)
         x = rng.standard_normal((5, 3))
         dy = rng.standard_normal((5, 2))
+        mlp.flatten()
         mlp.zero_grads()
         mlp.forward(x, train=True, update_stats=False)
         mlp.backward(dy)
@@ -256,58 +254,66 @@ class TestCrossEntropy:
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+def _views(flat, shapes):
+    """Views of ``flat``, one per shape, laid end to end."""
+    offsets = np.cumsum([0] + [math.prod(s) for s in shapes])
+    return [flat[o : o + math.prod(s)].reshape(s) for o, s in zip(offsets, shapes)]
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
-        p = [np.array([0.0])]
-        g = [np.array([1.0])]
+        p = np.array([0.0])
+        g = np.array([1.0])
         state = AdamState.for_params(p)
         adam_step(p, g, state, lr=0.001)
-        assert abs(p[0][0] - (-0.001 / (1 + 1e-8))) < 1e-15
+        assert abs(p[0] - (-0.001 / (1 + 1e-8))) < 1e-15
 
     def test_zero_grads_no_move(self):
-        p = [np.arange(3, dtype=float)]
+        p = np.arange(3, dtype=float)
         state = AdamState.for_params(p)
-        adam_step(p, [np.zeros(3)], state, lr=0.1)
-        assert np.array_equal(p[0], np.arange(3, dtype=float))
+        adam_step(p, np.zeros(3), state, lr=0.1)
+        assert np.array_equal(p, np.arange(3, dtype=float))
         assert state.t == 1
 
     def test_constant_grad_bounded_step(self):
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         state = AdamState.for_params(p)
         prev = 0.0
         for _ in range(50):
-            adam_step(p, [np.array([2.5])], state, lr=0.01)
-            assert abs(p[0][0] - prev) <= 0.01 + 1e-9
-            prev = p[0][0]
+            adam_step(p, np.array([2.5]), state, lr=0.01)
+            assert abs(p[0] - prev) <= 0.01 + 1e-9
+            prev = p[0]
         assert prev < 0
 
     def test_update_is_bitwise_the_textbook_expression(self):
         rng = np.random.default_rng(10)
         shapes = [(7, 5), (5,), (1,), (3, 4)]
-        params = [rng.standard_normal(s) for s in shapes]
+        theta = np.concatenate([rng.standard_normal(s).ravel() for s in shapes])
+        params = _views(theta, shapes)
         ref = [p.copy() for p in params]
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(theta)
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 0.003
         for t in range(1, 7):
             grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
-            adam_step(params, grads, state, lr)
+            adam_step(theta, np.concatenate([g.ravel() for g in grads]), state, lr)
             c1, c2 = 1.0 - b1**t, 1.0 - b2**t
             for a, g in enumerate(grads):
                 m[a] = b1 * m[a] + (1 - b1) * g
                 v[a] = b2 * v[a] + (1 - b2) * g * g
                 ref[a] = ref[a] - lr * (m[a] / c1) / (np.sqrt(v[a] / c2) + eps)
+            state_m, state_v = _views(state.m, shapes), _views(state.v, shapes)
             for a in range(len(shapes)):
                 assert np.array_equal(params[a], ref[a])
-                assert np.array_equal(state.m[a], m[a]) and np.array_equal(state.v[a], v[a])
+                assert np.array_equal(state_m[a], m[a]) and np.array_equal(state_v[a], v[a])
         assert state.t == 6
 
     def test_shape_mismatch(self):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         state = AdamState.for_params(p)
         with pytest.raises(ValueError):
-            adam_step(p, [np.zeros(4)], state, lr=0.1)
+            adam_step(p, np.zeros(4), state, lr=0.1)
 
 
 class TestPlateau:
@@ -337,15 +343,15 @@ class TestTraining:
         x = np.vstack([rng.standard_normal((30, 2)) + 3, rng.standard_normal((30, 2)) - 3])
         y = np.array([0] * 30 + [1] * 30)
         mlp = Mlp(rng, [2, 8, 2], batchnorm_output=False)
-        params = [p for _, p in mlp.named_parameters()]
-        state = AdamState.for_params(params)
+        mlp.flatten()
+        state = AdamState.for_params(mlp.theta)
         first = None
         for step in range(100):
             mlp.zero_grads()
             logits = mlp.forward(x, train=True)
             loss, dlogits = cross_entropy(logits, y)
             mlp.backward(dlogits)
-            adam_step(params, [g for _, g in mlp.named_grads()], state, lr=0.01)
+            adam_step(mlp.theta, mlp.grad, state, lr=0.01)
             if first is None:
                 first = loss
         assert loss < first * 0.1

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +103,28 @@ class TestDivergence:
         ):
             train(cfg, synthetic_dataset(24, seed=0))
 
+    @pytest.mark.parametrize("name", ["classifier.3.b", "layer0.psi_cross.1.bn.gamma"])
+    def test_non_finite_gradient_names_the_tensor_before_update(self, monkeypatch, name):
+        cfg = quick_config(hidden_dim=8, layers=2).gnn_config(3)
+        params = model.GnnParams(cfg)
+        assert [n for n, _ in params.named_grads()][-1] == "classifier.3.b"
+        backward = model.gnn_backward
+
+        def poisoned(params, *args):
+            backward(params, *args)
+            dict(params.named_grads())[name][-1] = np.nan
+
+        monkeypatch.setattr(model, "gnn_backward", poisoned)
+        records = synthetic_dataset(6, seed=1)
+        batch = model.collate(features_for_records(records, cfg))
+        labels = np.array([r.label for r in records])
+        before = params.theta.copy()
+        state = model.AdamState.for_params(params.theta)
+        with pytest.raises(DivergenceError, match=rf"non-finite gradient {re.escape(name)}$"):
+            model.gnn_train_step(params, batch, labels, state, 1e-3)
+        assert state.t == 0
+        assert np.array_equal(before, params.theta)
+
     def test_step_refuses_non_finite_loss_before_update(self):
         cfg = quick_config(hidden_dim=8, layers=1).gnn_config(3)
         params = model.GnnParams(cfg)
@@ -109,13 +133,37 @@ class TestDivergence:
         labels = np.array([r.label for r in records])
         params.classifier.blocks[-1].w[0, 0] = np.nan
         before = [p.copy() for p in params.parameters()]
-        state = model.AdamState.for_params(params.parameters())
+        state = model.AdamState.for_params(params.theta)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError, match="non-finite loss"):
                 model.gnn_train_step(params, batch, labels, state, 1e-3)
         assert state.t == 0
         for b, p in zip(before, params.parameters()):
             assert np.array_equal(b, p, equal_nan=True)
+
+
+# sha256 of the checkpoint bytes and of ``json.dumps(log)`` of one tiny run,
+# recorded before the parameters moved into flat buffers; both were the same
+# with one and two BLAS threads.
+PINNED_RUN = (
+    "37f4f3a4651960bf114a86200cd1a0545126a0fb2da22f885d3dc05b1cc0ae53",
+    "f1d4e17ca87a16af6e68bb031df1e2a5ace7aa8c7cfff6384f3c81706cfb252a",
+)
+
+
+class TestPinnedRun:
+    def test_checkpoint_and_log_digests(self, tmp_path):
+        from polyrep import save_checkpoint
+
+        cfg = TrainConfig(hidden_dim=8, layers=2, batch_size=6, max_epochs=4, seed=0)
+        result = train(cfg, synthetic_dataset(24, seed=5))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        digests = (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(result.log).encode("utf-8")).hexdigest(),
+        )
+        assert digests == PINNED_RUN
 
 
 class TestEvaluation:
