@@ -2,10 +2,11 @@
 
 Layout: an 8-byte big-endian header length, a canonical JSON header (version
 tag, config, tensor manifest, optimizer/scheduler scalars, RNG state), the
-raw little-endian float64 tensor blob, and a trailing SHA-256 digest of
-everything before it.  Loading verifies the digest, every tensor shape and
-every tensor value, so truncation, bit corruption, config mismatches and
-non-finite or negative-variance state all fail loudly.
+raw little-endian float64 blob of five flat vectors (``theta``, ``adam.m``,
+``adam.v``, ``bn.running_mean``, ``bn.running_var``), and a trailing SHA-256
+digest of everything before it.  Loading verifies the digest, every vector's
+length against the config and every value, so truncation, bit corruption,
+config mismatches and non-finite or negative-variance state all fail loudly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import CheckpointError
 from .nn import AdamState, PlateauState
 from .model import GnnConfig, GnnParams
 
-FORMAT_VERSION = "polyrep-checkpoint-1"
+FORMAT_VERSION = "polyrep-checkpoint-2"
 
 
 @dataclass
@@ -33,21 +33,25 @@ class Checkpoint:
     scheduler: PlateauState
     best_epoch: int
     rng_state: dict
-    version: str = FORMAT_VERSION
+
+
+def _vectors(params, adam):
+    """The five flat vectors a checkpoint holds, by tensor name."""
+    return {"theta": params.theta, "adam.m": adam.m, "adam.v": adam.v,
+            "bn.running_mean": params.running_mean, "bn.running_var": params.running_var}
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    tensors, blob = [], bytearray()
-    for name, arr in ckpt.params.named_state() + _moments(ckpt.params, ckpt.adam):
-        data = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
-        tensors.append(
-            {"name": name, "shape": list(arr.shape), "offset": len(blob), "nbytes": len(data)}
-        )
-        blob.extend(data)
+    tensors, arrays, offset = [], [], 0
+    for name, arr in _vectors(ckpt.params, ckpt.adam).items():
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arrays.append(arr)
+        tensors.append(dict(name=name, shape=list(arr.shape), offset=offset, nbytes=arr.nbytes))
+        offset += arr.nbytes
     best = ckpt.scheduler.best
     scheduler = asdict(ckpt.scheduler) | {"best": None if best == math.inf else best}
     header = {
-        "version": ckpt.version,
+        "version": FORMAT_VERSION,
         "config": ckpt.config,
         "tensors": tensors,
         "adam": {"t": ckpt.adam.t},
@@ -56,16 +60,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "rng_state": ckpt.rng_state,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = len(header_bytes).to_bytes(8, "big") + header_bytes + bytes(blob)
-    digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fp:
-        fp.write(payload)
-        fp.write(digest)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fp:  # each vector is written from its own buffer, uncopied
+        for part in (len(header_bytes).to_bytes(8, "big"), header_bytes, *arrays):
+            digest.update(part)
+            fp.write(part)
+        fp.write(digest.digest())
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fp:
-        raw = fp.read()
+        raw = memoryview(fp.read())  # the slices and vectors below are views, not copies
     if len(raw) < 40:
         raise CheckpointError("file too short to be a checkpoint")
     payload, digest = raw[:-32], raw[-32:]
@@ -75,7 +80,7 @@ def load_checkpoint(path) -> Checkpoint:
     if 8 + header_len > len(payload):
         raise CheckpointError("truncated header")
     try:
-        header = json.loads(payload[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(bytes(payload[8 : 8 + header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -106,18 +111,18 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed header: {type(exc).__name__}: {exc}") from exc
 
-    _check_config(gnn_cfg, {name: arr.shape for name, arr in loaded.items()})
+    # The config fixes every vector's length: compare before building a model.
+    n_theta, n_stats = gnn_cfg.flat_sizes()
+    implied = dict.fromkeys(["theta", "adam.m", "adam.v"], (n_theta,))
+    implied |= dict.fromkeys(["bn.running_mean", "bn.running_var"], (n_stats,))
+    found = {name: arr.shape for name, arr in loaded.items()}
+    if found != implied:
+        raise CheckpointError(f"dimension mismatch: file {found}, config {implied}")
     params = GnnParams(gnn_cfg)
-    adam = AdamState(np.empty_like(params.theta), np.empty_like(params.theta), adam_t)
-    for name, arr in params.named_state() + _moments(params, adam):
-        if name not in loaded:
-            raise CheckpointError(f"missing tensor {name}")
-        if loaded[name].shape != arr.shape:
-            raise CheckpointError(
-                f"dimension mismatch for {name}: file {loaded[name].shape}, "
-                f"model {arr.shape}"
-            )
+    adam = AdamState(np.empty(n_theta), np.empty(n_theta), adam_t)
+    for name, arr in _vectors(params, adam).items():
         arr[...] = loaded[name]
+        _check_values(params, name, arr)
     return Checkpoint(
         config=config,
         params=params,
@@ -125,34 +130,12 @@ def load_checkpoint(path) -> Checkpoint:
         scheduler=scheduler,
         best_epoch=best_epoch,
         rng_state=rng_state,
-        version=header["version"],
     )
-
-
-def _check_config(cfg: GnnConfig, shapes) -> None:
-    """Refuse a config that the manifest's ``shapes`` contradict, before a
-    model is built from it: the model is then a small multiple of the first
-    classifier weight, which the file holds, whatever the header claims."""
-    heads = [shape for name, shape in shapes.items() if re.fullmatch(r"classifier\.\d+\.w", name)]
-    layers = sum(bool(re.fullmatch(r"layer\d+\.w_inner", name)) for name in shapes)
-    found = (shapes.get("layer0.guide.0.w"), heads[:1], heads[-1:], layers)
-    d = cfg.hidden_dim
-    implied = ((cfg.guide_in_dim, d), [(cfg.readout_dim, d)], [(d, cfg.n_classes)], cfg.layers)
-    if found != implied:  # guide weight, first and last classifier weights, layers
-        raise CheckpointError(f"dimension mismatch: file {found}, config {implied}")
-
-
-def _moments(params, adam):
-    """The flat Adam moments as ``adam.m.{i}``/``adam.v.{i}`` parameter-shaped views."""
-    views = [(key, params.split(getattr(adam, key))) for key in ("m", "v")]
-    return [(f"adam.{key}.{i}", view) for key, vs in views for i, view in enumerate(vs)]
 
 
 def _read_tensors(specs, blob) -> dict:
     """Name -> array for every manifest entry; an entry whose span leaves
-    the blob, whose size disagrees with its shape, that holds a non-finite
-    value, or that is a variance (``bn.running_var``, ``adam.v``) below zero
-    is refused."""
+    the blob or whose size disagrees with its shape is refused."""
     loaded = {}
     for spec in specs:
         name = str(spec["name"])
@@ -162,11 +145,20 @@ def _read_tensors(specs, blob) -> dict:
             raise CheckpointError(f"tensor {name} lies outside the blob")
         if min(shape, default=0) < 0 or nbytes != 8 * math.prod(shape):
             raise CheckpointError(f"tensor {name}: {nbytes} bytes do not fit shape {shape}")
-        arr = np.frombuffer(blob[start : start + nbytes], dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"tensor {name} is not finite")
-        is_variance = name.endswith("bn.running_var") or name.startswith("adam.v.")
-        if is_variance and (arr < 0).any():
-            raise CheckpointError(f"tensor {name} is negative")
-        loaded[name] = arr.reshape(shape).copy()
+        arr = np.frombuffer(blob, dtype=np.float64, count=nbytes // 8, offset=start)
+        loaded[name] = arr.reshape(shape)
     return loaded
+
+
+def _check_values(params, name, arr) -> None:
+    """Refuse a non-finite value of the checkpoint vector ``name``, or a
+    negative one of a variance (``adam.v``, ``bn.running_var``), naming the
+    array of the model's walk that holds it."""
+    finite = np.isfinite(arr)
+    ok = finite & (arr >= 0) if name in ("adam.v", "bn.running_var") else finite
+    if ok.all():
+        return
+    index = np.flatnonzero(~ok)[0]
+    held_by = params.name_at(index, name[3:] if name.startswith("bn.") else "theta")
+    what = f"{name} of {held_by}" if name.startswith("adam.") else held_by
+    raise CheckpointError(f"tensor {what} is {'negative' if finite[index] else 'not finite'}")

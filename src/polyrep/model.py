@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, GeometryError
-from .nn import AdamState, Mlp, ParameterRegistry, adam_step, cross_entropy
+from .nn import FLAT_VECTORS, AdamState, Mlp, ParameterRegistry, adam_step, cross_entropy
 from .rigid_features import enumerate_paths, _path_geometry
 from .surface_graph import SurfaceGraph
 
@@ -32,15 +32,11 @@ class GnnConfig:
     hidden_dim: int = 64
     attr_dim: int = 0
     n_classes: int = 2
-    include_backtracking: bool = True
-    attr_edge_orientation: str = "reversed"  # or "forward"
     seed: int = 0
 
     def __post_init__(self):
         if self.layers < 1 or self.hidden_dim < 1 or self.attr_dim < 0:
             raise ValueError("need layers >= 1, hidden_dim >= 1, attr_dim >= 0")
-        if self.attr_edge_orientation not in ("reversed", "forward"):
-            raise ValueError(f"unknown orientation {self.attr_edge_orientation!r}")
 
     @property
     def guide_in_dim(self):
@@ -49,6 +45,15 @@ class GnnConfig:
     @property
     def readout_dim(self):
         return self.layers * self.hidden_dim
+
+    def flat_sizes(self):
+        """Lengths of ``theta`` and of each running statistic of ``GnnParams(self)``,
+        in Python ints: per layer a guide block, two psi nets of four batchnorm
+        blocks and two type weights, then the classifier."""
+        d, c, n = self.hidden_dim, self.n_classes, self.layers
+        per_layer = self.guide_in_dim * d + 2 * d + 2 * (7 * d * d + 8 * d) + 2
+        classifier = n * d * d + 2 * d * d + 6 * d + d * c + c
+        return n * per_layer + classifier, n * 9 * d + 3 * d
 
 
 @dataclass(frozen=True)
@@ -73,28 +78,23 @@ def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphBatch:
     Distances are divided by the graph's mean edge length and angles by pi;
     both scalings are rigid-motion invariant, and they keep batch
     normalization comfortable across object scales.  Attribute columns are
-    taken from the faces owning the reversed edges (j -> i, k -> j) by
-    default; ``cfg.attr_edge_orientation = "forward"`` switches to the
-    forward edges' own faces.  A non-finite feature raises
-    :class:`GeometryError`, so that no network ever reads one.
+    taken from the faces owning the reversed edges (j -> i, k -> j).  A
+    non-finite feature raises :class:`GeometryError`, so that no network
+    ever reads one.
     """
     if g.attr_dim != cfg.attr_dim:
         raise ValueError(
             f"graph has attribute width {g.attr_dim}, config expects {cfg.attr_dim}"
         )
-    paths = enumerate_paths(g, cfg.include_backtracking)
+    paths = enumerate_paths(g)
     if len(paths) == 0:
         raise ValueError("graph yields no two-hop paths")
     d1, d2, theta, phi, face1, face2 = _path_geometry(g, paths)
     scale = g.mean_edge_length()
     feats = np.column_stack([d1 / scale, d2 / scale, theta / np.pi, phi / np.pi])
     if cfg.attr_dim > 0:
-        if cfg.attr_edge_orientation == "reversed":
-            a1 = g.attrs[g.edge_face[g.opposite[paths.e1]]]
-            a2 = g.attrs[g.edge_face[g.opposite[paths.e2]]]
-        else:
-            a1 = g.attrs[face1]
-            a2 = g.attrs[face2]
+        a1 = g.attrs[g.edge_face[g.opposite[paths.e1]]]
+        a2 = g.attrs[g.edge_face[g.opposite[paths.e2]]]
         feats = np.column_stack([feats, a1, a2])
     if not np.isfinite(feats).all():  # a whole-array test; rows only to name one
         r = np.flatnonzero(~np.isfinite(feats).all(axis=1))[0]
@@ -178,10 +178,8 @@ class GnnParams(ParameterRegistry):
     def clone(self):
         """A copy of the state and gradients, without train-mode activations."""
         twin = GnnParams(self.cfg)
-        twin.theta[...], twin.grad[...] = self.theta, self.grad
-        for (_, owner, attr, trained), (_, source, _, _) in zip(twin._walk(), self._walk()):
-            if not trained:  # a batchnorm running statistic
-                getattr(owner, attr)[...] = getattr(source, attr)
+        for flat in FLAT_VECTORS:
+            getattr(twin, flat)[...] = getattr(self, flat)
         return twin
 
 
@@ -232,12 +230,13 @@ class _PathType:
 
 
 def _psi_affine(w, b, g, h, part):
-    """First psi affine ``w``, ``b`` on ``hstack(h[i], h[j], h[k], g)`` for the
-    rows of ``part``, with the node blocks of ``w`` applied once per node and
-    then gathered; ``h is None`` stands for all-zero embeddings."""
+    """First psi affine ``w``, ``b`` (``None``: no bias) on ``hstack(h[i], h[j],
+    h[k], g)`` for the rows of ``part``, with the node blocks of ``w`` applied
+    once per node and then gathered; ``h is None`` stands for zero embeddings."""
     d = g.shape[1]
     a = g[part.rows] @ w[3 * d :]
-    a += b
+    if b is not None:
+        a += b
     if h is not None:
         for x, ids in enumerate((part.i, part.j, part.k)):
             a += (h @ w[x * d : (x + 1) * d])[ids]
@@ -278,8 +277,8 @@ def gnn_forward(
         for (psi, w, _), part in zip(layer.message_nets(), parts):
             y = None
             if len(part.rows):
-                first = psi.blocks[0]
-                wb = (first.w, first.b) if train else first.folded()
+                first = psi.blocks[0]  # a batchnorm block: no bias in train mode
+                wb = (first.w, None) if train else first.folded()
                 y = psi.forward_from_affine(_psi_affine(*wb, g, h, part), train, update_stats)
                 m[part.rows] = w[0] * y
             ys.append(y)
@@ -296,7 +295,7 @@ def gnn_backward(params: GnnParams, batch: GraphBatch, caches, d_logits):
     """Analytic gradients for a preceding train-mode forward, accumulated
     into the parameter grad slots.
 
-    For the first psi layer ``a = g W_g + b + (h W_i)[i] + (h W_j)[j] +
+    For the first psi layer ``a = g W_g + (h W_i)[i] + (h W_j)[j] +
     (h W_k)[k]``, so with ``S_x = segsum(da, x)`` over nodes: ``dW_x = hᵀ
     S_x``, ``dh = Σ_x S_x W_xᵀ``, ``dW_g = gᵀ da`` and ``dg = da W_gᵀ``.
     """
@@ -320,7 +319,6 @@ def gnn_backward(params: GnnParams, batch: GraphBatch, caches, d_logits):
             gw += (dm * y).sum()
             da = psi.backward_to_affine(w[0] * dm)
             first = psi.blocks[0]
-            first.gb += da.sum(axis=0)
             first.gw[3 * d :] += g[part.rows].T @ da
             dg[part.rows] = da @ first.w[3 * d :].T
             if h_in is not None:
@@ -352,9 +350,9 @@ def gnn_train_step(
     loss = gnn_loss_and_grads(params, batch, labels)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
-    if not np.isfinite(params.grad).all():  # a whole-buffer test; tensors only to name one
-        name = next(name for name, g in params.named_grads() if not np.isfinite(g).all())
-        raise DivergenceError(f"non-finite gradient {name}")
+    if not np.isfinite(params.grad).all():  # a whole-buffer test; entries only to name one
+        index = np.flatnonzero(~np.isfinite(params.grad))[0]
+        raise DivergenceError(f"non-finite gradient {params.name_at(index)}")
     adam_step(params.theta, params.grad, state, lr)
     return loss
 

@@ -16,6 +16,7 @@ BN_MOMENTUM = 0.1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+FLAT_VECTORS = ("theta", "grad", "running_mean", "running_var")  # see ParameterRegistry
 
 
 class BatchTooSmallError(ValueError):
@@ -30,34 +31,40 @@ def kaiming_uniform(rng, fan_in, fan_out):
 class DenseBlock:
     """Affine -> optional batchnorm (each feature over the batch, then
     ``gamma`` and ``beta``; eval mode folds in the running statistics, whose
-    variance is the unbiased batch estimate) -> optional ReLU.
+    variance is the unbiased batch estimate) -> optional ReLU.  Only a block
+    without batchnorm has a bias ``b``: the batch mean would cancel it.
     ``post_forward``/``post_backward`` are the steps after the affine, for
     callers that compute the affine output themselves."""
 
     def __init__(self, rng, fan_in, fan_out, batchnorm=True, relu=True):
         self.w = kaiming_uniform(rng, fan_in, fan_out)
-        self.b = np.zeros(fan_out)
-        self.gw, self.gb = np.zeros_like(self.w), np.zeros_like(self.b)
+        self.gw = np.zeros_like(self.w)
         self.batchnorm = batchnorm
         if batchnorm:
             self.gamma, self.beta = np.ones(fan_out), np.zeros(fan_out)
             self.ggamma, self.gbeta = np.zeros(fan_out), np.zeros(fan_out)
             self.running_mean, self.running_var = np.zeros(fan_out), np.ones(fan_out)
+        else:
+            self.b, self.gb = np.zeros(fan_out), np.zeros(fan_out)
         self.relu = relu
         self._x = self._out = self._bn = None
 
     def forward(self, x, train, update_stats=True):
         if train:
             self._x = x
-        w, b = (self.w, self.b) if train else self.folded()
+            w, b = self.w, None if self.batchnorm else self.b
+        else:
+            w, b = self.folded()
         y = x @ w
-        y += b
+        if b is not None:
+            y += b
         return self.post_forward(y, train, update_stats)
 
     def backward(self, dy):
         dy = self.post_backward(dy)
         self.gw += self._x.T @ dy
-        self.gb += dy.sum(axis=0)
+        if not self.batchnorm:
+            self.gb += dy.sum(axis=0)
         return dy @ self.w.T
 
     def folded(self):
@@ -68,7 +75,7 @@ class DenseBlock:
         if not self.batchnorm:
             return self.w, self.b
         s = self.gamma / np.sqrt(self.running_var + BN_EPS)
-        return self.w * s, (self.b - self.running_mean) * s + self.beta
+        return self.w * s, self.beta - self.running_mean * s
 
     def post_forward(self, y, train, update_stats=True):
         """Steps after the affine output ``y``; of :meth:`folded` in eval mode.
@@ -132,15 +139,16 @@ class ParameterRegistry:
     ``_walk(prefix)`` yields ``(name, owner, attr, trained)`` for every array,
     in checkpoint order: the array is ``owner.<attr>``, a trained one's
     gradient ``owner.g<attr>``; batchnorm running statistics are not trained.
-    After :meth:`flatten` the trained arrays and gradients are views of the
-    flat ``theta`` and ``grad``, laid out in walk order and updated in place.
+    After :meth:`flatten` every array is a view of a flat vector in walk
+    order, updated in place: ``theta``, ``grad``, ``running_mean`` or
+    ``running_var``.
     """
 
     def named_parameters(self):
-        return [(name, getattr(o, a)) for name, o, a, trained in self._walk() if trained]
+        return [(name, getattr(o, a)) for name, o, a in self._slots("theta")]
 
     def named_grads(self):
-        return [(name, getattr(o, "g" + a)) for name, o, a, trained in self._walk() if trained]
+        return [(name, getattr(o, a)) for name, o, a in self._slots("grad")]
 
     def named_state(self):
         """Parameters plus batchnorm running statistics."""
@@ -152,20 +160,32 @@ class ParameterRegistry:
     def grads(self):
         return [g for _, g in self.named_grads()]
 
-    def split(self, flat):
-        """Views of ``flat``, one per parameter, shaped like it and at its walk offset."""
-        params = self.parameters()
-        ends = np.cumsum([p.size for p in params]).tolist()
-        return [flat[end - p.size : end].reshape(p.shape) for end, p in zip(ends, params)]
+    def _slots(self, flat):
+        """``(name, owner, attr)`` of the arrays that the flat vector ``flat``
+        holds, in walk order; those of ``grad`` are the gradients of ``theta``'s."""
+        if flat == "grad":
+            return [(n, o, "g" + a) for n, o, a in self._slots("theta")]
+        walk = self._walk()
+        return [(n, o, a) for n, o, a, trained in walk if flat == ("theta" if trained else a)]
 
     def flatten(self):
-        """Move the trained arrays and grads into ``theta`` and ``grad``, as views."""
-        slots = [(owner, attr) for _, owner, attr, trained in self._walk() if trained]
-        self.theta = np.concatenate([p.ravel() for p in self.parameters()])
-        self.grad = np.concatenate([g.ravel() for g in self.grads()])
-        for (owner, attr), p, g in zip(slots, self.split(self.theta), self.split(self.grad)):
-            setattr(owner, attr, p)
-            setattr(owner, "g" + attr, g)
+        """Move every array into its flat vector, as a view."""
+        for flat in FLAT_VECTORS:
+            slots = self._slots(flat)
+            vector = np.concatenate([np.empty(0)] + [getattr(o, a).ravel() for _, o, a in slots])
+            setattr(self, flat, vector)
+            end = 0
+            for _, owner, attr in slots:
+                arr = getattr(owner, attr)
+                setattr(owner, attr, vector[end : end + arr.size].reshape(arr.shape))
+                end += arr.size
+
+    def name_at(self, index, flat="theta"):
+        """Walk name of the array that holds ``index`` of the flat vector
+        ``flat``; ``grad`` and the Adam moments are laid out as ``theta``."""
+        slots = self._slots(flat)
+        ends = np.cumsum([getattr(owner, attr).size for _, owner, attr in slots])
+        return slots[np.searchsorted(ends, index, side="right")][0]
 
     def zero_grads(self):
         self.grad[...] = 0.0
@@ -220,12 +240,13 @@ class Mlp(ParameterRegistry):
         for idx, block in enumerate(self.blocks):
             name = f"{prefix}{idx}."
             yield name + "w", block, "w", True
-            yield name + "b", block, "b", True
             if block.batchnorm:
                 yield name + "bn.gamma", block, "gamma", True
                 yield name + "bn.beta", block, "beta", True
                 stats.append((name + "bn.running_mean", block, "running_mean", False))
                 stats.append((name + "bn.running_var", block, "running_var", False))
+            else:
+                yield name + "b", block, "b", True
         yield from stats
 
 

@@ -57,13 +57,13 @@ class PathSet:
         return len(self.i)
 
 
-def enumerate_paths(g: SurfaceGraph, include_backtracking: bool = True) -> PathSet:
+def enumerate_paths(g: SurfaceGraph) -> PathSet:
     """All ordered edge pairs (i->j, j->k), grouped by start node i.
 
     The backtracking case k = i (second edge is the opposite of the first)
-    is included by default; it is the only path whose edges live in the two
-    faces adjacent across the undirected edge {i, j}, which is what carries
-    the hinge dihedral needed to fold faces back together.
+    is included; it is the only path whose edges live in the two faces
+    adjacent across the undirected edge {i, j}, which is what carries the
+    hinge dihedral needed to fold faces back together.
     """
     # Edges sorted by (tail, head) are grouped by i then j; each e1 = i -> j
     # is followed by the out-edges of j, a contiguous run of the same order.
@@ -73,9 +73,6 @@ def enumerate_paths(g: SurfaceGraph, include_backtracking: bool = True) -> PathS
     e1_arr = np.repeat(order, run_len)
     offset = np.repeat(run_start - (np.cumsum(run_len) - run_len), run_len)
     e2_arr = order[np.arange(len(e1_arr)) + offset]
-    if not include_backtracking:
-        keep = e2_arr != g.opposite[e1_arr]
-        e1_arr, e2_arr = e1_arr[keep], e2_arr[keep]
     return PathSet(
         i=g.edge_tail[e1_arr],
         j=g.edge_head[e1_arr],
@@ -262,13 +259,9 @@ def _path_geometry(g: SurfaceGraph, paths: PathSet):
     return d1, d2, theta, phi, face1, face2
 
 
-def compute_rigid_set(g: SurfaceGraph, include_backtracking: bool = True) -> RigidSet:
-    """One rigid tuple per enumerated two-hop path, keyed by node triple.
-
-    Reconstruction needs the backtracking tuples; drop them only for feature
-    sets feeding the network.
-    """
-    paths = enumerate_paths(g, include_backtracking)
+def compute_rigid_set(g: SurfaceGraph) -> RigidSet:
+    """One rigid tuple per enumerated two-hop path, keyed by node triple."""
+    paths = enumerate_paths(g)
     d1, d2, theta, phi, face1, face2 = _path_geometry(g, paths)
     keys = np.stack([paths.i, paths.j, paths.k], axis=1)
     return RigidSet(keys, d1, d2, theta, phi, face1, face2)

@@ -55,9 +55,6 @@ class TrainConfig:
     scheduler_patience: int = 10
     min_lr: float = 1e-6
     seed: int = 0
-    include_backtracking: bool = True
-    attr_edge_orientation: str = "reversed"
-    retrieval_similarity: str = "cosine"
 
     def __post_init__(self):
         if self.hidden_dim < 1 or self.layers < 1 or self.attr_dim < 0:
@@ -87,8 +84,6 @@ class TrainConfig:
             hidden_dim=self.hidden_dim,
             attr_dim=self.attr_dim,
             n_classes=n_classes,
-            include_backtracking=self.include_backtracking,
-            attr_edge_orientation=self.attr_edge_orientation,
             seed=self.seed,
         )
 

@@ -158,12 +158,15 @@ FOLD_RTOL = 1e-12
 
 def unfolded_eval(mlp, x):
     """An eval-mode MLP written out block by block: affine, then batchnorm
-    with its running statistics, then ReLU, each into a new array."""
+    with its running statistics, then ReLU, each into a new array.  Only a
+    block without batchnorm has a bias."""
     for block in mlp.blocks:
-        x = x @ block.w + block.b
+        x = x @ block.w
         if block.batchnorm:
             x = (x - block.running_mean) / np.sqrt(block.running_var + BN_EPS) * block.gamma
             x = x + block.beta
+        else:
+            x = x + block.b
         if block.relu:
             x = np.maximum(x, 0.0)
     return x
@@ -180,15 +183,23 @@ def randomize_batchnorm(registry, rng):
 
 
 def assert_flat_views(params):
-    """Every trained array of ``params`` and its gradient are the views of
-    the model's own ``theta`` and ``grad`` at the array's walk offset."""
-    offset = 0
-    for (name, p), (_, g) in zip(params.named_parameters(), params.named_grads()):
-        at = slice(offset, offset + p.size)
-        for arr, flat in ((p, params.theta), (g, params.grad)):
+    """Every array of ``params`` and every gradient is the view of its flat
+    vector (``theta``, ``grad``, ``running_mean``, ``running_var``) at the
+    array's walk offset."""
+    state = params.named_state()
+    layouts = {
+        "theta": params.named_parameters(),
+        "grad": params.named_grads(),
+        "running_mean": [(n, a) for n, a in state if n.endswith(".running_mean")],
+        "running_var": [(n, a) for n, a in state if n.endswith(".running_var")],
+    }
+    for key, named in layouts.items():
+        flat, offset = getattr(params, key), 0
+        for name, arr in named:
+            at = slice(offset, offset + arr.size)
             assert np.shares_memory(arr, flat[at]), name
             assert not np.shares_memory(arr, flat[: at.start]), name
             assert not np.shares_memory(arr, flat[at.stop :]), name
             assert np.array_equal(arr.ravel(), flat[at]), name
-        offset = at.stop
-    assert offset == params.theta.size == params.grad.size
+            offset = at.stop
+        assert offset == flat.size, key

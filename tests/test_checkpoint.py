@@ -1,8 +1,13 @@
+import functools
 import hashlib
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polyrep import (
     CheckpointError,
@@ -40,11 +45,7 @@ def small_checkpoint(seed=0, hidden=8):
     adam.m += 0.25
     adam.t = 7
     sched = PlateauState(lr=5e-4, best=0.123, bad_epochs=3)
-    config = {
-        "layers": 2, "hidden_dim": hidden, "attr_dim": 0, "n_classes": 3,
-        "seed": seed, "include_backtracking": True,
-        "attr_edge_orientation": "reversed",
-    }
+    config = {"layers": 2, "hidden_dim": hidden, "attr_dim": 0, "n_classes": 3, "seed": seed}
     rng_state = np.random.default_rng(1).bit_generator.state
     return Checkpoint(config, params, adam, sched, best_epoch=4, rng_state=rng_state), batch
 
@@ -123,11 +124,13 @@ class TestIntegrity:
 
     def test_version_mismatch(self, tmp_path):
         ckpt, _ = small_checkpoint()
-        ckpt.version = "polyrep-checkpoint-0"
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
-        with pytest.raises(CheckpointError, match="version"):
+        # Format 1 kept one manifest entry per array; no reader of it is kept.
+        _resigned(path, lambda header: header | {"version": "polyrep-checkpoint-1"})
+        with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
+        assert _cli("eval", path, tmp_path) == 2
 
     def test_dimension_mismatch(self, tmp_path):
         ckpt, _ = small_checkpoint(hidden=8)
@@ -140,29 +143,25 @@ class TestIntegrity:
             load_checkpoint(path)
 
 
-# The tensor manifest of a checkpoint: parameter names, their order and
-# their shapes.  Each MLP lists its parameters, then its running statistics.
+# The walk of a model's arrays: names, order and shapes.  Each MLP lists its
+# parameters, then its running statistics.  A checkpoint's ``theta`` and its
+# two running-statistic vectors are laid out in this order.
 PINNED_MANIFEST = """
 layer0.guide.0.w 10x4
-layer0.guide.0.b 4
 layer0.guide.0.bn.gamma 4
 layer0.guide.0.bn.beta 4
 layer0.guide.0.bn.running_mean 4
 layer0.guide.0.bn.running_var 4
 layer0.psi_inner.0.w 16x4
-layer0.psi_inner.0.b 4
 layer0.psi_inner.0.bn.gamma 4
 layer0.psi_inner.0.bn.beta 4
 layer0.psi_inner.1.w 4x4
-layer0.psi_inner.1.b 4
 layer0.psi_inner.1.bn.gamma 4
 layer0.psi_inner.1.bn.beta 4
 layer0.psi_inner.2.w 4x4
-layer0.psi_inner.2.b 4
 layer0.psi_inner.2.bn.gamma 4
 layer0.psi_inner.2.bn.beta 4
 layer0.psi_inner.3.w 4x4
-layer0.psi_inner.3.b 4
 layer0.psi_inner.3.bn.gamma 4
 layer0.psi_inner.3.bn.beta 4
 layer0.psi_inner.0.bn.running_mean 4
@@ -174,19 +173,15 @@ layer0.psi_inner.2.bn.running_var 4
 layer0.psi_inner.3.bn.running_mean 4
 layer0.psi_inner.3.bn.running_var 4
 layer0.psi_cross.0.w 16x4
-layer0.psi_cross.0.b 4
 layer0.psi_cross.0.bn.gamma 4
 layer0.psi_cross.0.bn.beta 4
 layer0.psi_cross.1.w 4x4
-layer0.psi_cross.1.b 4
 layer0.psi_cross.1.bn.gamma 4
 layer0.psi_cross.1.bn.beta 4
 layer0.psi_cross.2.w 4x4
-layer0.psi_cross.2.b 4
 layer0.psi_cross.2.bn.gamma 4
 layer0.psi_cross.2.bn.beta 4
 layer0.psi_cross.3.w 4x4
-layer0.psi_cross.3.b 4
 layer0.psi_cross.3.bn.gamma 4
 layer0.psi_cross.3.bn.beta 4
 layer0.psi_cross.0.bn.running_mean 4
@@ -200,25 +195,20 @@ layer0.psi_cross.3.bn.running_var 4
 layer0.w_inner 1
 layer0.w_cross 1
 layer1.guide.0.w 10x4
-layer1.guide.0.b 4
 layer1.guide.0.bn.gamma 4
 layer1.guide.0.bn.beta 4
 layer1.guide.0.bn.running_mean 4
 layer1.guide.0.bn.running_var 4
 layer1.psi_inner.0.w 16x4
-layer1.psi_inner.0.b 4
 layer1.psi_inner.0.bn.gamma 4
 layer1.psi_inner.0.bn.beta 4
 layer1.psi_inner.1.w 4x4
-layer1.psi_inner.1.b 4
 layer1.psi_inner.1.bn.gamma 4
 layer1.psi_inner.1.bn.beta 4
 layer1.psi_inner.2.w 4x4
-layer1.psi_inner.2.b 4
 layer1.psi_inner.2.bn.gamma 4
 layer1.psi_inner.2.bn.beta 4
 layer1.psi_inner.3.w 4x4
-layer1.psi_inner.3.b 4
 layer1.psi_inner.3.bn.gamma 4
 layer1.psi_inner.3.bn.beta 4
 layer1.psi_inner.0.bn.running_mean 4
@@ -230,19 +220,15 @@ layer1.psi_inner.2.bn.running_var 4
 layer1.psi_inner.3.bn.running_mean 4
 layer1.psi_inner.3.bn.running_var 4
 layer1.psi_cross.0.w 16x4
-layer1.psi_cross.0.b 4
 layer1.psi_cross.0.bn.gamma 4
 layer1.psi_cross.0.bn.beta 4
 layer1.psi_cross.1.w 4x4
-layer1.psi_cross.1.b 4
 layer1.psi_cross.1.bn.gamma 4
 layer1.psi_cross.1.bn.beta 4
 layer1.psi_cross.2.w 4x4
-layer1.psi_cross.2.b 4
 layer1.psi_cross.2.bn.gamma 4
 layer1.psi_cross.2.bn.beta 4
 layer1.psi_cross.3.w 4x4
-layer1.psi_cross.3.b 4
 layer1.psi_cross.3.bn.gamma 4
 layer1.psi_cross.3.bn.beta 4
 layer1.psi_cross.0.bn.running_mean 4
@@ -256,15 +242,12 @@ layer1.psi_cross.3.bn.running_var 4
 layer1.w_inner 1
 layer1.w_cross 1
 classifier.0.w 8x4
-classifier.0.b 4
 classifier.0.bn.gamma 4
 classifier.0.bn.beta 4
 classifier.1.w 4x4
-classifier.1.b 4
 classifier.1.bn.gamma 4
 classifier.1.bn.beta 4
 classifier.2.w 4x4
-classifier.2.b 4
 classifier.2.bn.gamma 4
 classifier.2.bn.beta 4
 classifier.3.w 4x3
@@ -295,6 +278,35 @@ class TestManifest:
         assert [name for name, _ in params.named_grads()] == trained
         for p, g in zip(params.parameters(), params.grads()):
             assert g.shape == p.shape and g is not p
+
+
+class TestFlatSizes:
+    def test_closed_form_matches_the_built_model(self):
+        grid = itertools.product((1, 2, 3), (1, 4, 8), range(4), range(2, 6))
+        for layers, hidden, attr, classes in grid:
+            cfg = GnnConfig(layers=layers, hidden_dim=hidden, attr_dim=attr, n_classes=classes)
+            params = GnnParams(cfg)
+            state = params.named_state()
+            means = sum(a.size for n, a in state if n.endswith(".running_mean"))
+            variances = sum(a.size for n, a in state if n.endswith(".running_var"))
+            assert cfg.flat_sizes() == (params.theta.size, means), cfg
+            assert variances == means == params.running_mean.size == params.running_var.size
+
+    def test_file_holds_the_five_flat_vectors(self, tmp_path):
+        ckpt, _ = small_checkpoint()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[:8], "big")
+        specs = json.loads(raw[8 : 8 + header_len])["tensors"]
+        n_theta, n_stats = GnnConfig(**ckpt.config).flat_sizes()
+        assert [(s["name"], s["shape"]) for s in specs] == [
+            ("theta", [n_theta]),
+            ("adam.m", [n_theta]),
+            ("adam.v", [n_theta]),
+            ("bn.running_mean", [n_stats]),
+            ("bn.running_var", [n_stats]),
+        ]
 
 
 def _resigned(path, edit):
@@ -395,13 +407,29 @@ class TestForgedConfig:
         assert "dimension mismatch" in capsys.readouterr().err
 
 
-def _resigned_value(path, name, value, index=0):
-    """Write ``value`` at flat ``index`` of tensor ``name`` in the checkpoint
-    at ``path`` and give the file a valid digest again."""
+def _flat_index(name):
+    """The checkpoint vector and index that hold the first value of ``name``:
+    an array of ``small_checkpoint``'s model, or ``adam.m`` or ``adam.v``."""
+    if name.startswith("adam."):
+        return name, 0
+    params = small_checkpoint()[0].params
+    if ".running_" in name:
+        stat = name.rsplit(".", 1)[1]
+        tensor, arrays = f"bn.{stat}", [(n, a) for n, a in params.named_state() if n.endswith(stat)]
+    else:
+        tensor, arrays = "theta", params.named_parameters()
+    names = [n for n, _ in arrays]
+    return tensor, sum(a.size for _, a in arrays[: names.index(name)])
+
+
+def _resigned_value(path, name, value):
+    """Write ``value`` at the first value of ``name`` (see ``_flat_index``) in
+    the checkpoint at ``path`` and give the file a valid digest again."""
+    tensor, index = _flat_index(name)
     raw = bytearray(path.read_bytes()[:-32])
     header_len = int.from_bytes(raw[:8], "big")
     specs = json.loads(raw[8 : 8 + header_len])["tensors"]
-    spec = next(s for s in specs if s["name"] == name)
+    spec = next(s for s in specs if s["name"] == tensor)
     at = 8 + header_len + spec["offset"] + 8 * index
     raw[at : at + 8] = np.array(value, dtype="<f8").tobytes()
     path.write_bytes(bytes(raw) + hashlib.sha256(raw).digest())
@@ -420,7 +448,7 @@ BAD_STATE = {
     "inf bias": ("classifier.3.b", float("inf")),
     "-inf running mean": ("layer1.psi_cross.2.bn.running_mean", float("-inf")),
     "negative running var": ("layer0.guide.0.bn.running_var", -1.0),
-    "negative adam v": ("adam.v.0", -1e-12),
+    "negative adam v": ("adam.v", -1e-12),
 }
 
 
@@ -448,12 +476,20 @@ class TestNonFiniteState:
         assert _cli(command, path, tmp_path) == 2
         assert name in capsys.readouterr().err
 
+    def test_moment_error_names_its_parameter(self, tmp_path):
+        ckpt, _ = small_checkpoint()
+        ckpt.adam.m[-1] = np.nan  # the last value of theta is classifier.3.b's
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match=r"tensor adam\.m of classifier\.3\.b is not finite"):
+            load_checkpoint(path)
+
     def test_zero_variances_load(self, tmp_path):
         ckpt, _ = small_checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         _resigned_value(path, "layer0.guide.0.bn.running_var", 0.0)
-        _resigned_value(path, "adam.v.0", -0.0)
+        _resigned_value(path, "adam.v", -0.0)
         load_checkpoint(path)
 
 
@@ -491,3 +527,67 @@ class TestNonFiniteOutput:
         with np.errstate(all="ignore"):
             assert _cli(command, path, tmp_path) == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+@functools.cache
+def _checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(small_checkpoint()[0], path)
+        return path.read_bytes()
+
+
+def _signed(payload):
+    return payload + hashlib.sha256(payload).digest()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+
+
+def _load_bytes(path, raw):
+    path.write_bytes(raw)
+    return load_checkpoint(path)
+
+
+class TestFuzzedFile:
+    """Damaged format-2 files: each is refused with ``CheckpointError``, and
+    no other exception escapes the loader."""
+
+    @given(data=st.data())
+    def test_truncated(self, fuzz_path, data):
+        raw = _checkpoint_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(CheckpointError):
+            _load_bytes(fuzz_path, raw[:cut])
+
+    @given(data=st.data())
+    def test_flipped_byte(self, fuzz_path, data):
+        raw = bytearray(_checkpoint_bytes())
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(CheckpointError):
+            _load_bytes(fuzz_path, bytes(raw))
+
+    @given(data=st.data())
+    def test_oversized_header_length(self, fuzz_path, data):
+        payload = _checkpoint_bytes()[:-32]
+        header_len = int.from_bytes(payload[:8], "big")
+        claimed = data.draw(st.integers(header_len + 1, 2**64 - 1))
+        resigned = _signed(claimed.to_bytes(8, "big") + payload[8:])
+        with pytest.raises(CheckpointError):
+            _load_bytes(fuzz_path, resigned)
+
+    @given(data=st.data())
+    def test_flipped_byte_under_a_valid_digest(self, fuzz_path, data):
+        # Past the digest, a flip may leave a loadable file (a changed seed
+        # or weight), but nothing other than CheckpointError may escape.
+        payload = bytearray(_checkpoint_bytes()[:-32])
+        header_end = 8 + int.from_bytes(payload[:8], "big")
+        at = data.draw(st.integers(0, header_end - 1) | st.integers(0, len(payload) - 1))
+        payload[at] ^= data.draw(st.integers(1, 255))
+        try:
+            _load_bytes(fuzz_path, _signed(bytes(payload)))
+        except CheckpointError:
+            pass

@@ -323,6 +323,20 @@ class TestTrainEvalRetrieve:
         assert "epoch 0, validation" in err
         assert not ckpt.exists() and not log.exists()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("include_backtracking", True), ("attr_edge_orientation", "reversed"),
+         ("retrieval_similarity", "cosine")],
+    )
+    def test_removed_config_field_is_data_error(self, tmp_path, capsys, field, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": "unused.jsonl", "hidden_dim": 8, field: value}))
+        ckpt = tmp_path / "model.ckpt"
+        code, _, err = run(capsys, "train", "--config", config, "--out", ckpt)
+        assert code == 2
+        assert f"unknown config keys: ['{field}']" in err
+        assert not ckpt.exists()
+
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x"

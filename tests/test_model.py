@@ -66,22 +66,15 @@ class TestPrecompute:
         assert np.abs(a.feats - b.feats).max() < 1e-9
         assert np.array_equal(a.path_i, b.path_i)
 
-    def test_reversed_vs_forward_orientation(self, cube):
+    def test_attributes_come_from_reversed_edges(self, cube):
         attrs = np.arange(18, dtype=float).reshape(6, 3)
         colored = with_face_attrs(cube, attrs)
         rev = features_of(colored, GnnConfig(layers=1, hidden_dim=4, attr_dim=3))
-        fwd = features_of(
-            colored,
-            GnnConfig(layers=1, hidden_dim=4, attr_dim=3, attr_edge_orientation="forward"),
-        )
-        assert not np.array_equal(rev.feats[:, 4:], fwd.feats[:, 4:])
         g = build_surface_graph(colored)
         from polyrep.rigid_features import enumerate_paths
 
         paths = enumerate_paths(g)
-        # Forward orientation reads the attribute of the face owning e1
-        # itself; reversed reads the face across that edge.
-        np.testing.assert_array_equal(fwd.feats[:, 4:7], g.attrs[g.edge_face[paths.e1]])
+        # The attribute of e1 is that of the face across it, not its own.
         np.testing.assert_array_equal(
             rev.feats[:, 4:7], g.attrs[g.edge_face[g.opposite[paths.e1]]]
         )
@@ -565,7 +558,7 @@ class TestAgainstMaterializedReference:
         gnn_train_step(params, batch, labels, AdamState.for_params(params.theta), 1e-3)
         gnn_forward(params, batch, mode="eval")
         owned = {id(a) for _, a in params.named_state()} | {id(g) for g in params.grads()}
-        owned |= {id(params.theta), id(params.grad)}
+        owned |= {id(getattr(params, f)) for f in ("theta", "grad", "running_mean", "running_var")}
         extra = [a.shape for a in _reachable_arrays(params) if id(a) not in owned]
         assert extra == []
 

@@ -36,7 +36,7 @@ class TestForward:
         mlp = Mlp(rng, [3, 4, 2], batchnorm_output=False)
         for block in mlp.blocks:
             block.w[...] = 0.0
-            block.b[...] = 0.0
+        mlp.blocks[-1].b[...] = 0.0  # the only block without batchnorm
         out = mlp.forward(np.ones((4, 3)), train=False)
         assert np.all(out == 0.0)
 

@@ -38,26 +38,24 @@ from polyrep.rigid_features import _lay_flat, _path_geometry
 from conftest import banded_column, chiral_tetrahedron, solid_corpus
 
 
-def _reference_paths(g, include_backtracking):
+def _reference_paths(g):
     """The per-edge loop form of enumerate_paths: e1 in (tail, head) order,
     then each out-edge of its head in (head) order."""
     e1, e2 = [], []
     order, starts = g._out_order, g._out_starts
     for first in order:
         for second in order[starts[g.edge_head[first]] : starts[g.edge_head[first] + 1]]:
-            if include_backtracking or second != g.opposite[first]:
-                e1.append(first)
-                e2.append(second)
+            e1.append(first)
+            e2.append(second)
     return np.array(e1, dtype=np.int64), np.array(e2, dtype=np.int64)
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("include_backtracking", [True, False])
-    def test_rows_match_loop_reference(self, include_backtracking):
+    def test_rows_match_loop_reference(self):
         for solid in solid_corpus(10, seed=7):
             g = build_surface_graph(solid)
-            paths = enumerate_paths(g, include_backtracking)
-            e1, e2 = _reference_paths(g, include_backtracking)
+            paths = enumerate_paths(g)
+            e1, e2 = _reference_paths(g)
             assert np.array_equal(paths.e1, e1) and np.array_equal(paths.e2, e2)
             assert np.array_equal(paths.i, g.edge_tail[e1])
             assert np.array_equal(paths.j, g.edge_head[e1])
@@ -74,11 +72,6 @@ class TestEnumeration:
     def test_cube_backtracking_count(self, cube):
         paths = enumerate_paths(build_surface_graph(cube))
         assert int((paths.k == paths.i).sum()) == 24
-
-    def test_backtracking_excluded_on_request(self, cube):
-        paths = enumerate_paths(build_surface_graph(cube), include_backtracking=False)
-        assert len(paths) == 48
-        assert not np.any(paths.k == paths.i)
 
     def test_lexicographic_grouping(self, cube):
         paths = enumerate_paths(build_surface_graph(cube))

@@ -234,7 +234,6 @@ class TestPinnedFeaturization:
         "cube": "c76ad4edc56ac7311dea3fe7919cbd323297c14be23e1516f41edd5e65193adc",
         "tetrahedron": "27d3bc31bbe92c7f72c6f2b187a8e5b67f109c2acff373195d1471bd9141d920",
         "extrusion96-reversed": "08f4f303198321920bfbdb681e96d7315df6641dce2713299b932f31b01f850b",
-        "extrusion96-forward": "a54760bcb47ce06f6f3fcf1c2b83b897938af7ff90bfee2daa19c8e496d066f2",
         "synthetic12": "df02a3bc02436ce1b918c6e0aa90f9ef37f5a14793482f1f010e17bf17535209",
     }
 
@@ -243,8 +242,7 @@ class TestPinnedFeaturization:
         if name.startswith("extrusion96"):
             poly = random_simple_polygon(np.random.default_rng(96), 96, 96)
             solid = extrude_polygon(poly, 1.0, ColorScheme.rgb_default())
-            cfg = GnnConfig(attr_dim=3, attr_edge_orientation=name.split("-")[1])
-            return [solid], cfg
+            return [solid], GnnConfig(attr_dim=3)
         solids = {
             "cube": lambda: [make_box()],
             "tetrahedron": lambda: [make_tetrahedron()],
