@@ -5,8 +5,10 @@ tag, config, tensor manifest, optimizer/scheduler scalars, RNG state), the
 raw little-endian float64 blob of five flat vectors (``theta``, ``adam.m``,
 ``adam.v``, ``bn.running_mean``, ``bn.running_var``), and a trailing SHA-256
 digest of everything before it.  Loading verifies the digest, every vector's
-length against the config and every value, so truncation, bit corruption,
-config mismatches and non-finite or negative-variance state all fail loudly.
+length against the config, every value and the header scalars, so
+truncation, bit corruption, config mismatches, non-finite or
+negative-variance state and impossible scheduler or optimizer counters all
+fail loudly.
 """
 
 from __future__ import annotations
@@ -110,6 +112,7 @@ def load_checkpoint(path) -> Checkpoint:
         rng_state = header["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed header: {type(exc).__name__}: {exc}") from exc
+    _check_scalars(scheduler, adam_t, best_epoch)
 
     # The config fixes every vector's length: compare before building a model.
     n_theta, n_stats = gnn_cfg.flat_sizes()
@@ -131,6 +134,24 @@ def load_checkpoint(path) -> Checkpoint:
         best_epoch=best_epoch,
         rng_state=rng_state,
     )
+
+
+def _check_scalars(sch, adam_t, best_epoch) -> None:
+    """Refuse header scalars that no training run writes; an infinite
+    ``best`` (stored as null) means no epoch has been scored yet."""
+    valid = {
+        "scheduler.lr": math.isfinite(sch.lr) and sch.lr > 0,
+        "scheduler.factor": math.isfinite(sch.factor),
+        "scheduler.min_lr": math.isfinite(sch.min_lr) and sch.min_lr >= 0,
+        "scheduler.best": math.isfinite(sch.best) or sch.best == math.inf,
+        "scheduler.patience": sch.patience >= 0,
+        "scheduler.bad_epochs": sch.bad_epochs >= 0,
+        "adam.t": adam_t >= 0,
+        "best_epoch": best_epoch >= 0,
+    }
+    bad = [name for name, ok in valid.items() if not ok]
+    if bad:
+        raise CheckpointError(f"impossible header value: {', '.join(bad)}")
 
 
 def _read_tensors(specs, blob) -> dict:

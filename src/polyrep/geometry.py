@@ -243,6 +243,18 @@ class Polyhedron:
         """Flat layout of the face loops (see the module note), built on first use."""
         return FaceLoops.from_loops([face.loop for face in self.faces])
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        """:func:`validate_polyhedron` at the default tolerance, run once; the
+        arrays are read-only and the faces frozen, so it cannot go stale."""
+        return _validate(self, DEFAULT_COPLANARITY_TOL)
+
+    @cached_property
+    def _graph_features(self) -> dict:
+        """Memo of this solid's path features, keyed by attribute width; it is
+        filled only by ``training.features_for_records``."""
+        return {}
+
     @property
     def n_vertices(self):
         return self.vertices.shape[0]
@@ -283,6 +295,9 @@ def validate_polyhedron(
 ) -> ValidationReport:
     """Check closedness, orientation pairing, and face planarity.
 
+    The report at the default tolerance is computed once per solid and
+    cached on it; any other tolerance computes a fresh report.
+
     Every defect lands in the report rather than raising: no faces at all,
     short or repeated loops, zero-length edges, non-coplanar faces
     (point-to-plane distance above ``coplanarity_tol`` times the
@@ -302,6 +317,12 @@ def validate_polyhedron(
     every edge vector.  A face whose Newell vector or its length is not
     finite is ``non_finite_face``.
     """
+    if coplanarity_tol == DEFAULT_COPLANARITY_TOL:
+        return p._report
+    return _validate(p, coplanarity_tol)
+
+
+def _validate(p: Polyhedron, coplanarity_tol: float) -> ValidationReport:
     scale = p.bbox_diagonal() or 1.0
     if not math.isfinite(scale):
         issue = ValidationIssue("non_finite_scale", "solid", scale)
@@ -546,6 +567,7 @@ def _segments_properly_intersect(p1, p2, p3, p4):
 
 def polygon_is_simple(points2d: np.ndarray) -> bool:
     """Brute-force check that no two non-adjacent edges intersect."""
+    points2d = points2d.tolist()  # Python floats: several times faster than numpy scalars
     n = len(points2d)
     for a in range(n):
         a2 = (a + 1) % n

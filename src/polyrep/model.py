@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, GeometryError
+from .geometry import _ro
 from .nn import FLAT_VECTORS, AdamState, Mlp, ParameterRegistry, adam_step, cross_entropy
 from .rigid_features import enumerate_paths, _path_geometry
 from .surface_graph import SurfaceGraph
@@ -101,12 +102,12 @@ def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphBatch:
         i, j, k = paths.i[r], paths.j[r], paths.k[r]
         raise GeometryError(f"non-finite feature on path ({i},{j},{k})")
     return GraphBatch(
-        path_i=paths.i,
-        path_j=paths.j,
-        path_k=paths.k,
-        feats=feats,
-        inner=(face1 == face2),
-        node_graph=np.zeros(g.n_nodes, dtype=np.int64),
+        path_i=_ro(paths.i),
+        path_j=_ro(paths.j),
+        path_k=_ro(paths.k),
+        feats=_ro(feats),
+        inner=_ro(face1 == face2),
+        node_graph=_ro(np.zeros(g.n_nodes, dtype=np.int64)),
         n_nodes=g.n_nodes,
         n_graphs=1,
     )

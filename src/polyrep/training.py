@@ -98,10 +98,18 @@ class TrainResult:
 
 
 def features_for_records(records, cfg: GnnConfig):
-    return [
-        precompute_graph_features(build_surface_graph(r.polyhedron), cfg)
-        for r in records
-    ]
+    """Each record's one-graph batch, computed once per solid and attribute
+    width and memoized on the solid, so every caller shares one read-only
+    batch.  Only ``cfg.attr_dim`` shapes the features; a width the solid
+    does not have misses the memo and raises ``ValueError``."""
+    feats = []
+    for r in records:
+        memo = r.polyhedron._graph_features
+        if cfg.attr_dim not in memo:
+            graph = build_surface_graph(r.polyhedron)
+            memo[cfg.attr_dim] = precompute_graph_features(graph, cfg)
+        feats.append(memo[cfg.attr_dim])
+    return feats
 
 
 def _minibatches(n, batch_size, rng):

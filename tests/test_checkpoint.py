@@ -407,6 +407,79 @@ class TestForgedConfig:
         assert "dimension mismatch" in capsys.readouterr().err
 
 
+def _with_scalar(key, value):
+    """Header edit setting ``scheduler.<field>``, ``adam.t`` or ``best_epoch``."""
+
+    def edit(header):
+        if key.startswith("scheduler."):
+            header["scheduler"][key.split(".", 1)[1]] = value
+        elif key == "adam.t":
+            header["adam"]["t"] = value
+        else:
+            header[key] = value
+        return header
+
+    return edit
+
+
+IMPOSSIBLE_SCALARS = {
+    "nan lr": ("scheduler.lr", float("nan")),
+    "zero lr": ("scheduler.lr", 0.0),
+    "negative lr": ("scheduler.lr", -5e-4),
+    "inf factor": ("scheduler.factor", float("inf")),
+    "negative min_lr": ("scheduler.min_lr", -1e-6),
+    "inf min_lr": ("scheduler.min_lr", float("inf")),
+    "nan best": ("scheduler.best", float("nan")),
+    "-inf best": ("scheduler.best", float("-inf")),
+    "negative patience": ("scheduler.patience", -1),
+    "negative bad_epochs": ("scheduler.bad_epochs", -3),
+    "negative adam.t": ("adam.t", -7),
+    "negative best_epoch": ("best_epoch", -1),
+}
+
+
+class TestImpossibleHeaderScalars:
+    """Files with a valid digest whose optimizer or scheduler scalars no
+    training run writes."""
+
+    @pytest.mark.parametrize(
+        "key, value", IMPOSSIBLE_SCALARS.values(), ids=IMPOSSIBLE_SCALARS.keys()
+    )
+    def test_refused_naming_the_field(self, tmp_path, key, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_checkpoint()[0], path)
+        _resigned(path, _with_scalar(key, value))
+        with pytest.raises(CheckpointError, match=f"impossible header value: {key}$"):
+            load_checkpoint(path)
+
+    def test_cli_exits_with_data_error(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_checkpoint()[0], path)
+        _resigned(path, _with_scalar("scheduler.patience", -1))
+        assert _cli("eval", path, tmp_path) == 2
+        assert "impossible header value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("scheduler.best", None), ("scheduler.min_lr", 0.0), ("scheduler.patience", 0),
+         ("adam.t", 0), ("best_epoch", 0), ("scheduler.factor", -2.0)],
+    )
+    def test_edge_values_load(self, tmp_path, key, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_checkpoint()[0], path)
+        _resigned(path, _with_scalar(key, value))
+        load_checkpoint(path)
+
+    def test_trained_checkpoint_reloads_byte_for_byte(self, tmp_path):
+        from polyrep import TrainConfig, train
+
+        cfg = TrainConfig(hidden_dim=4, max_epochs=2, batch_size=4, min_lr=0.0, seed=1)
+        first, again = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(train(cfg, synthetic_dataset(12, seed=3)).checkpoint, first)
+        save_checkpoint(load_checkpoint(first), again)
+        assert first.read_bytes() == again.read_bytes()
+
+
 def _flat_index(name):
     """The checkpoint vector and index that hold the first value of ``name``:
     an array of ``small_checkpoint``'s model, or ``adam.m`` or ``adam.v``."""

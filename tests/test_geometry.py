@@ -21,7 +21,12 @@ from polyrep import (
     validate_polyhedron,
 )
 from polyrep.datasets import make_box, make_tetrahedron
-from polyrep.geometry import FaceLoops, _newell
+from polyrep.geometry import (
+    FaceLoops,
+    _newell,
+    _segments_properly_intersect,
+    polygon_is_simple,
+)
 
 from conftest import solid_corpus
 
@@ -612,6 +617,36 @@ class TestExtrusion:
         rng = np.random.default_rng(seed)
         solid = extrude_polygon(random_simple_polygon(rng), float(rng.uniform(0.2, 3.0)))
         assert validate_polyhedron(solid, coplanarity_tol=1e-9).ok
+
+
+def _reference_polygon_is_simple(points2d):
+    """The pair loop of ``polygon_is_simple`` on numpy scalars, kept as the
+    reference for its run on Python floats."""
+    n = len(points2d)
+    for a in range(n):
+        a2 = (a + 1) % n
+        for b in range(a + 1, n):
+            b2 = (b + 1) % n
+            if a == b or a2 == b or a == b2:
+                continue
+            if _segments_properly_intersect(
+                points2d[a], points2d[a2], points2d[b], points2d[b2]
+            ):
+                return False
+    return True
+
+
+_COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+
+
+@given(
+    st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=11)
+    | st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=11)
+)
+def test_polygon_is_simple_matches_numpy_loop(points):
+    # Integer-grid points give collinear, touching and repeated vertices.
+    pts = np.array(points, dtype=np.float64)
+    assert polygon_is_simple(pts) == _reference_polygon_is_simple(pts)
 
 
 class TestKabsch:

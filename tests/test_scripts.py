@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TINY = ["--count", "24", "--epochs", "2"]
 
@@ -41,3 +43,64 @@ def test_sweep_hyperparams():
     out = run_script("sweep_hyperparams.py", *TINY, "--hidden-dims", "8", "--layers", "1")
     rows = [json.loads(line) for line in out.splitlines()]
     assert [(r["hidden_dim"], r["layers"]) for r in rows] == [(8, 1)]
+
+
+# The ten infer-attr solids_per_s pairs (parent, change) of the folded
+# eval-mode batchnorm change, as CHANGES.md records them.
+FOLDED_BATCHNORM_PAIRS = [
+    (130.2, 170.3), (124.2, 183.7), (134.2, 174.4), (131.6, 185.8), (143.7, 203.3),
+    (133.6, 198.8), (129.8, 172.9), (147.6, 169.7), (127.8, 187.5), (137.6, 181.6),
+]
+
+
+def _bench_pairs():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pair_runs(pairs, name="solids_per_s"):
+    return [
+        {"pair": i, "tree": tree, "correct": True, "failed": 0, "metrics": {name: value}}
+        for i, values in enumerate(pairs)
+        for tree, value in zip(("parent", "change"), values)
+    ]
+
+
+def test_bench_pairs_summary_on_recorded_pairs():
+    bench = _bench_pairs()
+    metrics = bench.end_to_end_metrics()
+    summary = bench.summarize(_pair_runs(FOLDED_BATCHNORM_PAIRS), metrics)
+    s = summary["solids_per_s"]
+    assert (s["won"], s["pairs"]) == (10, 10)
+    assert s["parent_median"] == pytest.approx(132.6)
+    assert s["change_median"] == pytest.approx(182.65)
+    assert s["parent_iqr"] == pytest.approx(6.85)
+    assert s["gap_beats_iqr"] and not s["worse_than_bound"]
+    assert set(summary) == {"solids_per_s"}
+    lines = bench.report_lines(summary, _pair_runs(FOLDED_BATCHNORM_PAIRS))
+    assert lines == [
+        "solids_per_s: 132.6 -> 182.6 (parent IQR 6.85); change won 10/10; "
+        "gap beats IQR: yes; worse than bound: no"
+    ]
+
+
+def test_bench_pairs_summary_reads_direction_and_bound():
+    bench = _bench_pairs()
+    metrics = bench.end_to_end_metrics()
+    # Read as a lower-is-better metric, the same figures lose every pair.
+    s = bench.summarize(_pair_runs(FOLDED_BATCHNORM_PAIRS, "setup_s"), metrics)["setup_s"]
+    assert (s["won"], s["gap_beats_iqr"], s["worse_than_bound"]) == (0, False, True)
+    runs = _pair_runs(FOLDED_BATCHNORM_PAIRS)
+    runs[3] |= {"correct": False}
+    runs[4] |= {"failed": 2}
+    lines = bench.report_lines(bench.summarize(runs, metrics), runs)
+    assert lines[1:] == [
+        "pair 1 change: correct False, failed 0",
+        "pair 2 parent: correct True, failed 2",
+    ]
