@@ -97,7 +97,10 @@ def load_checkpoint(path) -> Checkpoint:
         loaded = _read_tensors(header["tensors"], blob)
         config = dict(header["config"])
         fields = GnnConfig.__dataclass_fields__
-        gnn_cfg = GnnConfig(**{k: v for k, v in config.items() if k in fields})
+        for name in fields:
+            if type(config.get(name)) is not int:  # refuses booleans too
+                raise CheckpointError(f"header config {name} is missing or not an integer")
+        gnn_cfg = GnnConfig(**{name: config[name] for name in fields})
         adam_t = int(header["adam"]["t"])
         sch = header["scheduler"]
         scheduler = PlateauState(

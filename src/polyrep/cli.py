@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 
@@ -85,6 +86,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _bounded(kind, ok, rule):
+    """An argparse type: the option's text as ``kind``, refused through
+    ``_Parser.error`` unless ``ok`` holds for it."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_POSITIVE_FINITE = _bounded(float, lambda x: math.isfinite(x) and x > 0, "finite and > 0")
+_NON_NEGATIVE_FINITE = _bounded(float, lambda x: math.isfinite(x) and x >= 0, "finite and >= 0")
+_AT_LEAST_ONE = _bounded(int, lambda n: n >= 1, ">= 1")
+_NON_NEGATIVE = _bounded(int, lambda n: n >= 0, ">= 0")
+
+
 def _report(args, payload, runtime_s):
     doc = {
         "task": args.command,
@@ -106,6 +127,8 @@ def _report(args, payload, runtime_s):
 
 
 def _cmd_build_dataset(args):
+    if args.kind == "extrusion" and args.attr_dim not in (0, 3):
+        raise UsageError("--attr-dim must be 0 or 3 with --kind extrusion")
     if args.kind == "synthetic":
         records = synthetic_dataset(
             args.count, seed=args.seed, attr_dim=args.attr_dim, rotate=args.rotate
@@ -202,7 +225,7 @@ def _eval_records(args):
     records = load_records(args.data, expected_attr_dim=attr_dim or None)
     try:
         args._config_hash = TrainConfig.from_dict(ckpt.config).config_hash()
-    except (DataError, ValueError):
+    except DataError:
         args._config_hash = ""
     return ckpt, records
 
@@ -295,8 +318,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("build-dataset", help="synthetic or extruded corpus")
     common(p)
     p.add_argument("--kind", choices=("synthetic", "extrusion"), default="synthetic")
-    p.add_argument("--count", type=int, default=300)
-    p.add_argument("--attr-dim", type=int, default=0)
+    p.add_argument("--count", type=_AT_LEAST_ONE, default=300)
+    p.add_argument("--attr-dim", type=_NON_NEGATIVE, default=0, help="0 or 3 with extrusion")
     p.add_argument("--polygons", help="JSON list of {points, label} (extrusion)")
     p.add_argument("--height", type=float, default=1.0)
     p.add_argument("--rotate", action=argparse.BooleanOptionalAction, default=True)
@@ -307,8 +330,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("obj")
     p.add_argument("--mtl")
-    p.add_argument("--normal-tol", type=float, default=1e-6)
-    p.add_argument("--max-faces", type=int, default=64)
+    p.add_argument("--normal-tol", type=_NON_NEGATIVE_FINITE, default=1e-6)
+    p.add_argument("--max-faces", type=_AT_LEAST_ONE, default=64)
     p.add_argument("--label", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_merge_obj)
@@ -349,12 +372,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the model")
     common(p)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_POSITIVE_FINITE, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("invariance-check", help="rigid-motion invariance suite")
     common(p)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_AT_LEAST_ONE, default=20)
     p.set_defaults(func=_cmd_invariance_check)
 
     return parser

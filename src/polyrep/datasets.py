@@ -23,6 +23,8 @@ from .geometry import (
     FaceLoops,
     PolygonFace,
     Polyhedron,
+    _cross,
+    _rowdot,
     apply_rigid_transform,
     extrude_polygon,
     sample_random_rotation,
@@ -396,24 +398,6 @@ class Rejected:
     reason: str
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def merge_coplanar_faces(
     mesh: TriangleMesh, normal_tol: float = 1e-6, max_faces: int = 64
 ):
@@ -424,80 +408,76 @@ def merge_coplanar_faces(
     are identical.  Each region's boundary (directed edges whose opposite
     lies outside the region) must chain into exactly one loop; regions with
     holes or pinches are rejected, as are results with more than
-    ``max_faces`` faces.  Collinear boundary vertices are dropped.  Returns
-    a validated :class:`Polyhedron` or :class:`Rejected`.
+    ``max_faces`` faces.  Collinear boundary vertices are dropped.  Faces,
+    and the defect reported first, follow each region's smallest triangle.
+    Returns a validated :class:`Polyhedron` or :class:`Rejected`.
     """
     normals = mesh.triangle_normals()
     # The triangle across each slot's edge; a TriangleMesh is closed, so
     # every edge has an opposite.
     layout = mesh.face_loops
-    across = layout.face[layout.edge_index[2]].tolist()
-    tail, head = layout.verts.tolist(), layout.heads.tolist()
+    own, across = layout.face, layout.face[layout.edge_index[2]]
+    same = np.all(mesh.attrs[own] == mesh.attrs[across], axis=1)
+    joined = same & (_rowdot(normals[own], normals[across]) >= 1.0 - normal_tol)
+    # Label each triangle with its region's smallest triangle: min-label
+    # propagation over the joined slots, with pointer jumping.
+    label, prev = np.arange(mesh.n_triangles), None
+    while not np.array_equal(label, prev):
+        prev, label = label, label.copy()
+        np.minimum.at(label, own[joined], prev[across[joined]])
+        label = label[label]
+    first_tri, region = np.unique(label, return_inverse=True)
+    n = len(first_tri)
+    if n > max_faces:
+        return Rejected(f"residual faces: {n} > {max_faces}")
 
-    uf = _UnionFind(mesh.n_triangles)
-    for ti, tj in zip(layout.face.tolist(), across):
-        if tj <= ti:
-            continue
-        if normals[ti] @ normals[tj] >= 1.0 - normal_tol and np.array_equal(
-            mesh.attrs[ti], mesh.attrs[tj]
-        ):
-            uf.union(ti, tj)
+    # Boundary slots sorted by (region, tail), ties in slot order.  A tail that
+    # repeats within a region pinches it, at the repeat first in slot order.
+    bnd = np.flatnonzero(region[own] != region[across])
+    n_v = len(mesh.vertices)
+    key = region[own[bnd]] * n_v + layout.verts[bnd]
+    bnd, key = bnd[np.argsort(key, kind="stable")], np.sort(key)
+    reg = key // n_v
+    counts = np.bincount(reg, minlength=n)
+    repeat = np.flatnonzero(key[1:] == key[:-1]) + 1
+    pinch = np.full(n, len(own))
+    np.minimum.at(pinch, reg[repeat], bnd[repeat])
 
-    regions = {}
-    for ti in range(mesh.n_triangles):
-        regions.setdefault(uf.find(ti), []).append(ti)
-    if len(regions) > max_faces:
-        return Rejected(f"residual faces: {len(regions)} > {max_faces}")
+    # Walk each unpinched region's boundary from its smallest tail.  In a closed,
+    # oriented mesh a boundary leaves each vertex as often as it enters it.
+    succ = np.searchsorted(key, reg * n_v + layout.heads[bnd]).tolist()
+    walk = []
+    for start in (np.cumsum(counts) - counts)[(pinch == len(own)) & (counts > 0)].tolist():
+        walk.append(start)
+        while (i := succ[walk[-1]]) != start:
+            walk.append(i)
+    walked = np.bincount(reg[walk], minlength=n)
 
-    loops = []
-    attrs = []
-    for root, members in sorted(regions.items()):
-        nxt = {}
-        for ti in members:
-            for s in range(3 * ti, 3 * ti + 3):
-                if uf.find(across[s]) != root:
-                    u = tail[s]
-                    if u in nxt:
-                        return Rejected(f"pinched region boundary at vertex {u}")
-                    nxt[u] = head[s]
-        if not nxt:
+    # Drop the straight-through vertices of every chained loop at once.
+    loops = FaceLoops.from_lengths(layout.verts[bnd[walk]], walked)
+    pts = mesh.vertices[loops.verts]
+    e_in, e_out = pts - pts[loops.prv], pts[loops.nxt] - pts
+    cross = _cross(e_in, e_out)
+    scale = np.sqrt(_rowdot(e_in, e_in)) * np.sqrt(_rowdot(e_out, e_out))
+    drop = (np.sqrt(_rowdot(cross, cross)) < 1e-9 * scale) & (_rowdot(e_in, e_out) > 0)
+    kept = np.bincount(loops.face[~drop], minlength=n)
+
+    # The first region that fails a check reports its first failing check.
+    failed = np.flatnonzero((walked != counts) | (kept < 3))
+    if len(failed):
+        r = failed[0]
+        if pinch[r] < len(own):
+            return Rejected(f"pinched region boundary at vertex {layout.verts[pinch[r]]}")
+        if counts[r] == 0:
             raise DataError("region without boundary edges")
-        start = min(nxt)
-        loop = [start]
-        v = nxt[start]
-        while v != start:
-            loop.append(v)
-            v = nxt.get(v)
-            if v is None:
-                raise DataError("boundary chaining failure")
-            if len(loop) > len(nxt):
-                raise DataError("boundary chaining failure")
-        if len(loop) != len(nxt):
-            return Rejected(f"region with {len(nxt) - len(loop)} extra boundary edges")
+        if walked[r] < counts[r]:
+            return Rejected(f"region with {counts[r] - walked[r]} extra boundary edges")
+        raise DataError("region boundary collapsed below 3 vertices")
 
-        pts = mesh.vertices[loop]
-        keep = []
-        m = len(loop)
-        for t in range(m):
-            e_in = pts[t] - pts[(t - 1) % m]
-            e_out = pts[(t + 1) % m] - pts[t]
-            scale = np.linalg.norm(e_in) * np.linalg.norm(e_out)
-            if (
-                np.linalg.norm(np.cross(e_in, e_out)) < 1e-9 * scale
-                and e_in @ e_out > 0
-            ):
-                continue
-            keep.append(loop[t])
-        if len(keep) < 3:
-            raise DataError("region boundary collapsed below 3 vertices")
-        loops.append(keep)
-        attrs.append(mesh.attrs[members[0]])
-
-    used = sorted({v for loop in loops for v in loop})
-    remap = {v: i for i, v in enumerate(used)}
+    used, loop_verts = np.unique(loops.verts[~drop], return_inverse=True)
     faces = tuple(
-        PolygonFace(tuple(remap[v] for v in loop), attr)
-        for loop, attr in zip(loops, attrs)
+        PolygonFace(loop, mesh.attrs[t])
+        for loop, t in zip(np.split(loop_verts, np.cumsum(kept)[:-1]), first_tri)
     )
     poly = Polyhedron(mesh.vertices[used], faces)
     report = validate_polyhedron(poly)

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,12 @@ from .surface_graph import build_surface_graph
 logger = logging.getLogger(__name__)
 
 
+# The JSON value types each TrainConfig field accepts, by annotation.
+_JSON_KINDS = {
+    "str": ((str,), "string"), "int": ((int,), "integer"), "float": ((int, float), "number")
+}
+
+
 @dataclass
 class TrainConfig:
     data: str = ""
@@ -57,21 +64,47 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_dim < 1 or self.layers < 1 or self.attr_dim < 0:
-            raise ValueError("dims must be positive (attr_dim >= 0)")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        finite = math.isfinite
+        rules = {
+            "hidden_dim": (self.hidden_dim >= 1, ">= 1"),
+            "layers": (self.layers >= 1, ">= 1"),
+            "attr_dim": (self.attr_dim >= 0, ">= 0"),
+            "n_classes": (self.n_classes >= 0, ">= 0"),
+            "lr": (finite(self.lr) and self.lr > 0, "finite and > 0"),
+            "batch_size": (self.batch_size >= 2, ">= 2"),
+            "max_epochs": (self.max_epochs >= 0, ">= 0"),
+            "early_stop_patience": (self.early_stop_patience >= 0, ">= 0"),
+            "scheduler_factor": (finite(self.scheduler_factor), "finite"),
+            "scheduler_patience": (self.scheduler_patience >= 0, ">= 0"),
+            "min_lr": (finite(self.min_lr) and self.min_lr >= 0, "finite and >= 0"),
+        }
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def to_dict(self):
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
+        """The config a JSON document describes; a document that is not an
+        object, an unknown key, a value of the wrong JSON type (booleans are
+        not numbers; integers are floats) or an out-of-range value is a
+        ``DataError``."""
+        if not isinstance(doc, dict):
+            raise DataError("train config must be a JSON object")
+        kinds = {f.name: _JSON_KINDS[f.type] for f in dataclasses.fields(cls)}
+        unknown = set(doc) - set(kinds)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
+        for name, value in doc.items():
+            types, what = kinds[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise DataError(f"train config: {name} must be a JSON {what}")
+        try:
+            return cls(**doc)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"train config: {exc}") from exc
 
     def config_hash(self) -> str:
         return hashlib.sha256(

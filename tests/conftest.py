@@ -96,6 +96,36 @@ def icosphere_mesh(subdivisions=1):
     )
 
 
+def grid_cube_mesh(k, colors=None, rng=None):
+    """Unit cube with each face cut into a k x k grid, two triangles per
+    cell, in face, row, column order.  With ``colors`` each cell gets a
+    one-wide colour attribute: drawn from ``colors`` colours by ``rng``, or
+    without ``rng`` one colour per face.  Without ``colors`` the mesh has
+    no attributes and merges back to six quads."""
+    index = {}
+    tris, cell_color = [], []
+    for face, (axis, side) in enumerate((a, s) for a in range(3) for s in (0, 1)):
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        if side == 0:
+            u, v = v, u  # keeps every face's normal pointing outward
+        corners = np.zeros((k + 1, k + 1), dtype=np.int64)
+        for i in range(k + 1):
+            for j in range(k + 1):
+                point = [0, 0, 0]
+                point[axis], point[u], point[v] = side * k, i, j
+                corners[i, j] = index.setdefault(tuple(point), len(index))
+        for i in range(k):
+            for j in range(k):
+                p00, p10 = corners[i, j], corners[i + 1, j]
+                p11, p01 = corners[i + 1, j + 1], corners[i, j + 1]
+                tris += [(p00, p10, p11), (p00, p11, p01)]
+                color = face if rng is None else rng.integers(colors or 1)
+                cell_color += [color, color]
+    vertices = np.array(list(index), dtype=np.float64) / k
+    attrs = np.zeros((len(tris), 0)) if colors is None else np.array(cell_color, float)[:, None]
+    return TriangleMesh(vertices, np.array(tris), attrs)
+
+
 def chiral_tetrahedron():
     """Scalene tetrahedron with no mirror symmetry."""
     verts = np.array(

@@ -407,6 +407,56 @@ class TestForgedConfig:
         assert "dimension mismatch" in capsys.readouterr().err
 
 
+def _without(key):
+    def edit(config):
+        config = dict(config)
+        del config[key]
+        return config
+
+    return edit
+
+
+def _renamed(key, new):
+    def edit(config):
+        config = dict(config)
+        config[new] = config.pop(key)
+        return config
+
+    return edit
+
+
+BAD_CONFIG_FIELDS = {
+    "renamed attr_dim": (_renamed("attr_dim", "attr_dlm"), "attr_dim"),
+    "missing seed": (_without("seed"), "seed"),
+    "boolean attr_dim": (lambda config: config | {"attr_dim": False}, "attr_dim"),
+    "fractional layers": (lambda config: config | {"layers": 2.0}, "layers"),
+}
+
+
+class TestHeaderConfigFields:
+    """Files with a valid digest whose header config lacks a model field, or
+    holds one as something other than a JSON integer."""
+
+    @pytest.mark.parametrize(
+        "edit, field", BAD_CONFIG_FIELDS.values(), ids=BAD_CONFIG_FIELDS.keys()
+    )
+    def test_refused_naming_the_field(self, tmp_path, edit, field):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_checkpoint()[0], path)
+        _resigned(path, lambda header: header | {"config": edit(header["config"])})
+        with pytest.raises(
+            CheckpointError, match=f"^header config {field} is missing or not an integer$"
+        ):
+            load_checkpoint(path)
+
+    def test_cli_exits_with_data_error(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_checkpoint()[0], path)
+        _resigned(path, lambda header: header | {"config": _without("seed")(header["config"])})
+        assert _cli("eval", path, tmp_path) == 2
+        assert "header config seed is missing" in capsys.readouterr().err
+
+
 def _with_scalar(key, value):
     """Header edit setting ``scheduler.<field>``, ``adam.t`` or ``best_epoch``."""
 

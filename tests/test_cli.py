@@ -337,6 +337,34 @@ class TestTrainEvalRetrieve:
         assert f"unknown config keys: ['{field}']" in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"lr": -1}, "train config: lr must be finite and > 0, got -1"),
+            ({"hidden_dim": "8"}, "train config: hidden_dim must be a JSON integer"),
+            (5, "train config must be a JSON object"),
+            ({"batch_size": 0}, "train config: batch_size must be >= 2, got 0"),
+            ({"batch_size": 1}, "train config: batch_size must be >= 2, got 1"),
+            ({"n_classes": -1}, "train config: n_classes must be >= 0, got -1"),
+            ({"lr": float("nan")}, "train config: lr must be finite and > 0, got nan"),
+            ([1, 2], "train config must be a JSON object"),
+        ],
+        ids=["negative lr", "string hidden_dim", "number", "zero batch", "batch of one",
+             "negative n_classes", "nan lr", "list"],
+    )
+    def test_bad_config_is_data_error(self, tmp_path, capsys, doc, message):
+        corpus = tmp_path / "data.jsonl"
+        save_records(synthetic_dataset(24, seed=0), corpus)
+        if isinstance(doc, dict):
+            doc = {"data": str(corpus), "hidden_dim": 8, "max_epochs": 2} | doc
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        ckpt = tmp_path / "model.ckpt"
+        code, _, err = run(capsys, "train", "--config", config, "--out", ckpt)
+        assert code == 2
+        assert err.strip() == f"data error: {message}"
+        assert not ckpt.exists()
+
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x"
@@ -434,7 +462,41 @@ class TestDatasetAndMerge:
         assert message in err and not out.exists()
 
 
+BAD_OPTIONS = {
+    "nan tolerance": (
+        ["gradcheck", "--tolerance", "nan"], "argument --tolerance: must be finite and > 0, got nan"
+    ),
+    "negative trials": (
+        ["invariance-check", "--trials", "-1"], "argument --trials: must be >= 1, got -1"
+    ),
+    "nan normal-tol": (
+        ["merge-obj", "cube.obj", "--normal-tol", "nan"],
+        "argument --normal-tol: must be finite and >= 0, got nan",
+    ),
+    "zero max-faces": (
+        ["merge-obj", "cube.obj", "--max-faces", "0"], "argument --max-faces: must be >= 1, got 0"
+    ),
+    "negative count": (["build-dataset", "--count", "-2"], "argument --count: must be >= 1, got -2"),
+    "negative attr-dim": (
+        ["build-dataset", "--attr-dim", "-1"], "argument --attr-dim: must be >= 0, got -1"
+    ),
+    "extrusion attr-dim 2": (
+        ["build-dataset", "--kind", "extrusion", "--polygons", "polys.json", "--attr-dim", "2"],
+        "--attr-dim must be 0 or 3 with --kind extrusion",
+    ),
+}
+
+
 class TestUsage:
+    @pytest.mark.parametrize("argv, message", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys())
+    def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        flags = ["--out", out] if argv[0] in ("merge-obj", "build-dataset") else []
+        code, stdout, err = run(capsys, *argv, *flags)
+        assert code == 1
+        assert err.strip() == f"usage error: {message}"
+        assert not stdout and not out.exists()
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1

@@ -34,7 +34,7 @@ from polyrep.datasets import (
     with_face_attrs,
 )
 
-from conftest import icosphere_mesh, overflowing_solid
+from conftest import grid_cube_mesh, icosphere_mesh, overflowing_solid
 
 CUBE_OBJ = """\
 # twelve-triangle cube
@@ -335,6 +335,156 @@ class TestTriangleMesh:
         assert mesh.face_loops.lengths.tolist() == [3] * 12
 
 
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def _reference_merge(mesh, normal_tol=1e-6, max_faces=64):
+    """The scalar merge ``merge_coplanar_faces`` replaced, kept as its
+    oracle: a union-find over adjacent triangle pairs, a dict per region to
+    chain its boundary, and a per-vertex collinearity loop.  Faces follow
+    the union-find roots."""
+    normals = mesh.triangle_normals()
+    layout = mesh.face_loops
+    across = layout.face[layout.edge_index[2]].tolist()
+    tail, head = layout.verts.tolist(), layout.heads.tolist()
+
+    uf = _UnionFind(mesh.n_triangles)
+    for ti, tj in zip(layout.face.tolist(), across):
+        if tj <= ti:
+            continue
+        if normals[ti] @ normals[tj] >= 1.0 - normal_tol and np.array_equal(
+            mesh.attrs[ti], mesh.attrs[tj]
+        ):
+            uf.union(ti, tj)
+
+    regions = {}
+    for ti in range(mesh.n_triangles):
+        regions.setdefault(uf.find(ti), []).append(ti)
+    if len(regions) > max_faces:
+        return Rejected(f"residual faces: {len(regions)} > {max_faces}")
+
+    loops = []
+    attrs = []
+    for root, members in sorted(regions.items()):
+        nxt = {}
+        for ti in members:
+            for s in range(3 * ti, 3 * ti + 3):
+                if uf.find(across[s]) != root:
+                    u = tail[s]
+                    if u in nxt:
+                        return Rejected(f"pinched region boundary at vertex {u}")
+                    nxt[u] = head[s]
+        if not nxt:
+            raise DataError("region without boundary edges")
+        start = min(nxt)
+        loop = [start]
+        v = nxt[start]
+        while v != start:
+            loop.append(v)
+            v = nxt.get(v)
+            if v is None:
+                raise DataError("boundary chaining failure")
+            if len(loop) > len(nxt):
+                raise DataError("boundary chaining failure")
+        if len(loop) != len(nxt):
+            return Rejected(f"region with {len(nxt) - len(loop)} extra boundary edges")
+
+        pts = mesh.vertices[loop]
+        keep = []
+        m = len(loop)
+        for t in range(m):
+            e_in = pts[t] - pts[(t - 1) % m]
+            e_out = pts[(t + 1) % m] - pts[t]
+            scale = np.linalg.norm(e_in) * np.linalg.norm(e_out)
+            if (
+                np.linalg.norm(np.cross(e_in, e_out)) < 1e-9 * scale
+                and e_in @ e_out > 0
+            ):
+                continue
+            keep.append(loop[t])
+        if len(keep) < 3:
+            raise DataError("region boundary collapsed below 3 vertices")
+        loops.append(keep)
+        attrs.append(mesh.attrs[members[0]])
+
+    used = sorted({v for loop in loops for v in loop})
+    remap = {v: i for i, v in enumerate(used)}
+    faces = tuple(
+        PolygonFace(tuple(remap[v] for v in loop), attr)
+        for loop, attr in zip(loops, attrs)
+    )
+    poly = Polyhedron(mesh.vertices[used], faces)
+    report = validate_polyhedron(poly)
+    if not report.ok:
+        raise InvalidPolyhedronError(report)
+    return poly
+
+
+def _merge_outcome(merge, mesh, **kwargs):
+    """What a merge makes of ``mesh``: the solid's vertex bytes and its
+    faces as (loop, attribute bytes), a rejection's reason, or an error's
+    type and message."""
+    try:
+        result = merge(mesh, **kwargs)
+    except (DataError, InvalidPolyhedronError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, Rejected):
+        return "Rejected", result.reason
+    faces = tuple((f.loop, f.attr.tobytes()) for f in result.faces)
+    return "Polyhedron", result.vertices.tobytes(), faces
+
+
+def _merge_corpus():
+    """Meshes in their natural triangle order: the triangulated synthetic
+    corpora of seeds 1-3 at attribute widths 3 and 0, grid cubes, and
+    seeded two-colour grid cubes."""
+    meshes = [
+        triangulate(r.polyhedron)
+        for seed in (1, 2, 3)
+        for attr_dim in (3, 0)
+        for r in synthetic_dataset(12, seed=seed, attr_dim=attr_dim)
+    ]
+    meshes += [grid_cube_mesh(k) for k in range(1, 6)]
+    meshes += [grid_cube_mesh(k, colors=6) for k in (2, 3)]
+    rng = np.random.default_rng(23)
+    meshes += [grid_cube_mesh(k, colors=2, rng=rng) for k in (2, 3, 4, 5) for _ in range(12)]
+    return meshes
+
+
+def _painted_grid_cube(k, cells):
+    """A k x k grid cube with one colour per face, and the listed (row,
+    column) cells of its first face painted a colour of their own."""
+    mesh = grid_cube_mesh(k, colors=6)
+    attrs = np.array(mesh.attrs)
+    for i, j in cells:
+        attrs[2 * (i * k + j) : 2 * (i * k + j) + 2] = 9.0
+    return TriangleMesh(mesh.vertices, mesh.triangles, attrs)
+
+
+def _shuffled(mesh, rng):
+    """``mesh`` with its triangles in a random order and each triangle's
+    corners rotated by a random amount."""
+    perm = rng.permutation(mesh.n_triangles)
+    shift = rng.integers(0, 3, mesh.n_triangles)[:, None]
+    tris = np.take_along_axis(mesh.triangles[perm], (np.arange(3) + shift) % 3, axis=1)
+    return TriangleMesh(mesh.vertices, tris, mesh.attrs[perm])
+
+
 class TestMerge:
     def test_triangulated_cube_merges_to_six_quads(self):
         mesh = triangulate(make_box())
@@ -396,6 +546,55 @@ class TestMerge:
         merged = merge_coplanar_faces(triangulate(make_box()))
         g = build_surface_graph(merged)
         assert g.n_faces == 6
+
+    def test_matches_reference_in_natural_order(self):
+        for mesh in _merge_corpus():
+            assert _merge_outcome(merge_coplanar_faces, mesh, max_faces=200) == (
+                _merge_outcome(_reference_merge, mesh, max_faces=200)
+            )
+
+    def test_matches_reference_on_shuffles_up_to_face_order(self):
+        # Which defective region reports first follows the triangle order in
+        # both merges, so a refused mesh only has to be refused the same way.
+        rng = np.random.default_rng(5)
+        for mesh in _merge_corpus()[::2]:
+            mesh = _shuffled(mesh, rng)
+            got = _merge_outcome(merge_coplanar_faces, mesh, max_faces=200)
+            want = _merge_outcome(_reference_merge, mesh, max_faces=200)
+            assert got[0] == want[0]
+            if got[0] == "Polyhedron":
+                assert got[1] == want[1]
+                assert sorted(got[2]) == sorted(want[2])
+
+    def test_faces_follow_each_regions_smallest_triangle(self):
+        mesh = _shuffled(grid_cube_mesh(2), np.random.default_rng(1))
+        merged = merge_coplanar_faces(mesh)
+        normals = np.round(mesh.triangle_normals()).astype(int).tolist()
+        first = {}
+        for t, n in enumerate(normals):
+            first.setdefault(tuple(n), t)
+        face_normals = np.round(build_surface_graph(merged).face_normals()).astype(int)
+        smallest = [first[tuple(n)] for n in face_normals.tolist()]
+        assert smallest == sorted(smallest)
+
+    def test_pinched_region_message(self):
+        # On the first face of a 4 x 4 grid cube, a ring of cells around an
+        # enclosed cell meets itself at grid point (2, 2), vertex 12.
+        mesh = _painted_grid_cube(4, [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2), (1, 1)])
+        result = merge_coplanar_faces(mesh)
+        assert result == Rejected("pinched region boundary at vertex 12")
+
+    def test_region_with_a_hole_message(self):
+        # One painted cell in the middle of a 3 x 3 face punches a hole
+        # through the face's other cells.
+        result = merge_coplanar_faces(_painted_grid_cube(3, [(1, 1)]))
+        assert result == Rejected("region with 4 extra boundary edges")
+
+    def test_region_without_boundary_edges_message(self):
+        # A tolerance above 1 joins perpendicular triangles: the whole cube
+        # becomes one region with no boundary.
+        with pytest.raises(DataError, match=r"^region without boundary edges$"):
+            merge_coplanar_faces(triangulate(make_box()), normal_tol=1.5)
 
 
 class TestBuilders:

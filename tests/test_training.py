@@ -211,6 +211,44 @@ class TestConfig:
         with pytest.raises(DataError, match="unknown config"):
             TrainConfig.from_dict({"hidden": 4})
 
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("lr", float("nan"), "finite and > 0"),
+            ("lr", float("inf"), "finite and > 0"),
+            ("batch_size", 1, ">= 2"),
+            ("n_classes", -1, ">= 0"),
+            ("max_epochs", -1, ">= 0"),
+            ("early_stop_patience", -1, ">= 0"),
+            ("scheduler_patience", -2, ">= 0"),
+            ("scheduler_factor", float("inf"), "finite"),
+            ("min_lr", -1e-6, "finite and >= 0"),
+            ("min_lr", float("nan"), "finite and >= 0"),
+        ],
+    )
+    def test_out_of_range_field_is_value_error(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"^{field} must be {re.escape(rule)}, got "):
+            TrainConfig(**{field: value})
+        with pytest.raises(DataError, match=f"^train config: {field} must be"):
+            TrainConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "train config must be a JSON object"),
+            ({"hidden_dim": 8.0}, "train config: hidden_dim must be a JSON integer"),
+            ({"max_epochs": True}, "train config: max_epochs must be a JSON integer"),
+            ({"lr": False}, "train config: lr must be a JSON number"),
+            ({"data": 3}, "train config: data must be a JSON string"),
+        ],
+    )
+    def test_wrong_json_type_is_data_error(self, doc, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            TrainConfig.from_dict(doc)
+
+    def test_integer_float_fields_are_accepted(self):
+        assert TrainConfig.from_dict({"lr": 1, "min_lr": 0}).lr == 1
+
     def test_hash_stable_and_sensitive(self):
         a, b = quick_config(), quick_config()
         assert a.config_hash() == b.config_hash()
