@@ -313,7 +313,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON report on stdout")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
 
     p = sub.add_parser("build-dataset", help="synthetic or extruded corpus")
     common(p)
@@ -321,7 +321,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=_AT_LEAST_ONE, default=300)
     p.add_argument("--attr-dim", type=_NON_NEGATIVE, default=0, help="0 or 3 with extrusion")
     p.add_argument("--polygons", help="JSON list of {points, label} (extrusion)")
-    p.add_argument("--height", type=float, default=1.0)
+    p.add_argument("--height", type=_POSITIVE_FINITE, default=1.0)
     p.add_argument("--rotate", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_dataset)

@@ -77,6 +77,7 @@ class TrainConfig:
             "scheduler_factor": (finite(self.scheduler_factor), "finite"),
             "scheduler_patience": (self.scheduler_patience >= 0, ">= 0"),
             "min_lr": (finite(self.min_lr) and self.min_lr >= 0, "finite and >= 0"),
+            "seed": (self.seed >= 0, ">= 0"),
         }
         for name, (ok, rule) in rules.items():
             if not ok:

@@ -348,9 +348,10 @@ class TestTrainEvalRetrieve:
             ({"n_classes": -1}, "train config: n_classes must be >= 0, got -1"),
             ({"lr": float("nan")}, "train config: lr must be finite and > 0, got nan"),
             ([1, 2], "train config must be a JSON object"),
+            ({"seed": -1}, "train config: seed must be >= 0, got -1"),
         ],
         ids=["negative lr", "string hidden_dim", "number", "zero batch", "batch of one",
-             "negative n_classes", "nan lr", "list"],
+             "negative n_classes", "nan lr", "list", "negative seed"],
     )
     def test_bad_config_is_data_error(self, tmp_path, capsys, doc, message):
         corpus = tmp_path / "data.jsonl"
@@ -479,6 +480,11 @@ BAD_OPTIONS = {
     "negative count": (["build-dataset", "--count", "-2"], "argument --count: must be >= 1, got -2"),
     "negative attr-dim": (
         ["build-dataset", "--attr-dim", "-1"], "argument --attr-dim: must be >= 0, got -1"
+    ),
+    "negative seed": (["gradcheck", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    "nan height": (
+        ["build-dataset", "--kind", "extrusion", "--polygons", "polys.json", "--height", "nan"],
+        "argument --height: must be finite and > 0, got nan",
     ),
     "extrusion attr-dim 2": (
         ["build-dataset", "--kind", "extrusion", "--polygons", "polys.json", "--attr-dim", "2"],

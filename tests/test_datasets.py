@@ -451,15 +451,15 @@ def _merge_outcome(merge, mesh, **kwargs):
 
 def _merge_corpus():
     """Meshes in their natural triangle order: the triangulated synthetic
-    corpora of seeds 1-3 at attribute widths 3 and 0, grid cubes, and
-    seeded two-colour grid cubes."""
+    corpora of seeds 1-3 at attribute widths 3 and 0, grid cubes, the
+    icosphere, and seeded two-colour grid cubes."""
     meshes = [
         triangulate(r.polyhedron)
         for seed in (1, 2, 3)
         for attr_dim in (3, 0)
         for r in synthetic_dataset(12, seed=seed, attr_dim=attr_dim)
     ]
-    meshes += [grid_cube_mesh(k) for k in range(1, 6)]
+    meshes += [grid_cube_mesh(k) for k in range(1, 6)] + [icosphere_mesh(1)]
     meshes += [grid_cube_mesh(k, colors=6) for k in (2, 3)]
     rng = np.random.default_rng(23)
     meshes += [grid_cube_mesh(k, colors=2, rng=rng) for k in (2, 3, 4, 5) for _ in range(12)]

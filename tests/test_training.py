@@ -224,6 +224,7 @@ class TestConfig:
             ("scheduler_factor", float("inf"), "finite"),
             ("min_lr", -1e-6, "finite and >= 0"),
             ("min_lr", float("nan"), "finite and >= 0"),
+            ("seed", -1, ">= 0"),
         ],
     )
     def test_out_of_range_field_is_value_error(self, field, value, rule):
