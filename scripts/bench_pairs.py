@@ -7,13 +7,14 @@
 Each pair runs ``perfbench/run.py --trace 0`` once in each tree, the parent
 first in even pairs and the change first in odd ones, so both sides see the
 same stretch of a machine whose speed wanders.  The per-run metrics, their
-medians and interquartile ranges, the seed, the seconds, the machine and
-each tree's ``git rev-parse HEAD`` (null outside a git checkout) go to
-``BENCH_<workload>.json`` at the root of this repository.  For every end-to-end metric of ``BENCHMARK.json``
-it prints the medians, the pairs the change won, whether the median gap
-beats the parent's IQR, and whether the change is worse than the metric's
-bound; it names every run that was not ``correct`` or had failed
-operations.
+medians and interquartile ranges, the seed, the seconds, the machine, each
+tree's ``git rev-parse HEAD`` (null outside a git checkout) and each tree's
+``src/`` line count go to ``BENCH_<workload>.json`` at the root of this
+repository.  For every end-to-end metric of ``BENCHMARK.json`` it prints the
+medians, the pairs the change won, whether the median gap beats the
+parent's IQR, and whether the change is worse than the metric's bound; then
+the change's ``src/`` line delta; then every run that was not ``correct`` or
+had failed operations.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ def git_head(tree):
         ["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True
     )
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def src_lines(tree):
+    """Lines of the Python files under ``tree/src``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(tree).glob("src/**/*.py"))
 
 
 def run_once(tree, workload, seed, seconds):
@@ -93,7 +99,9 @@ def summarize(runs, metrics):
     return summary
 
 
-def report_lines(summary, runs):
+def report_lines(summary, runs, lines_of_src=None):
+    """The verdict per metric, the ``src/`` line delta when ``lines_of_src``
+    ({"parent": n, "change": m}) is given, and the runs that went wrong."""
     lines = []
     for name, s in summary.items():
         lines.append(
@@ -102,6 +110,9 @@ def report_lines(summary, runs):
             f"gap beats IQR: {'yes' if s['gap_beats_iqr'] else 'no'}; "
             f"worse than bound: {'yes' if s['worse_than_bound'] else 'no'}"
         )
+    if lines_of_src:
+        parent, change = lines_of_src["parent"], lines_of_src["change"]
+        lines.append(f"src/ lines: {parent} -> {change} ({change - parent:+d})")
     for run in runs:
         if not run["correct"] or run["failed"]:
             lines.append(
@@ -139,13 +150,14 @@ def main(argv=None):
         "trace": 0,
         "machine": machine,
         "heads": {name: git_head(tree) for name, tree in trees.items()},
+        "src_lines": {name: src_lines(tree) for name, tree in trees.items()},
         "runs": runs,
         "summary": summary,
     }
     with open(ROOT / f"BENCH_{args.workload}.json", "w", encoding="utf-8") as fp:
         json.dump(doc, fp, indent=1)
         fp.write("\n")
-    print("\n".join(report_lines(summary, runs)))
+    print("\n".join(report_lines(summary, runs, doc["src_lines"])))
     return 0
 
 

@@ -27,6 +27,7 @@ from .datasets import (
     dump_topology,
     encode_record,
     import_obj,
+    load_polygons,
     load_records,
     load_topology,
     merge_coplanar_faces,
@@ -129,14 +130,14 @@ def _report(args, payload, runtime_s):
 def _cmd_build_dataset(args):
     if args.kind == "extrusion" and args.attr_dim not in (0, 3):
         raise UsageError("--attr-dim must be 0 or 3 with --kind extrusion")
+    if args.kind == "extrusion" and args.polygons is None:
+        raise UsageError("--polygons is required with --kind extrusion")
     if args.kind == "synthetic":
         records = synthetic_dataset(
             args.count, seed=args.seed, attr_dim=args.attr_dim, rotate=args.rotate
         )
     else:
-        with open(args.polygons, encoding="utf-8") as fp:
-            doc = json.load(fp)
-        polygons = [(np.array(row["points"], dtype=np.float64), row["label"]) for row in doc]
+        polygons = load_polygons(args.polygons)
         scheme = ColorScheme.rgb_default() if args.attr_dim == 3 else ColorScheme.empty()
         records = build_extrusion_dataset(
             polygons, args.height, scheme, rotate=args.rotate, seed=args.seed
@@ -332,7 +333,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mtl")
     p.add_argument("--normal-tol", type=_NON_NEGATIVE_FINITE, default=1e-6)
     p.add_argument("--max-faces", type=_AT_LEAST_ONE, default=64)
-    p.add_argument("--label", type=int, default=0)
+    p.add_argument("--label", type=_NON_NEGATIVE, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_merge_obj)
 

@@ -185,6 +185,32 @@ def load_records(path, expected_attr_dim: int | None = None) -> list:
     return records
 
 
+def load_polygons(path) -> list:
+    """Read a polygons file, a JSON list of ``{"points": [[x, y], ...],
+    "label": n}`` rows, as (points, label) pairs for
+    :func:`build_extrusion_dataset`; each diagnostic names the file, the row
+    and the field."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            doc = json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, list):
+        raise DataError(f"{path}: top level: expected a list")
+    polygons = []
+    for ri, row in enumerate(doc):
+        where = f"{path}: [{ri}]"
+        if not isinstance(row, dict):
+            raise DataError(f"{where}: expected an object")
+        points = [
+            _numbers(pt, f"{where}.points[{pi}]", "[x, y] numbers", 2)
+            for pi, pt in enumerate(_want(row, "points", list, where))
+        ]
+        label, _ = _label_and_id(row.get("label"), "", f"{where}.")
+        polygons.append((np.array(points, dtype=np.float64).reshape(-1, 2), label))
+    return polygons
+
+
 def load_topology(path) -> SurfaceTopology:
     """Read a topology file, ``{"n_nodes": n, "faces": [{"loop": [...],
     "attr": [...]}, ...]}``, under the record codec's field rules; each

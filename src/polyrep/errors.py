@@ -24,7 +24,7 @@ class InvalidPolyhedronError(PolyrepError):
 
 
 class GraphError(PolyrepError):
-    """Surface-graph invariant violation (broken loops, missing opposite edges)."""
+    """Surface-topology invariant violation (not one attribute row per face loop)."""
 
 
 class ReconstructionError(PolyrepError):

@@ -139,10 +139,6 @@ class RigidSet:
             raise IncompleteRigidSetError(f"no tuple for path ({i},{j},{k})")
         return rows
 
-    def row(self, i: int, j: int, k: int) -> int:
-        """Row of key (i, j, k): the one-key call of :meth:`rows`."""
-        return int(self.rows([i, j, k])[0])
-
 
 def _encode(rank, base):
     """One int64 per row of (n, 3) ranks below ``base``, in lexicographic order."""

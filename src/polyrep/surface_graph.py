@@ -1,16 +1,17 @@
 """Directed surface graph of a polyhedron, with face loops carrying attributes.
 
-Nodes are the polyhedron's vertices.  Every consecutive vertex pair of every
-face contributes one directed edge owned by that face, so each undirected
-edge of the solid appears as two opposite directed edges in two different
-faces.  The graph holds the solid's flat face-loop layout
-(:class:`polyrep.geometry.FaceLoops`) as it is: edge ``e`` is slot ``e``,
-running from ``verts[e]`` to ``heads[e]``, and a face is its slot range
-plus an attribute vector.  Each edge's opposite and the out-edge order are
-the layout's :attr:`~polyrep.geometry.FaceLoops.edge_index`, which validation
-reads too, so a solid's edges are sorted once.  The conversion is lossless:
-:meth:`SurfaceGraph.to_polyhedron` is an exact inverse of
-:meth:`SurfaceGraph.from_polyhedron`.
+A graph is built only from a solid that passes :func:`validate_polyhedron`,
+so it holds no check of its own.  Nodes are the polyhedron's vertices.
+Every consecutive vertex pair of every face contributes one directed edge
+owned by that face, so each undirected edge of the solid appears as two
+opposite directed edges in two different faces.  The graph holds the
+solid's flat face-loop layout (:class:`polyrep.geometry.FaceLoops`) as it
+is: edge ``e`` is slot ``e``, running from ``verts[e]`` to ``heads[e]``, and
+a face is its slot range plus an attribute vector.  Each edge's opposite and
+the out-edge order are the layout's
+:attr:`~polyrep.geometry.FaceLoops.edge_index`, which validation reads too,
+so a solid's edges are sorted once.  The conversion is lossless:
+:meth:`SurfaceGraph.to_polyhedron` is an exact inverse of ``SurfaceGraph(p)``.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ from .errors import (
     InvalidPolyhedronError,
 )
 from .geometry import (
-    DEGENERATE_NORMAL_TOL,
     FaceLoops,
     PolygonFace,
     Polyhedron,
     _newell,
     _ro,
     _rowdot,
-    bbox_diagonal,
     validate_polyhedron,
 )
 
@@ -126,93 +125,33 @@ class SurfaceTopology:
         return turned, order, parent, np.cumsum([0, *map(len, levels[:-1])])
 
 
-@dataclass(frozen=True)
 class SurfaceGraph:
-    """Immutable directed graph with face hyperedges, held as a face-loop layout.
+    """Directed graph with face hyperedges of one validated solid, held as the
+    solid's face-loop layout.
 
-    Edge ``e`` is slot ``e`` of ``face_loops``: it runs from ``verts[e]`` to
-    ``verts[nxt[e]]`` and belongs to face ``face[e]``, and face ``f`` is the
-    slot range ``starts[f] : starts[f] + lengths[f]``.  Each face's edges
-    therefore link head-to-tail into one closed loop, and the faces
-    partition the edges, by construction.  Invariants checked at
-    construction: at least one face, one attribute row per face, loops of
-    length >= 3, node ids in range, distinct endpoints, no duplicate
-    directed edge, and every edge has an opposite owned by a different face.
-    Construction fails fast on violations, so queries never have to
-    re-check.
+    ``SurfaceGraph(p)`` refuses a solid whose :func:`validate_polyhedron`
+    report is not ok with :class:`InvalidPolyhedronError`.  The graph checks
+    nothing of its own: validation has already found every face to be a loop
+    of three or more distinct vertices with a finite, non-degenerate normal,
+    and every directed edge to be unique with its opposite in another face.
+    Edge ``e`` is slot ``e`` of ``face_loops``: it runs from ``edge_tail[e]``
+    to ``edge_head[e]``, belongs to face ``edge_face[e]`` and is paired with
+    ``opposite[e]``.  Every array is read-only.
     """
 
-    coords: np.ndarray
-    face_loops: FaceLoops
-    attrs: np.ndarray
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=np.float64)
-        coords.setflags(write=False)
-        loops = self.face_loops
-        n_faces = len(loops.lengths)
-        if n_faces == 0:
-            raise GraphError("surface graph has no faces")
-        attrs = np.atleast_2d(np.array(self.attrs, dtype=np.float64))
-        if attrs.size == 0:
-            attrs = attrs.reshape(n_faces, -1)
-        attrs.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "attrs", attrs)
-        tail, head = loops.verts, loops.heads
-        object.__setattr__(self, "edge_tail", tail)
-        object.__setattr__(self, "edge_head", head)
-        object.__setattr__(self, "edge_face", loops.face)
-
-        n_nodes = len(coords)
-        if attrs.shape[0] != n_faces:
-            raise GraphError("one attribute row per face required")
-        short = np.flatnonzero(loops.lengths < 3)
-        if len(short):
-            raise GraphError(f"face {short[0]} chain shorter than 3 edges")
-        if np.any((tail < 0) | (tail >= n_nodes)):
-            raise GraphError(f"edge endpoints must be node ids below {n_nodes}")
-        if np.any(tail == head):
-            raise GraphError("directed edges must join distinct nodes")
-
-        # The edge index puts a duplicate next to its twin.
-        order, sorted_keys, opposite = loops.edge_index
-        twin = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-        if len(twin):
-            e = order[twin[0]]
-            raise GraphError(f"duplicate directed edge {(int(tail[e]), int(head[e]))}")
-        missing = opposite < 0
-        bad = np.flatnonzero(missing | (loops.face[opposite] == loops.face))
-        if len(bad):
-            e = bad[0]
-            if missing[e]:
-                raise GraphError(f"edge ({tail[e]},{head[e]}) has no opposite")
-            raise GraphError(
-                f"edge ({tail[e]},{head[e]}) and its opposite share face {loops.face[e]}"
-            )
-        object.__setattr__(self, "opposite", opposite)
-
-        # CSR-style out-edge index ordered by (tail, head): neighbors and
-        # path enumeration read straight off it in deterministic order.
-        starts = np.searchsorted(tail[order], np.arange(n_nodes + 1))
-        object.__setattr__(self, "_out_order", order)
-        object.__setattr__(self, "_out_starts", _ro(starts))
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_polyhedron(cls, p: Polyhedron) -> "SurfaceGraph":
-        """Build the graph; refuses invalid polyhedra with their report.
-
-        Edge ids are the slots of ``p.face_loops``.
-        """
+    def __init__(self, p: Polyhedron):
         report = validate_polyhedron(p)
         if not report.ok:
             raise InvalidPolyhedronError(report)
-        attrs = np.stack([f.attr for f in p.faces]) if p.faces else np.zeros((0, 0))
-        return cls(p.vertices, p.face_loops, attrs)
-
-    # -- queries -------------------------------------------------------------
+        loops = p.face_loops
+        order, _, self.opposite = loops.edge_index
+        self.coords, self.face_loops = p.vertices, loops
+        self.attrs = _ro(np.stack([f.attr for f in p.faces]))
+        self.edge_tail, self.edge_head, self.edge_face = loops.verts, loops.heads, loops.face
+        # CSR-style out-edge index ordered by (tail, head): path enumeration
+        # reads straight off it in deterministic order.
+        self._out_order = order
+        self._out_starts = _ro(np.searchsorted(loops.verts[order], np.arange(p.n_vertices + 1)))
 
     @property
     def n_nodes(self):
@@ -230,12 +169,6 @@ class SurfaceGraph:
     def attr_dim(self):
         return self.attrs.shape[1]
 
-    def neighbors(self, v: int) -> list:
-        """Sorted heads of the directed edges leaving v (unique, since no
-        directed edge repeats)."""
-        out = self._out_order[self._out_starts[v] : self._out_starts[v + 1]]
-        return self.edge_head[out].tolist()
-
     def face_loop(self, fi: int) -> tuple:
         """Vertex loop of a face: the vertices of its slot range."""
         loops = self.face_loops
@@ -246,17 +179,7 @@ class SurfaceGraph:
         """Outward unit normals per face (Newell over each loop)."""
         loops = self.face_loops
         newell = _newell(self.coords[loops.verts], loops)[0]
-        norm = np.sqrt(_rowdot(newell, newell))
-        scale = bbox_diagonal(self.coords) or 1.0
-        degenerate = np.flatnonzero(norm / scale / scale < DEGENERATE_NORMAL_TOL)
-        if len(degenerate):
-            raise GraphError(f"degenerate face {degenerate[0]} in surface graph")
-        # An overflowing length would make zero normals; a NaN one (from a
-        # non-finite Newell vector) gives NaN normals, which features refuse.
-        overflow = np.flatnonzero(np.isinf(norm))
-        if len(overflow):
-            raise GraphError(f"face {overflow[0]} normal overflows in surface graph")
-        return newell / norm[:, None]
+        return newell / np.sqrt(_rowdot(newell, newell))[:, None]
 
     def mean_edge_length(self) -> float:
         d = self.coords[self.edge_head] - self.coords[self.edge_tail]
@@ -269,7 +192,7 @@ class SurfaceGraph:
         )
 
     def to_polyhedron(self) -> Polyhedron:
-        """Exact inverse of :meth:`from_polyhedron` (coordinates bitwise)."""
+        """Exact inverse of the constructor (coordinates bitwise)."""
         faces = tuple(
             PolygonFace(self.face_loop(fi), self.attrs[fi]) for fi in range(self.n_faces)
         )
@@ -277,4 +200,4 @@ class SurfaceGraph:
 
 
 def build_surface_graph(p: Polyhedron) -> SurfaceGraph:
-    return SurfaceGraph.from_polyhedron(p)
+    return SurfaceGraph(p)

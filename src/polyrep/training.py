@@ -263,16 +263,27 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
     return TrainResult(ckpt, log, train_recs, val_recs, test_recs)
 
 
+def _labels(records):
+    """The records' labels; no records at all is a ``DataError``."""
+    if not records:
+        raise DataError("no records to evaluate")
+    return np.array([r.label for r in records], dtype=np.int64)
+
+
 def evaluate_classification(
     params: GnnParams, records, batch_size: int = 8
 ) -> ClassificationMetrics:
-    feats = features_for_records(records, params.cfg)
-    labels = np.array([r.label for r in records], dtype=np.int64)
-    if labels.max(initial=-1) >= params.cfg.n_classes:
+    """Classification metrics of ``records``; a set the metrics are not
+    defined on (no records, or one class only) is a ``DataError``."""
+    labels = _labels(records)
+    if labels.max() >= params.cfg.n_classes:
         raise DataError(
             f"test labels reach {labels.max()} but the model has "
             f"{params.cfg.n_classes} classes"
         )
+    if len(np.unique(labels)) < 2:
+        raise DataError("AUC undefined on a single-class test set")
+    feats = features_for_records(records, params.cfg)
     _, logits = _eval_outputs(params, feats, batch_size)
     return classification_metrics(_finite(logits, records, "logit"), labels)
 
@@ -280,8 +291,12 @@ def evaluate_classification(
 def evaluate_retrieval(
     params: GnnParams, records, similarity: str = "cosine", batch_size: int = 8
 ) -> RetrievalMetrics:
+    """Retrieval metrics of ``records``; a set with no query (no records, or
+    every class a singleton) is a ``DataError``."""
+    labels = _labels(records)
+    if np.unique(labels, return_counts=True)[1].max() < 2:
+        raise DataError("no usable retrieval queries (all classes singletons)")
     feats = features_for_records(records, params.cfg)
-    labels = np.array([r.label for r in records], dtype=np.int64)
     embs, _ = _eval_outputs(params, feats, batch_size)
     return retrieval_metrics(_finite(embs, records, "graph vector"), labels, similarity)
 

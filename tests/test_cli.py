@@ -3,14 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from polyrep.checkpoint import save_checkpoint
 from polyrep.cli import main
 from polyrep.datasets import (
     PolyhedronRecord,
     encode_record,
     make_box,
+    make_tetrahedron,
     save_records,
     synthetic_dataset,
 )
+from polyrep.training import TrainConfig, train
 
 from conftest import banded_column, overflowing_solid
 
@@ -372,6 +375,39 @@ class TestTrainEvalRetrieve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, labels, message",
+        [
+            ("eval", [], "no records to evaluate"),
+            ("retrieve", [], "no records to evaluate"),
+            ("eval", [1, 1, 1], "AUC undefined on a single-class test set"),
+            ("retrieve", [0, 1], "no usable retrieval queries (all classes singletons)"),
+        ],
+        ids=["eval empty", "retrieve empty", "eval one class", "retrieve singletons"],
+    )
+    def test_set_without_metrics_is_data_error(
+        self, tmp_path, capsys, tiny_checkpoint, command, labels, message
+    ):
+        corpus = tmp_path / "data.jsonl"
+        save_records([PolyhedronRecord(make_box(), c, f"box-{c}") for c in labels], corpus)
+        code, out, err = run(capsys, command, "--checkpoint", tiny_checkpoint, "--data", corpus)
+        assert code == 2
+        assert err.strip() == f"data error: {message}" and not out
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A two-class model after one epoch, for the evaluation commands."""
+    records = [
+        PolyhedronRecord(make(), c, str(i))
+        for i in range(6)
+        for c, make in enumerate((make_box, make_tetrahedron))
+    ]
+    result = train(TrainConfig(hidden_dim=4, layers=1, max_epochs=1, batch_size=4), records)
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    save_checkpoint(result.checkpoint, path)
+    return path
+
 
 class TestDatasetAndMerge:
     def test_build_synthetic(self, tmp_path, capsys):
@@ -397,6 +433,29 @@ class TestDatasetAndMerge:
         )
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[{", "polys.json: not valid JSON: Expecting property name"),
+            ('{"points": []}', "polys.json: top level: expected a list"),
+            ('[{"label": 0}]', "polys.json: [0].points: missing"),
+            ('[{"points": [[0, 0], [1, 0], [0, 1]], "label": -1}]',
+             "polys.json: [0].label: expected a nonnegative integer"),
+            ('[{"points": [[0, 0], [1, 0], [0, 1]], "label": 0}, {"points": [[0, 0], [1]]}]',
+             "polys.json: [1].points[1]: expected [x, y] numbers"),
+        ],
+        ids=["not json", "not a list", "no points", "bad label", "bad points"],
+    )
+    def test_bad_polygons_file_is_data_error(self, tmp_path, capsys, text, message):
+        polys = tmp_path / "polys.json"
+        polys.write_text(text)
+        out = tmp_path / "ex.jsonl"
+        code, _, err = run(
+            capsys, "build-dataset", "--kind", "extrusion", "--polygons", polys, "--out", out
+        )
+        assert code == 2
+        assert err.startswith("data error: ") and message in err and not out.exists()
 
     def test_merge_obj(self, tmp_path, capsys):
         from test_datasets import CUBE_MTL, CUBE_OBJ
@@ -485,6 +544,12 @@ BAD_OPTIONS = {
     "nan height": (
         ["build-dataset", "--kind", "extrusion", "--polygons", "polys.json", "--height", "nan"],
         "argument --height: must be finite and > 0, got nan",
+    ),
+    "negative label": (
+        ["merge-obj", "cube.obj", "--label", "-1"], "argument --label: must be >= 0, got -1"
+    ),
+    "extrusion without polygons": (
+        ["build-dataset", "--kind", "extrusion"], "--polygons is required with --kind extrusion"
     ),
     "extrusion attr-dim 2": (
         ["build-dataset", "--kind", "extrusion", "--polygons", "polys.json", "--attr-dim", "2"],

@@ -7,12 +7,11 @@ from hypothesis import given, strategies as st
 from polyrep import (
     ColorScheme,
     GeometryError,
-    GraphError,
+    InvalidPolyhedronError,
     InvalidTransformError,
     PolygonFace,
     Polyhedron,
     RigidTransform,
-    SurfaceGraph,
     apply_rigid_transform,
     build_surface_graph,
     extrude_polygon,
@@ -480,11 +479,13 @@ class TestFaceNormal:
             assert n @ (face_centroid - centroid) > 0
 
     def test_degenerate_face_raises(self):
-        # Both sides of a flat triangle pair every edge, so the graph builds.
+        # Both sides of a flat triangle pair every edge, so only the zero
+        # normals refuse it, before a graph exists.
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
-        g = SurfaceGraph(verts, FaceLoops.from_loops([(0, 1, 2), (2, 1, 0)]), np.zeros((2, 0)))
-        with pytest.raises(GraphError, match="degenerate face 0"):
-            g.face_normals()
+        flat = Polyhedron(verts, (((0, 1, 2), ()), ((2, 1, 0), ())))
+        with pytest.raises(InvalidPolyhedronError) as exc:
+            normals(flat)
+        assert "degenerate_face" in exc.value.report.codes()
 
     def test_normal_rotation_equivariance(self, cube):
         t = sample_random_rotation(11)

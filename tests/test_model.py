@@ -11,7 +11,6 @@ from polyrep import (
     PolygonFace,
     Polyhedron,
     RigidTransform,
-    SurfaceGraph,
     apply_rigid_transform,
     build_surface_graph,
     collate,
@@ -21,6 +20,7 @@ from polyrep import (
     precompute_graph_features,
     sample_random_rotation,
 )
+from polyrep import model
 from polyrep.datasets import make_box, make_tetrahedron, synthetic_solid, with_face_attrs
 from polyrep.model import gnn_backward, gnn_loss_and_grads
 from polyrep.nn import AdamState, cross_entropy, grad_check
@@ -28,7 +28,6 @@ from polyrep.nn import AdamState, cross_entropy, grad_check
 from conftest import (
     FOLD_RTOL,
     assert_flat_views,
-    overflowing_solid,
     randomize_batchnorm,
     solid_corpus,
     unfolded_eval,
@@ -79,13 +78,18 @@ class TestPrecompute:
             rev.feats[:, 4:7], g.attrs[g.edge_face[g.opposite[paths.e1]]]
         )
 
-    def test_non_finite_feature_raises(self):
-        # Validation refuses this solid; only a graph built without it gets here.
-        p = overflowing_solid()
-        g = SurfaceGraph(p.vertices, p.face_loops, np.zeros((p.n_faces, 0)))
-        with np.errstate(all="ignore"):
-            with pytest.raises(GeometryError, match=r"non-finite feature on path \(0,1,0\)"):
-                precompute_graph_features(g, GnnConfig())
+    def test_non_finite_feature_raises(self, cube, monkeypatch):
+        # Validation refuses every solid whose geometry overflows, so a path
+        # geometry with a NaN phi column stands in for one.
+        real = model._path_geometry
+
+        def nan_phi(g, paths):
+            d1, d2, theta, phi, face1, face2 = real(g, paths)
+            return d1, d2, theta, np.full_like(phi, np.nan), face1, face2
+
+        monkeypatch.setattr(model, "_path_geometry", nan_phi)
+        with pytest.raises(GeometryError, match=r"non-finite feature on path \(0,1,0\)"):
+            features_of(cube, GnnConfig())
 
 
 class TestForward:

@@ -292,7 +292,7 @@ class TestRigidSet:
             rs.phi[flipped], rs.face1[flipped], rs.face2[flipped],
         )
         for r, key in enumerate(shuffled.keys.tolist()):
-            assert shuffled.row(*key) == r
+            assert shuffled.rows([key])[0] == r
         rows = shuffled.rows(shuffled.keys)
         assert np.array_equal(rows, np.arange(len(rs)))
         for name in ("keys", "d1", "d2", "theta", "phi", "face1", "face2"):
@@ -312,8 +312,6 @@ class TestRigidSet:
     )
     def test_missing_key_is_incomplete(self, cube, key):
         rs = compute_rigid_set(build_surface_graph(cube))
-        with pytest.raises(IncompleteRigidSetError):
-            rs.row(*key)
         with pytest.raises(IncompleteRigidSetError):
             rs.rows([key])
 
@@ -431,7 +429,7 @@ class TestSolidReconstruction:
         # Corrupt the hinge of the first edge the gluing sweep folds across;
         # the misrotated neighbor then disagrees with later placements.
         a, b = topo.loops[0][0], topo.loops[0][1]
-        row = rs.row(a, b, a)
+        row = rs.rows([a, b, a])[0]
         phi = np.array(rs.phi)
         phi[row] += 0.5
         broken = RigidSet(rs.keys, rs.d1, rs.d2, rs.theta, phi, rs.face1, rs.face2)
@@ -548,7 +546,7 @@ def _loop_reconstruction(rigid, topo):
         else:
             axis = (pos[b] - pos[a]) / np.linalg.norm(pos[b] - pos[a])
             k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
-            phi = rigid.phi[rigid.row(a, b, a)]
+            phi = rigid.phi[rigid.rows([a, b, a])[0]]
             n2 = (np.eye(3) + math.sin(phi) * k + (1 - math.cos(phi)) * (k @ k)) @ normal[parent[f]]
             origin, e_x = pos[a], -axis
         normal[f] = n2

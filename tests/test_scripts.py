@@ -104,3 +104,33 @@ def test_bench_pairs_summary_reads_direction_and_bound():
         "pair 1 change: correct False, failed 0",
         "pair 2 parent: correct True, failed 2",
     ]
+
+
+def test_bench_pairs_records_and_prints_the_src_line_delta(tmp_path, monkeypatch, capsys):
+    bench = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    trees = {}
+    for name, text in (("parent", "a\nb\nc\n"), ("change", "a\n")):
+        package = tmp_path / name / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(text)
+        (package / "__init__.py").write_text("\n")
+        (tmp_path / name / "notes.py").write_text("not counted\n")
+        trees[name] = tmp_path / name
+
+    def fake_run(tree, workload, seed, seconds):
+        rate = {trees["parent"]: 100.0, trees["change"]: 120.0}[tree]
+        return {"cores": 1}, {"correct": True, "failed": 0, "metrics": {"solids_per_s": rate}}
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "w", "--pairs", "2",
+            "--seed", "1", "--seconds", "1"]
+    assert bench.main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert doc["src_lines"] == {"parent": 4, "change": 2}
+    assert capsys.readouterr().out.splitlines() == [
+        "solids_per_s: 100 -> 120 (parent IQR 0); change won 2/2; "
+        "gap beats IQR: yes; worse than bound: no",
+        "src/ lines: 4 -> 2 (-2)",
+    ]

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from polyrep import (
     ColorScheme,
+    GeometryError,
     GnnConfig,
-    GraphError,
     InvalidPolyhedronError,
     PolygonFace,
     Polyhedron,
@@ -16,8 +16,6 @@ from polyrep import (
     precompute_graph_features,
 )
 from polyrep.datasets import make_box, make_tetrahedron, random_simple_polygon, synthetic_dataset
-from polyrep.geometry import FaceLoops
-from polyrep.surface_graph import SurfaceGraph
 
 from conftest import overflowing_solid, solid_corpus
 
@@ -27,6 +25,27 @@ def cyclic_equal(a, b):
         return False
     doubled = tuple(b) + tuple(b)
     return any(doubled[s : s + len(a)] == tuple(a) for s in range(len(b)))
+
+
+def neighbors(g, v):
+    """Sorted heads of the directed edges leaving v."""
+    return sorted(g.edge_head[g.edge_tail == v].tolist())
+
+
+CUBE = make_box()
+CUBE_LOOPS = [f.loop for f in CUBE.faces]  # face 0 is (4, 5, 6, 7), face 1 (3, 2, 1, 0)
+
+
+def cube_with(loops):
+    """The cube's vertices under other face loops."""
+    return Polyhedron(CUBE.vertices, tuple(PolygonFace(loop, np.zeros(0)) for loop in loops))
+
+
+def refusal_codes(p):
+    """The issue codes with which the graph of ``p`` is refused."""
+    with pytest.raises(InvalidPolyhedronError) as exc:
+        build_surface_graph(p)
+    return exc.value.report.codes()
 
 
 class TestBuild:
@@ -86,18 +105,16 @@ class TestRoundTrip:
 
 
 class TestInvariants:
-    def test_broken_chain_fails_fast(self, cube):
+    def test_broken_chain_fails_fast(self):
         # Drop one vertex from a face loop: its closing edge has no opposite.
-        loops = [f.loop for f in cube.faces]
+        loops = list(CUBE_LOOPS)
         loops[0] = loops[0][:-1]
-        with pytest.raises(GraphError, match="has no opposite"):
-            SurfaceGraph(cube.vertices, FaceLoops.from_loops(loops), np.zeros((6, 0)))
+        assert "unpaired_directed_edge" in refusal_codes(cube_with(loops))
 
-    def test_missing_opposite_fails_fast(self, cube):
-        loops = [f.loop for f in cube.faces]
+    def test_missing_opposite_fails_fast(self):
+        loops = list(CUBE_LOOPS)
         loops[3] = loops[3][1:]
-        with pytest.raises(GraphError, match="has no opposite"):
-            SurfaceGraph(cube.vertices, FaceLoops.from_loops(loops), np.zeros((6, 0)))
+        assert "unpaired_directed_edge" in refusal_codes(cube_with(loops))
 
     def test_opposite_is_involution_across_faces(self):
         for solid in solid_corpus(6, seed=3):
@@ -126,43 +143,35 @@ class TestInvariants:
 
 
 
-def _cube_parts():
-    g = build_surface_graph(make_box())
-    return dict(coords=g.coords, face_loops=g.face_loops, attrs=g.attrs)
-
-
-CUBE_LOOPS = [f.loop for f in make_box().faces]  # face 0 is (4, 5, 6, 7), face 1 (3, 2, 1, 0)
-
-
 def _first_loop(loop):
-    return {"face_loops": FaceLoops.from_loops([loop, *CUBE_LOOPS[1:]])}
+    return [loop, *CUBE_LOOPS[1:]]
 
 
-# Each row replaces some of the cube graph's parts and names the message of
-# the invariant that must reject the result.
-GRAPH_CORRUPTIONS = [
-    ("endpoint_range", _first_loop((8, 5, 6, 7)), "node ids"),
-    ("self_loop", _first_loop((5, 5, 6, 7)), "distinct"),
-    ("attr_rows", {"attrs": np.zeros((5, 3))}, "attribute row"),
-    ("no_faces", {"face_loops": FaceLoops.from_loops([]), "attrs": np.zeros((0, 0))}, "no faces"),
-    ("duplicate", _first_loop(CUBE_LOOPS[1]), "duplicate directed edge"),
+# Each row corrupts the cube's face loops in a way a surface graph could not
+# hold and names the validation issue that refuses the solid before a graph
+# exists; an endpoint out of range already fails ``Polyhedron`` construction.
+# One attribute row per face holds by construction.
+CORRUPTIONS = [
+    ("endpoint_range", _first_loop((8, 5, 6, 7)), None),
+    ("self_loop", _first_loop((5, 5, 6, 7)), "repeated_vertex"),
+    ("no_faces", [], "no_faces"),
+    ("duplicate", _first_loop(CUBE_LOOPS[1]), "duplicate_directed_edge"),
     # 4-6 and 6-1 are face diagonals, so no other face has these edges.
-    ("same_face_opposite", _first_loop((4, 6, 1, 6)), "share face"),
-    ("short_chain", _first_loop((4, 5)), "shorter"),
+    ("same_face_opposite", _first_loop((4, 6, 1, 6)), "repeated_vertex"),
+    ("short_chain", _first_loop((4, 5)), "short_loop"),
 ]
 
 
 @pytest.mark.parametrize(
-    "replaced, message",
-    [row[1:] for row in GRAPH_CORRUPTIONS],
-    ids=[row[0] for row in GRAPH_CORRUPTIONS],
+    "loops, code", [row[1:] for row in CORRUPTIONS], ids=[row[0] for row in CORRUPTIONS]
 )
-def test_each_invariant_raises_graph_error(replaced, message):
-    parts = _cube_parts()
-    SurfaceGraph(**parts)  # the uncorrupted parts pass
-    parts.update(replaced)
-    with pytest.raises(GraphError, match=message):
-        SurfaceGraph(**parts)
+def test_each_corruption_is_refused_by_validation(loops, code):
+    build_surface_graph(cube_with(CUBE_LOOPS))  # the uncorrupted loops pass
+    if code is None:
+        with pytest.raises(GeometryError, match="vertex 8 out of range"):
+            cube_with(loops)
+    else:
+        assert code in refusal_codes(cube_with(loops))
 
 class TestQueries:
     def test_face_normals_match_per_face_newell(self):
@@ -177,32 +186,29 @@ class TestQueries:
                 assert np.allclose(normal, n / np.linalg.norm(n), rtol=0, atol=1e-15)
 
     def test_overflowing_normal_raises(self, cube):
-        # Validation refuses this cube; a graph built without it must not get
-        # zero normals, which give phi 1.0 where the cube has |phi| <= 0.5.
+        # Its overflowing Newell vectors would give this cube zero normals,
+        # and so phi 1.0 where the cube has |phi| <= 0.5; validation refuses
+        # it before a graph exists.
         cfg = GnnConfig(layers=1, hidden_dim=4)
         phi = precompute_graph_features(build_surface_graph(cube), cfg).feats[:, 3]
         assert np.abs(phi).max() == 0.5
-        p = overflowing_solid(newell_only=True)
-        g = SurfaceGraph(p.vertices, p.face_loops, np.zeros((p.n_faces, 0)))
         with np.errstate(over="ignore"):
-            with pytest.raises(GraphError, match="face 0 normal overflows"):
-                g.face_normals()
-            with pytest.raises(GraphError, match="normal overflows"):
-                precompute_graph_features(g, cfg)
+            codes = refusal_codes(overflowing_solid(newell_only=True))
+        assert codes == ["non_finite_face"] * 6
 
     def test_cube_neighbors(self, cube):
         g = build_surface_graph(cube)
         for v in range(8):
-            assert len(g.neighbors(v)) == 3
+            assert len(neighbors(g, v)) == 3
 
     def test_tetrahedron_neighbors_complete(self, tetrahedron):
         g = build_surface_graph(tetrahedron)
         for v in range(4):
-            assert g.neighbors(v) == sorted(set(range(4)) - {v})
+            assert neighbors(g, v) == sorted(set(range(4)) - {v})
 
     def test_prism_neighbors(self, triangular_prism):
         g = build_surface_graph(triangular_prism)
-        assert all(len(g.neighbors(v)) == 3 for v in range(6))
+        assert all(len(neighbors(g, v)) == 3 for v in range(6))
 
     def test_opposite_lookup_on_cube(self, cube):
         g = build_surface_graph(cube)
@@ -260,6 +266,6 @@ class TestPinnedFeaturization:
             for a in (f.path_i, f.path_j, f.path_k, f.feats, f.inner):
                 h.update(f"{a.dtype}{a.shape}".encode())
                 h.update(np.ascontiguousarray(a).tobytes())
-            neighbors = [g.neighbors(v) for v in range(g.n_nodes)]
-            h.update(repr((f.n_nodes, g.topology().loops, neighbors)).encode())
+            heads = [neighbors(g, v) for v in range(g.n_nodes)]
+            h.update(repr((f.n_nodes, g.topology().loops, heads)).encode())
         assert h.hexdigest() == self.PINNED[name]
