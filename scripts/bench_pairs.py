@@ -14,7 +14,7 @@ repository.  For every end-to-end metric of ``BENCHMARK.json`` it prints the
 medians, the pairs the change won, whether the median gap beats the
 parent's IQR, and whether the change is worse than the metric's bound; then
 the change's ``src/`` line delta; then every run that was not ``correct`` or
-had failed operations.
+had failed operations, with the ``check failed:`` lines it printed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CHECK_FAILED = "check failed: "
 
 
 def end_to_end_metrics():
@@ -47,15 +48,18 @@ def src_lines(tree):
 
 
 def run_once(tree, workload, seed, seconds):
-    """One untraced benchmark run in ``tree``: (machine line, result line)."""
+    """One untraced benchmark run in ``tree``: (machine line, result line),
+    the result carrying the run's ``check failed:`` reasons as ``problems``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    problems = [line.removeprefix(CHECK_FAILED) for line in proc.stderr.splitlines()
+                if line.startswith(CHECK_FAILED)]
     if proc.returncode != 0 or len(lines) < 2:
         return None, {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                      "error": proc.stderr.strip().splitlines()[-1:]}
-    result = json.loads(lines[-1])
+                      "problems": problems, "error": proc.stderr.strip().splitlines()[-1:]}
+    result = json.loads(lines[-1]) | {"problems": problems}
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     return json.loads(lines[-2])["machine"], result
 
@@ -119,6 +123,7 @@ def report_lines(summary, runs, lines_of_src=None):
                 f"pair {run['pair']} {run['tree']}: correct {run['correct']}, "
                 f"failed {run['failed']} {run.get('error', '')}".rstrip()
             )
+            lines += [f"  {CHECK_FAILED}{problem}" for problem in run.get("problems", [])]
     return lines
 
 

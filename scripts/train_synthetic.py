@@ -42,7 +42,7 @@ def main():
             {
                 "config_hash": cfg.config_hash(),
                 "epochs_run": len(result.log),
-                "best_epoch": result.checkpoint.best_epoch,
+                "best_epoch": result.best_epoch,
                 "train_seconds": round(elapsed, 1),
                 "classification": cls.as_dict(),
                 "retrieval": ret.as_dict(),

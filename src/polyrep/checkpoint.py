@@ -1,14 +1,14 @@
 """Versioned checkpoint container.
 
 Layout: an 8-byte big-endian header length, a canonical JSON header (version
-tag, config, tensor manifest, optimizer/scheduler scalars, RNG state), the
-raw little-endian float64 blob of five flat vectors (``theta``, ``adam.m``,
-``adam.v``, ``bn.running_mean``, ``bn.running_var``), and a trailing SHA-256
-digest of everything before it.  Loading verifies the digest, every vector's
-length against the config, every value and the header scalars, so
-truncation, bit corruption, config mismatches, non-finite or
-negative-variance state and impossible scheduler or optimizer counters all
-fail loudly.
+tag, config, tensor manifest), the raw little-endian float64 blob of three
+flat vectors (``theta``, ``bn.running_mean``, ``bn.running_var``), and a
+trailing SHA-256 digest of everything before it.  A checkpoint holds the
+model that ``eval`` and ``retrieve`` read and nothing else: no optimizer or
+scheduler state, since there is no resume.  Loading verifies the digest,
+every vector's length against the config and every value, so truncation,
+bit corruption, config mismatches and non-finite or negative-variance state
+all fail loudly.
 """
 
 from __future__ import annotations
@@ -16,51 +16,36 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CheckpointError
-from .nn import AdamState, PlateauState
 from .model import GnnConfig, GnnParams
 
-FORMAT_VERSION = "polyrep-checkpoint-2"
+FORMAT_VERSION = "polyrep-checkpoint-3"
 
 
 @dataclass
 class Checkpoint:
     config: dict
     params: GnnParams
-    adam: AdamState
-    scheduler: PlateauState
-    best_epoch: int
-    rng_state: dict
 
 
-def _vectors(params, adam):
-    """The five flat vectors a checkpoint holds, by tensor name."""
-    return {"theta": params.theta, "adam.m": adam.m, "adam.v": adam.v,
-            "bn.running_mean": params.running_mean, "bn.running_var": params.running_var}
+def _vectors(params):
+    """The three flat vectors a checkpoint holds, by tensor name."""
+    return {"theta": params.theta, "bn.running_mean": params.running_mean,
+            "bn.running_var": params.running_var}
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     tensors, arrays, offset = [], [], 0
-    for name, arr in _vectors(ckpt.params, ckpt.adam).items():
+    for name, arr in _vectors(ckpt.params).items():
         arr = np.ascontiguousarray(arr, dtype=np.float64)
         arrays.append(arr)
         tensors.append(dict(name=name, shape=list(arr.shape), offset=offset, nbytes=arr.nbytes))
         offset += arr.nbytes
-    best = ckpt.scheduler.best
-    scheduler = asdict(ckpt.scheduler) | {"best": None if best == math.inf else best}
-    header = {
-        "version": FORMAT_VERSION,
-        "config": ckpt.config,
-        "tensors": tensors,
-        "adam": {"t": ckpt.adam.t},
-        "scheduler": scheduler,
-        "best_epoch": ckpt.best_epoch,
-        "rng_state": ckpt.rng_state,
-    }
+    header = {"version": FORMAT_VERSION, "config": ckpt.config, "tensors": tensors}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256()
     with open(path, "wb") as fp:  # each vector is written from its own buffer, uncopied
@@ -101,60 +86,20 @@ def load_checkpoint(path) -> Checkpoint:
             if type(config.get(name)) is not int:  # refuses booleans too
                 raise CheckpointError(f"header config {name} is missing or not an integer")
         gnn_cfg = GnnConfig(**{name: config[name] for name in fields})
-        adam_t = int(header["adam"]["t"])
-        sch = header["scheduler"]
-        scheduler = PlateauState(
-            lr=float(sch["lr"]),
-            factor=float(sch["factor"]),
-            patience=int(sch["patience"]),
-            min_lr=float(sch["min_lr"]),
-            best=float("inf") if sch["best"] is None else float(sch["best"]),
-            bad_epochs=int(sch["bad_epochs"]),
-        )
-        best_epoch = int(header["best_epoch"])
-        rng_state = header["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed header: {type(exc).__name__}: {exc}") from exc
-    _check_scalars(scheduler, adam_t, best_epoch)
 
     # The config fixes every vector's length: compare before building a model.
     n_theta, n_stats = gnn_cfg.flat_sizes()
-    implied = dict.fromkeys(["theta", "adam.m", "adam.v"], (n_theta,))
-    implied |= dict.fromkeys(["bn.running_mean", "bn.running_var"], (n_stats,))
+    implied = {"theta": (n_theta,), "bn.running_mean": (n_stats,), "bn.running_var": (n_stats,)}
     found = {name: arr.shape for name, arr in loaded.items()}
     if found != implied:
         raise CheckpointError(f"dimension mismatch: file {found}, config {implied}")
     params = GnnParams(gnn_cfg)
-    adam = AdamState(np.empty(n_theta), np.empty(n_theta), adam_t)
-    for name, arr in _vectors(params, adam).items():
+    for name, arr in _vectors(params).items():
         arr[...] = loaded[name]
         _check_values(params, name, arr)
-    return Checkpoint(
-        config=config,
-        params=params,
-        adam=adam,
-        scheduler=scheduler,
-        best_epoch=best_epoch,
-        rng_state=rng_state,
-    )
-
-
-def _check_scalars(sch, adam_t, best_epoch) -> None:
-    """Refuse header scalars that no training run writes; an infinite
-    ``best`` (stored as null) means no epoch has been scored yet."""
-    valid = {
-        "scheduler.lr": math.isfinite(sch.lr) and sch.lr > 0,
-        "scheduler.factor": math.isfinite(sch.factor),
-        "scheduler.min_lr": math.isfinite(sch.min_lr) and sch.min_lr >= 0,
-        "scheduler.best": math.isfinite(sch.best) or sch.best == math.inf,
-        "scheduler.patience": sch.patience >= 0,
-        "scheduler.bad_epochs": sch.bad_epochs >= 0,
-        "adam.t": adam_t >= 0,
-        "best_epoch": best_epoch >= 0,
-    }
-    bad = [name for name, ok in valid.items() if not ok]
-    if bad:
-        raise CheckpointError(f"impossible header value: {', '.join(bad)}")
+    return Checkpoint(config=config, params=params)
 
 
 def _read_tensors(specs, blob) -> dict:
@@ -176,13 +121,12 @@ def _read_tensors(specs, blob) -> dict:
 
 def _check_values(params, name, arr) -> None:
     """Refuse a non-finite value of the checkpoint vector ``name``, or a
-    negative one of a variance (``adam.v``, ``bn.running_var``), naming the
-    array of the model's walk that holds it."""
+    negative one of ``bn.running_var``, naming the array of the model's
+    walk that holds it."""
     finite = np.isfinite(arr)
-    ok = finite & (arr >= 0) if name in ("adam.v", "bn.running_var") else finite
+    ok = finite & (arr >= 0) if name == "bn.running_var" else finite
     if ok.all():
         return
     index = np.flatnonzero(~ok)[0]
     held_by = params.name_at(index, name[3:] if name.startswith("bn.") else "theta")
-    what = f"{name} of {held_by}" if name.startswith("adam.") else held_by
-    raise CheckpointError(f"tensor {what} is {'negative' if finite[index] else 'not finite'}")
+    raise CheckpointError(f"tensor {held_by} is {'negative' if finite[index] else 'not finite'}")

@@ -215,7 +215,7 @@ def _cmd_train(args):
         result.checkpoint.params, result.test_records, cfg.batch_size
     )
     return metrics.as_dict() | {
-        "best_epoch": result.checkpoint.best_epoch,
+        "best_epoch": result.best_epoch,
         "epochs": len(result.log),
     }
 

@@ -603,6 +603,8 @@ def extrude_polygon(
     pts = np.array(poly2d, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError(f"expected (n, 2) polygon, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise GeometryError("polygon has a non-finite coordinate")
     n = len(pts)
     if n < 3:
         raise GeometryError("polygon needs at least 3 vertices")

@@ -182,7 +182,8 @@ class ParameterRegistry:
 
     def name_at(self, index, flat="theta"):
         """Walk name of the array that holds ``index`` of the flat vector
-        ``flat``; ``grad`` and the Adam moments are laid out as ``theta``."""
+        ``flat`` (``theta``, ``running_mean`` or ``running_var``); an index
+        of ``grad`` names the same array as that index of ``theta``."""
         slots = self._slots(flat)
         ends = np.cumsum([getattr(owner, attr).size for _, owner, attr in slots])
         return slots[np.searchsorted(ends, index, side="right")][0]

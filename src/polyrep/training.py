@@ -8,7 +8,6 @@ validation accuracy and restores the best parameters.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -125,6 +124,7 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     checkpoint: Checkpoint
+    best_epoch: int
     log: list
     train_records: list
     val_records: list
@@ -203,7 +203,7 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
     log = []
     best_acc = -1.0
     best_epoch = -1
-    best_state = None
+    best_params = None
     bad_epochs = 0
     lr = cfg.lr
 
@@ -241,7 +241,7 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_state = (params.clone(), copy.deepcopy(adam), dataclasses.replace(scheduler))
+            best_params = params.clone()
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -249,18 +249,10 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
                 logger.info("early stop at epoch %d (best %d)", epoch, best_epoch)
                 break
 
-    if best_state is None:
+    if best_params is None:
         raise DataError("training ran zero epochs; nothing to checkpoint")
-    params, adam, scheduler = best_state
-    ckpt = Checkpoint(
-        config=cfg.to_dict() | {"n_classes": n_classes},
-        params=params,
-        adam=adam,
-        scheduler=scheduler,
-        best_epoch=best_epoch,
-        rng_state=json.loads(json.dumps(shuffle_rng.bit_generator.state)),
-    )
-    return TrainResult(ckpt, log, train_recs, val_recs, test_recs)
+    ckpt = Checkpoint(config=cfg.to_dict() | {"n_classes": n_classes}, params=best_params)
+    return TrainResult(ckpt, best_epoch, log, train_recs, val_recs, test_recs)
 
 
 def _labels(records):

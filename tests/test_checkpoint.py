@@ -25,7 +25,6 @@ from polyrep import (
 )
 from polyrep.checkpoint import Checkpoint
 from polyrep.datasets import make_box, make_tetrahedron, save_records, synthetic_dataset
-from polyrep.nn import AdamState, PlateauState
 
 from conftest import assert_flat_views
 
@@ -41,13 +40,8 @@ def small_checkpoint(seed=0, hidden=8):
         ]
     )
     gnn_forward(params, batch, mode="train")
-    adam = AdamState.for_params(params.theta)
-    adam.m += 0.25
-    adam.t = 7
-    sched = PlateauState(lr=5e-4, best=0.123, bad_epochs=3)
     config = {"layers": 2, "hidden_dim": hidden, "attr_dim": 0, "n_classes": 3, "seed": seed}
-    rng_state = np.random.default_rng(1).bit_generator.state
-    return Checkpoint(config, params, adam, sched, best_epoch=4, rng_state=rng_state), batch
+    return Checkpoint(config, params), batch
 
 
 class TestRoundTrip:
@@ -68,20 +62,6 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert_flat_views(loaded.params)
         assert np.array_equal(loaded.params.theta, ckpt.params.theta)
-        assert loaded.adam.m.shape == loaded.adam.v.shape == loaded.params.theta.shape
-
-    def test_optimizer_and_scheduler_state(self, tmp_path):
-        ckpt, _ = small_checkpoint()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(ckpt, path)
-        loaded = load_checkpoint(path)
-        assert loaded.adam.t == 7
-        assert np.array_equal(loaded.adam.m, ckpt.adam.m)
-        assert loaded.scheduler.lr == 5e-4
-        assert loaded.scheduler.best == 0.123
-        assert loaded.scheduler.bad_epochs == 3
-        assert loaded.best_epoch == 4
-        assert loaded.rng_state == ckpt.rng_state
 
     def test_save_is_deterministic(self, tmp_path):
         ckpt, _ = small_checkpoint()
@@ -101,6 +81,15 @@ class TestRoundTrip:
         save_checkpoint(ckpt, path)
         after = evaluate_classification(load_checkpoint(path).params, records)
         assert before == after
+
+    def test_trained_checkpoint_reloads_byte_for_byte(self, tmp_path):
+        from polyrep import TrainConfig, train
+
+        cfg = TrainConfig(hidden_dim=4, max_epochs=2, batch_size=4, min_lr=0.0, seed=1)
+        first, again = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(train(cfg, synthetic_dataset(12, seed=3)).checkpoint, first)
+        save_checkpoint(load_checkpoint(first), again)
+        assert first.read_bytes() == again.read_bytes()
 
 
 class TestIntegrity:
@@ -122,12 +111,14 @@ class TestIntegrity:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_version_mismatch(self, tmp_path):
+    # Format 1 kept one manifest entry per array, format 2 the Adam moments
+    # and the scheduler; no reader of either is kept.
+    @pytest.mark.parametrize("tag", ["polyrep-checkpoint-1", "polyrep-checkpoint-2"])
+    def test_version_mismatch(self, tmp_path, tag):
         ckpt, _ = small_checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
-        # Format 1 kept one manifest entry per array; no reader of it is kept.
-        _resigned(path, lambda header: header | {"version": "polyrep-checkpoint-1"})
+        _resigned(path, lambda header: header | {"version": tag})
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
         assert _cli("eval", path, tmp_path) == 2
@@ -292,7 +283,7 @@ class TestFlatSizes:
             assert cfg.flat_sizes() == (params.theta.size, means), cfg
             assert variances == means == params.running_mean.size == params.running_var.size
 
-    def test_file_holds_the_five_flat_vectors(self, tmp_path):
+    def test_file_holds_the_three_flat_vectors(self, tmp_path):
         ckpt, _ = small_checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
@@ -302,8 +293,6 @@ class TestFlatSizes:
         n_theta, n_stats = GnnConfig(**ckpt.config).flat_sizes()
         assert [(s["name"], s["shape"]) for s in specs] == [
             ("theta", [n_theta]),
-            ("adam.m", [n_theta]),
-            ("adam.v", [n_theta]),
             ("bn.running_mean", [n_stats]),
             ("bn.running_var", [n_stats]),
         ]
@@ -457,84 +446,9 @@ class TestHeaderConfigFields:
         assert "header config seed is missing" in capsys.readouterr().err
 
 
-def _with_scalar(key, value):
-    """Header edit setting ``scheduler.<field>``, ``adam.t`` or ``best_epoch``."""
-
-    def edit(header):
-        if key.startswith("scheduler."):
-            header["scheduler"][key.split(".", 1)[1]] = value
-        elif key == "adam.t":
-            header["adam"]["t"] = value
-        else:
-            header[key] = value
-        return header
-
-    return edit
-
-
-IMPOSSIBLE_SCALARS = {
-    "nan lr": ("scheduler.lr", float("nan")),
-    "zero lr": ("scheduler.lr", 0.0),
-    "negative lr": ("scheduler.lr", -5e-4),
-    "inf factor": ("scheduler.factor", float("inf")),
-    "negative min_lr": ("scheduler.min_lr", -1e-6),
-    "inf min_lr": ("scheduler.min_lr", float("inf")),
-    "nan best": ("scheduler.best", float("nan")),
-    "-inf best": ("scheduler.best", float("-inf")),
-    "negative patience": ("scheduler.patience", -1),
-    "negative bad_epochs": ("scheduler.bad_epochs", -3),
-    "negative adam.t": ("adam.t", -7),
-    "negative best_epoch": ("best_epoch", -1),
-}
-
-
-class TestImpossibleHeaderScalars:
-    """Files with a valid digest whose optimizer or scheduler scalars no
-    training run writes."""
-
-    @pytest.mark.parametrize(
-        "key, value", IMPOSSIBLE_SCALARS.values(), ids=IMPOSSIBLE_SCALARS.keys()
-    )
-    def test_refused_naming_the_field(self, tmp_path, key, value):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(small_checkpoint()[0], path)
-        _resigned(path, _with_scalar(key, value))
-        with pytest.raises(CheckpointError, match=f"impossible header value: {key}$"):
-            load_checkpoint(path)
-
-    def test_cli_exits_with_data_error(self, tmp_path, capsys):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(small_checkpoint()[0], path)
-        _resigned(path, _with_scalar("scheduler.patience", -1))
-        assert _cli("eval", path, tmp_path) == 2
-        assert "impossible header value" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("scheduler.best", None), ("scheduler.min_lr", 0.0), ("scheduler.patience", 0),
-         ("adam.t", 0), ("best_epoch", 0), ("scheduler.factor", -2.0)],
-    )
-    def test_edge_values_load(self, tmp_path, key, value):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(small_checkpoint()[0], path)
-        _resigned(path, _with_scalar(key, value))
-        load_checkpoint(path)
-
-    def test_trained_checkpoint_reloads_byte_for_byte(self, tmp_path):
-        from polyrep import TrainConfig, train
-
-        cfg = TrainConfig(hidden_dim=4, max_epochs=2, batch_size=4, min_lr=0.0, seed=1)
-        first, again = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(train(cfg, synthetic_dataset(12, seed=3)).checkpoint, first)
-        save_checkpoint(load_checkpoint(first), again)
-        assert first.read_bytes() == again.read_bytes()
-
-
 def _flat_index(name):
-    """The checkpoint vector and index that hold the first value of ``name``:
-    an array of ``small_checkpoint``'s model, or ``adam.m`` or ``adam.v``."""
-    if name.startswith("adam."):
-        return name, 0
+    """The checkpoint vector and index that hold the first value of ``name``,
+    an array of ``small_checkpoint``'s model."""
     params = small_checkpoint()[0].params
     if ".running_" in name:
         stat = name.rsplit(".", 1)[1]
@@ -571,7 +485,6 @@ BAD_STATE = {
     "inf bias": ("classifier.3.b", float("inf")),
     "-inf running mean": ("layer1.psi_cross.2.bn.running_mean", float("-inf")),
     "negative running var": ("layer0.guide.0.bn.running_var", -1.0),
-    "negative adam v": ("adam.v", -1e-12),
 }
 
 
@@ -599,20 +512,11 @@ class TestNonFiniteState:
         assert _cli(command, path, tmp_path) == 2
         assert name in capsys.readouterr().err
 
-    def test_moment_error_names_its_parameter(self, tmp_path):
-        ckpt, _ = small_checkpoint()
-        ckpt.adam.m[-1] = np.nan  # the last value of theta is classifier.3.b's
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(ckpt, path)
-        with pytest.raises(CheckpointError, match=r"tensor adam\.m of classifier\.3\.b is not finite"):
-            load_checkpoint(path)
-
     def test_zero_variances_load(self, tmp_path):
         ckpt, _ = small_checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         _resigned_value(path, "layer0.guide.0.bn.running_var", 0.0)
-        _resigned_value(path, "adam.v", -0.0)
         load_checkpoint(path)
 
 

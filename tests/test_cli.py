@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -307,6 +311,20 @@ class TestTrainEvalRetrieve:
         assert code == 0
         assert 0.0 <= json.loads(out)["metrics"]["map"] <= 1.0
 
+    def test_train_reports_the_first_best_epoch_of_its_log(self, tmp_path, capsys):
+        corpus = tmp_path / "data.jsonl"
+        save_records(synthetic_dataset(30, seed=2), corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(corpus), "hidden_dim": 8, "layers": 1,
+                                      "batch_size": 8, "max_epochs": 8, "seed": 2}))
+        log = tmp_path / "log.jsonl"
+        code, out, _ = run(capsys, "train", "--config", config, "--out", tmp_path / "m.ckpt",
+                           "--log-out", log, "--json")
+        assert code == 0
+        accs = [json.loads(line)["val_acc"] for line in log.read_text().splitlines()]
+        assert accs.count(max(accs)) > 1  # a later epoch ties the best one
+        assert json.loads(out)["metrics"]["best_epoch"] == accs.index(max(accs))
+
     def test_diverged_training_is_numerical_failure(self, tmp_path, capsys):
         corpus = tmp_path / "data.jsonl"
         save_records(synthetic_dataset(24, seed=0), corpus)
@@ -433,6 +451,24 @@ class TestDatasetAndMerge:
         )
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 1
+
+    def test_non_finite_polygon_points_are_skipped_cleanly(self, tmp_path):
+        # In a separate process, so numpy's RuntimeWarnings would reach stderr.
+        rows = [[[bad, 0], [1, 0], [0, 1]] for bad in (math.nan, math.inf, 0)]
+        polys = tmp_path / "polys.json"
+        polys.write_text(json.dumps([{"points": points, "label": 0} for points in rows]))
+        out = tmp_path / "ex.jsonl"
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyrep.cli", "build-dataset", "--kind", "extrusion",
+             "--polygons", str(polys), "--no-rotate", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert len(out.read_text().strip().splitlines()) == 1
+        assert "RuntimeWarning" not in proc.stderr
+        for row in (0, 1):
+            assert f"skipping polygon {row}: polygon has a non-finite coordinate" in proc.stderr
 
     @pytest.mark.parametrize(
         "text, message",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +597,14 @@ class TestExtrusion:
     def test_rejects_touching_polygon(self, polygon):
         with pytest.raises(GeometryError, match="self-intersecting"):
             extrude_polygon(np.array(polygon, dtype=float), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_point_without_warnings(self, bad):
+        triangle = np.array([[bad, 0.0], [1.0, 0.0], [0.5, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="non-finite coordinate"):
+                extrude_polygon(triangle, 1.0)
 
     def test_concave_simple_polygon_accepted(self):
         solid = extrude_polygon(np.array([[0, 0], [4, 0], [4, 4], [2, 1], [0, 4]]), 1.0)

@@ -134,3 +134,35 @@ def test_bench_pairs_records_and_prints_the_src_line_delta(tmp_path, monkeypatch
         "gap beats IQR: yes; worse than bound: no",
         "src/ lines: 4 -> 2 (-2)",
     ]
+
+
+STUB_RUN = """\
+import json, sys
+print("check failed: parameter 3 entry 7: analytic 1.0, finite difference 2.0", file=sys.stderr)
+print(json.dumps({"machine": {"cores": 1}}))
+print(json.dumps({"correct": False, "attempted": 4, "failed": 0,
+                  "metrics": {"solids_per_s": {"value": 10.0, "unit": "1/s"}}}))
+"""
+
+
+def test_bench_pairs_keeps_why_a_run_was_incorrect(tmp_path, monkeypatch, capsys):
+    bench = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(STUB_RUN)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    argv = [str(tree), str(tree), "--workload", "w", "--pairs", "1", "--seed", "1",
+            "--seconds", "1"]
+    assert bench.main(argv) == 0
+    reason = "parameter 3 entry 7: analytic 1.0, finite difference 2.0"
+    runs = json.loads((tmp_path / "BENCH_w.json").read_text())["runs"]
+    assert [(r["tree"], r["correct"], r["problems"]) for r in runs] == [
+        ("parent", False, [reason]), ("change", False, [reason])
+    ]
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "pair 0 parent: correct False, failed 0",
+        f"  check failed: {reason}",
+        "pair 0 change: correct False, failed 0",
+        f"  check failed: {reason}",
+    ]
