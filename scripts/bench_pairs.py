@@ -12,7 +12,9 @@ tree's ``git rev-parse HEAD`` (null outside a git checkout) and each tree's
 ``src/`` line count go to ``BENCH_<workload>.json`` at the root of this
 repository.  For every end-to-end metric of ``BENCHMARK.json`` it prints the
 medians, the pairs the change won, whether the median gap beats the
-parent's IQR, and whether the change is worse than the metric's bound; then
+parent's IQR, and whether the change is worse than the metric's bound, and
+it names the metric unresolved when the parent's IQR is wider than that
+bound and not every change run beats every parent run; then
 the change's ``src/`` line delta; then every run that was not ``correct`` or
 had failed operations, with the ``check failed:`` lines it printed.
 """
@@ -73,8 +75,10 @@ def iqr(values):
 
 def summarize(runs, metrics):
     """Per metric of ``metrics`` (name -> {"better", "bound"}): medians,
-    IQRs, pairs the change won, and the two verdicts.  ``runs`` holds
-    one dict per run with ``pair``, ``tree`` and ``metrics``."""
+    IQRs, pairs the change won, and the three verdicts.  ``runs`` holds
+    one dict per run with ``pair``, ``tree`` and ``metrics``.  A metric is
+    unresolved when the parent's IQR is wider than its bound, unless every
+    change run beats every parent run."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["tree"]] = run["metrics"]
@@ -90,6 +94,7 @@ def summarize(runs, metrics):
         change = statistics.median(b for _, b in both)
         spread = iqr([a for a, _ in both])
         gain = sign * (change - parent)
+        beats_all = min(sign * b for _, b in both) > max(sign * a for a, _ in both)
         summary[name] = {
             "parent_median": parent,
             "change_median": change,
@@ -99,6 +104,7 @@ def summarize(runs, metrics):
             "pairs": len(both),
             "gap_beats_iqr": gain > spread,
             "worse_than_bound": -gain > spec["bound"] * abs(parent),
+            "unresolved": spread > spec["bound"] * abs(parent) and not beats_all,
         }
     return summary
 
@@ -113,6 +119,7 @@ def report_lines(summary, runs, lines_of_src=None):
             f"(parent IQR {s['parent_iqr']:.3g}); change won {s['won']}/{s['pairs']}; "
             f"gap beats IQR: {'yes' if s['gap_beats_iqr'] else 'no'}; "
             f"worse than bound: {'yes' if s['worse_than_bound'] else 'no'}"
+            + ("; unresolved: parent IQR wider than bound" if s["unresolved"] else "")
         )
     if lines_of_src:
         parent, change = lines_of_src["parent"], lines_of_src["change"]

@@ -43,8 +43,6 @@ from .rigid_features import (
     read_rigid_set,
     reconstruct_polyhedron,
     rigid_sets_equal,
-    signed_dihedral_angle,
-    signed_planar_angle,
     write_rigid_set,
 )
 from .model import (

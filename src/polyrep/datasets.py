@@ -530,14 +530,9 @@ def triangulate(p: Polyhedron) -> TriangleMesh:
 
 
 def build_extrusion_dataset(
-    polygons,
-    height: float,
-    scheme: ColorScheme,
-    rotate: bool,
-    seed: int,
-    base_id: str = "poly",
+    polygons, height: float, scheme: ColorScheme, rotate: bool, seed: int
 ) -> list:
-    """Extrude labeled 2D polygons into colored records.
+    """Extrude labeled 2D polygons into colored records with ids ``poly-<index>``.
 
     ``polygons`` is a sequence of (points2d, label).  Invalid polygons are
     skipped with a log entry.  With ``rotate`` each record gets its own
@@ -552,7 +547,7 @@ def build_extrusion_dataset(
             continue
         if rotate:
             solid = apply_rigid_transform(solid, sample_random_rotation(seed + idx))
-        records.append(PolyhedronRecord(solid, int(label), f"{base_id}-{idx}"))
+        records.append(PolyhedronRecord(solid, int(label), f"poly-{idx}"))
     return records
 
 

@@ -53,8 +53,8 @@ from .errors import GeometryError, InvalidTransformError
 # are considered degenerate (the length grows as the square of the size).
 DEGENERATE_NORMAL_TOL = 1e-12
 
-# Default relative coplanarity tolerance (scaled by the bounding-box diagonal).
-DEFAULT_COPLANARITY_TOL = 1e-6
+# Relative coplanarity tolerance (scaled by the bounding-box diagonal).
+COPLANARITY_TOL = 1e-6
 
 
 def _ro(arr):
@@ -245,9 +245,9 @@ class Polyhedron:
 
     @cached_property
     def _report(self) -> ValidationReport:
-        """:func:`validate_polyhedron` at the default tolerance, run once; the
-        arrays are read-only and the faces frozen, so it cannot go stale."""
-        return _validate(self, DEFAULT_COPLANARITY_TOL)
+        """:func:`validate_polyhedron`'s report, run once; the arrays are
+        read-only and the faces frozen, so it cannot go stale."""
+        return _validate(self)
 
     @cached_property
     def _graph_features(self) -> dict:
@@ -290,17 +290,14 @@ class ValidationReport:
         return [i.code for i in self.issues]
 
 
-def validate_polyhedron(
-    p: Polyhedron, coplanarity_tol: float = DEFAULT_COPLANARITY_TOL
-) -> ValidationReport:
+def validate_polyhedron(p: Polyhedron) -> ValidationReport:
     """Check closedness, orientation pairing, and face planarity.
 
-    The report at the default tolerance is computed once per solid and
-    cached on it; any other tolerance computes a fresh report.
+    The report is computed once per solid and cached on it.
 
     Every defect lands in the report rather than raising: no faces at all,
     short or repeated loops, zero-length edges, non-coplanar faces
-    (point-to-plane distance above ``coplanarity_tol`` times the
+    (point-to-plane distance above ``COPLANARITY_TOL`` times the
     bounding-box diagonal), collinear loop vertices, unpaired or duplicated
     directed edges, and vertices that belong to fewer than two faces.
     Inward-pointing normals are reported as warnings only, since the
@@ -317,12 +314,10 @@ def validate_polyhedron(
     every edge vector.  A face whose Newell vector or its length is not
     finite is ``non_finite_face``.
     """
-    if coplanarity_tol == DEFAULT_COPLANARITY_TOL:
-        return p._report
-    return _validate(p, coplanarity_tol)
+    return p._report
 
 
-def _validate(p: Polyhedron, coplanarity_tol: float) -> ValidationReport:
+def _validate(p: Polyhedron) -> ValidationReport:
     scale = p.bbox_diagonal() or 1.0
     if not math.isfinite(scale):
         issue = ValidationIssue("non_finite_scale", "solid", scale)
@@ -388,7 +383,7 @@ def _validate(p: Polyhedron, coplanarity_tol: float) -> ValidationReport:
     degenerate = norm / scale / scale < DEGENERATE_NORMAL_TOL
     unit = newell / np.where(degenerate, 1.0, norm)[:, None]
     dev = np.maximum.reduceat(np.abs(_rowdot(centered, unit[loops.face])), loops.starts)
-    non_coplanar = ~degenerate & (dev > coplanarity_tol * scale)
+    non_coplanar = ~degenerate & (dev > COPLANARITY_TOL * scale)
     inward = ~degenerate & (_rowdot(unit, centroids - solid_centroid) < 0.0)
     found += [
         ((fid[f], 4, 0), ValidationIssue("degenerate_face", f"face {fid[f]}", float(norm[f])))
@@ -587,12 +582,12 @@ def polygon_signed_area(points2d: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def extrude_polygon(
-    poly2d,
-    height: float,
-    scheme: ColorScheme | None = None,
-    bottom_cone_deg: float = 22.5,
-) -> Polyhedron:
+# A side face is a bottom side when its outward normal lies within 22.5
+# degrees of -y.
+_BOTTOM_CONE_COS = math.cos(math.radians(22.5))
+
+
+def extrude_polygon(poly2d, height: float, scheme: ColorScheme | None = None) -> Polyhedron:
     """Stretch a simple CCW polygon along +z into a closed prismatic solid.
 
     The front cap sits at z = height with the original loop order (outward
@@ -627,13 +622,12 @@ def extrude_polygon(
         PolygonFace(tuple(range(n, 2 * n)), scheme.front),
         PolygonFace(tuple(reversed(range(n))), scheme.back),
     ]
-    cos_cone = math.cos(math.radians(bottom_cone_deg))
     for i in range(n):
         j = (i + 1) % n
         # Outward side normal of a CCW polygon is (dy, -dx); it is within the
         # bottom cone of -y exactly when dx / |edge| >= cos(cone).
         downness = edge[i, 0] / np.linalg.norm(edge[i])
-        attr = scheme.bottom_side if downness >= cos_cone else scheme.side
+        attr = scheme.bottom_side if downness >= _BOTTOM_CONE_COS else scheme.side
         faces.append(PolygonFace((i, j, n + j, n + i), attr))
     return Polyhedron(vertices, tuple(faces))
 

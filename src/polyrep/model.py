@@ -36,8 +36,9 @@ class GnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.layers < 1 or self.hidden_dim < 1 or self.attr_dim < 0:
-            raise ValueError("need layers >= 1, hidden_dim >= 1, attr_dim >= 0")
+        counts = (self.layers, self.hidden_dim, self.n_classes)
+        if min(counts) < 1 or min(self.attr_dim, self.seed) < 0:
+            raise ValueError("need layers, hidden_dim, n_classes >= 1 and attr_dim, seed >= 0")
 
     @property
     def guide_in_dim(self):

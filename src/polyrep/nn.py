@@ -339,24 +339,20 @@ def plateau_step(state: PlateauState, metric: float) -> float:
     return state.lr
 
 
-def grad_check(loss_fn, theta, grad, step=1e-5, max_entries=10000, seed=0, atol=1e-10):
+def grad_check(loss_fn, theta, grad):
     """Max relative error of analytic grads vs central finite differences.
 
     ``loss_fn`` re-evaluates the loss from the current values of the flat
     parameter vector ``theta`` (it must be deterministic); ``grad`` is the
-    flat analytic gradient already computed for those values.  Above
-    ``max_entries`` entries, a seeded subsample is probed.  Relative error
-    is |a - n| / max(|a|, |n|, 1e-8); differences below ``atol`` count as
-    agreement, since central differences in double precision cannot resolve
-    gradients beneath eps * |loss| / step (~1e-11 here), which would
-    otherwise read as noise.
+    flat analytic gradient already computed for those values.  Every entry
+    is probed with a step of 1e-5.  Relative error is |a - n| / max(|a|,
+    |n|, 1e-8); differences below 1e-10 count as agreement, since central
+    differences in double precision cannot resolve gradients beneath
+    eps * |loss| / step (~1e-11 here), which would otherwise read as noise.
     """
-    entries = range(theta.size)
-    if theta.size > max_entries:
-        rng = np.random.default_rng(seed)
-        entries = sorted(rng.choice(theta.size, size=max_entries, replace=False))
+    step, atol = 1e-5, 1e-10
     worst = 0.0
-    for idx in entries:
+    for idx in range(theta.size):
         orig = theta[idx]
         theta[idx] = orig + step
         up = loss_fn()

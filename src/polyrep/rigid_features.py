@@ -202,41 +202,12 @@ def _dihedral_angles(u1, cross12, n1, n2, backtracking):
     return _wrap_angle(phi)
 
 
-def _rows(v):
-    return np.asarray(v, dtype=np.float64).reshape(-1, 3)
-
-
 def _rays(vi, vj, vk):
-    """Unit rays j->i and j->k per path, their cross product and their lengths."""
-    u1, d1 = _unit_rows(_rows(vi) - _rows(vj), "edge (i, j)")
-    u2, d2 = _unit_rows(_rows(vk) - _rows(vj), "edge (j, k)")
+    """Unit rays j->i and j->k per path (rows of the three (P, 3) coordinate
+    arrays), their cross product and their lengths."""
+    u1, d1 = _unit_rows(vi - vj, "edge (i, j)")
+    u2, d2 = _unit_rows(vk - vj, "edge (j, k)")
     return u1, u2, _cross(u1, u2), d1, d2
-
-
-def signed_planar_angle(vi, vj, vk, n_ref) -> float:
-    """Signed angle at vj between rays to vi and to vk, CCW about ``n_ref``.
-
-    Zero when the two rays coincide (backtracking).  ``n_ref`` must be the
-    unit normal of the plane the sign is measured in.  One row of the
-    kernel the rigid features use (see ``_planar_angles``).
-    """
-    u1, u2, cross12, _, _ = _rays(vi, vj, vk)
-    return float(_planar_angles(u1, u2, _rows(n_ref), cross12)[0])
-
-
-def signed_dihedral_angle(vi, vj, vk, n1, n2, backtracking: bool | None = None) -> float:
-    """Signed angle between outward face normals across the path at vj.
-
-    Magnitude arccos(n1 . n2); sign from the hinge rule (see module note).
-    With ``backtracking=None`` the backtracking case is inferred from exact
-    coordinate equality of vi and vk.  One row of the kernel the rigid
-    features use (see ``_dihedral_angles``).
-    """
-    if backtracking is None:
-        backtracking = np.array_equal(vi, vk)
-    u1, _, cross12, _, _ = _rays(vi, vj, vk)
-    phi = _dihedral_angles(u1, cross12, _rows(n1), _rows(n2), np.array([bool(backtracking)]))
-    return float(phi[0])
 
 
 def _path_geometry(g: SurfaceGraph, paths: PathSet):

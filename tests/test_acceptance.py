@@ -165,7 +165,7 @@ def test_criterion_04_gradient_correctness():
         out, _ = gnn_forward(params, batch, mode="train", update_stats=False)
         return cross_entropy(out.logits, labels)[0]
 
-    err = grad_check(loss_fn, params.theta, grad, step=1e-5)
+    err = grad_check(loss_fn, params.theta, grad)
     elapsed = time.time() - started
     report(
         4,

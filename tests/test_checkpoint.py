@@ -396,6 +396,40 @@ class TestForgedConfig:
         assert "dimension mismatch" in capsys.readouterr().err
 
 
+def _cut_theta(header, by):
+    """``header`` with its ``theta`` manifest entry ``by`` values shorter."""
+    for spec in header["tensors"]:
+        if spec["name"] == "theta":
+            spec["shape"] = [spec["shape"][0] - by]
+            spec["nbytes"] -= 8 * by
+    return header
+
+
+# Config values no model can have, each with the cut that makes ``theta``
+# as long as the forged config implies: the classifier's last block of
+# ``small_checkpoint`` has 8 + 1 values per class, so 3 -> -1 classes is 36.
+IMPOSSIBLE_CONFIGS = {
+    "negative seed": ({"seed": -1}, 0),
+    "negative n_classes": ({"n_classes": -1}, 4 * (8 + 1)),
+}
+
+
+class TestImpossibleConfig:
+    """Files with a valid digest whose config has a value no model can have,
+    with tensors of the lengths that config implies."""
+
+    @pytest.mark.parametrize(
+        "changes, cut", IMPOSSIBLE_CONFIGS.values(), ids=IMPOSSIBLE_CONFIGS.keys()
+    )
+    def test_refused_as_data_error(self, tmp_path, monkeypatch, capsys, changes, cut):
+        path = _forged_config(tmp_path, monkeypatch, changes)
+        _resigned(path, lambda header: _cut_theta(header, cut))
+        with pytest.raises(CheckpointError, match="^malformed header: ValueError: need "):
+            load_checkpoint(path)
+        assert _cli("eval", path, tmp_path) == 2
+        assert "malformed header" in capsys.readouterr().err
+
+
 def _without(key):
     def edit(config):
         config = dict(config)

@@ -50,7 +50,7 @@ class TestValidation:
         # Vertex 0 sits on three faces; lifting it along z bends the two
         # side faces that contain it (the z=0 cap stays planar in x/y).
         verts[0] += np.array([0.1, 0.1, 0.1])
-        report = validate_polyhedron(Polyhedron(verts, cube.faces), coplanarity_tol=1e-6)
+        report = validate_polyhedron(Polyhedron(verts, cube.faces))
         assert not report.ok
         assert "non_coplanar_face" in report.codes()
 
@@ -568,7 +568,8 @@ class TestExtrusion:
         assert sum(len(f.loop) for f in solid.faces) == 18
 
     def test_l_shape_validates(self, l_shaped_solid):
-        assert validate_polyhedron(l_shaped_solid, coplanarity_tol=1e-9).ok
+        assert validate_polyhedron(l_shaped_solid).ok
+        assert _reference_validate(l_shaped_solid, 1e-9)[0] == []
 
     def test_rejects_bad_inputs(self):
         square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
@@ -626,7 +627,8 @@ class TestExtrusion:
 
         rng = np.random.default_rng(seed)
         solid = extrude_polygon(random_simple_polygon(rng), float(rng.uniform(0.2, 3.0)))
-        assert validate_polyhedron(solid, coplanarity_tol=1e-9).ok
+        assert validate_polyhedron(solid).ok
+        assert _reference_validate(solid, 1e-9)[0] == []
 
 
 def _reference_polygon_is_simple(points2d):

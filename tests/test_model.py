@@ -198,7 +198,7 @@ class TestTrainStep:
             out, _ = gnn_forward(params, batch, mode="train", update_stats=False)
             return cross_entropy(out.logits, labels)[0]
 
-        err = grad_check(loss_fn, params.theta, grad, step=1e-5)
+        err = grad_check(loss_fn, params.theta, grad)
         assert err < 1e-4
 
     def test_zero_lr_keeps_params(self, cube, tetrahedron):
@@ -577,4 +577,4 @@ class TestAgainstMaterializedReference:
             out, _ = gnn_forward(params, batch, mode="train", update_stats=False)
             return cross_entropy(out.logits, labels)[0]
 
-        assert grad_check(loss_fn, params.theta, grad, step=1e-5) < 1e-4
+        assert grad_check(loss_fn, params.theta, grad) < 1e-4

@@ -27,13 +27,17 @@ from polyrep import (
     reconstruct_polyhedron,
     rigid_sets_equal,
     sample_random_rotation,
-    signed_dihedral_angle,
-    signed_planar_angle,
     write_rigid_set,
 )
 from polyrep.datasets import make_box, make_prism, make_tetrahedron, random_simple_polygon
 from polyrep.geometry import FaceLoops
-from polyrep.rigid_features import _lay_flat, _path_geometry
+from polyrep.rigid_features import (
+    _dihedral_angles,
+    _lay_flat,
+    _path_geometry,
+    _planar_angles,
+    _rays,
+)
 
 from conftest import banded_column, chiral_tetrahedron, solid_corpus
 
@@ -79,16 +83,29 @@ class TestEnumeration:
         assert np.array_equal(keys, keys[np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))])
 
 
+def _planar_angle(vi, vj, vk, n_ref):
+    """The rigid features' planar angle of the one path (vi, vj, vk)."""
+    u1, u2, cross12, _, _ = _rays(*np.atleast_2d(vi, vj, vk))
+    return float(_planar_angles(u1, u2, np.atleast_2d(n_ref), cross12)[0])
+
+
+def _dihedral_angle(vi, vj, vk, n1, n2, backtracking):
+    """The rigid features' dihedral angle of the one path (vi, vj, vk)."""
+    u1, _, cross12, _, _ = _rays(*np.atleast_2d(vi, vj, vk))
+    phi = _dihedral_angles(u1, cross12, *np.atleast_2d(n1, n2), np.array([backtracking]))
+    return float(phi[0])
+
+
 class TestPlanarAngle:
     def test_backtracking_is_zero(self):
         vi, vj = np.array([1.0, 0, 0]), np.zeros(3)
-        assert signed_planar_angle(vi, vj, vi, np.array([0, 0, 1.0])) == 0.0
+        assert _planar_angle(vi, vj, vi, np.array([0, 0, 1.0])) == 0.0
 
     def test_ccw_square_corner(self):
         # Unit square (0,0),(1,0),(1,1),(0,1): consecutive corner under the
         # outward (+z) normal measures -pi/2.
         vi, vj, vk = np.array([0.0, 0, 0]), np.array([1.0, 0, 0]), np.array([1.0, 1, 0])
-        theta = signed_planar_angle(vi, vj, vk, np.array([0, 0, 1.0]))
+        theta = _planar_angle(vi, vj, vk, np.array([0, 0, 1.0]))
         assert abs(theta - (-math.pi / 2)) < 1e-12
 
     def test_equilateral_corner(self):
@@ -98,7 +115,7 @@ class TestPlanarAngle:
             np.array([1.0, 0, 0]),
             np.array([0.5, math.sqrt(3) / 2, 0]),
         )
-        theta = signed_planar_angle(vi, vj, vk, np.array([0, 0, 1.0]))
+        theta = _planar_angle(vi, vj, vk, np.array([0, 0, 1.0]))
         assert abs(theta - (-math.pi / 3)) < 1e-12
 
     @given(st.integers(0, 10**6))
@@ -108,8 +125,8 @@ class TestPlanarAngle:
         vi, vk = vj + rng.standard_normal(3), vj + rng.standard_normal(3)
         n = rng.standard_normal(3)
         n /= np.linalg.norm(n)
-        a = signed_planar_angle(vi, vj, vk, n)
-        b = signed_planar_angle(vk, vj, vi, n)
+        a = _planar_angle(vi, vj, vk, n)
+        b = _planar_angle(vk, vj, vi, n)
         wrapped = (a + b + math.pi) % (2 * math.pi) - math.pi
         assert abs(wrapped) < 1e-9
 
@@ -118,16 +135,16 @@ class TestPlanarAngle:
         n = np.array([0.0, 0.1, 1.0])
         n /= np.linalg.norm(n)
         mirror = np.diag([1.0, 1.0, -1.0])
-        a = signed_planar_angle(vi, vj, vk, n)
-        b = signed_planar_angle(mirror @ vi, vj, mirror @ vk, mirror @ n)
+        a = _planar_angle(vi, vj, vk, n)
+        b = _planar_angle(mirror @ vi, vj, mirror @ vk, mirror @ n)
         assert abs(a + b) < 1e-12
 
 
 class TestDihedralAngle:
     def test_inner_parallel_normals(self):
         n = np.array([0.0, 0, 1])
-        phi = signed_dihedral_angle(
-            np.array([1.0, 0, 0]), np.zeros(3), np.array([0.0, 1, 0]), n, n
+        phi = _dihedral_angle(
+            np.array([1.0, 0, 0]), np.zeros(3), np.array([0.0, 1, 0]), n, n, False
         )
         assert phi == 0.0
 
@@ -136,7 +153,7 @@ class TestDihedralAngle:
         # evaluated directly from hand-built geometry.
         vi, vj = np.array([1.0, 1, 0]), np.array([1.0, 0, 0])
         n_bottom, n_side = np.array([0.0, 0, -1]), np.array([1.0, 0, 0])
-        phi = signed_dihedral_angle(vi, vj, vi, n_bottom, n_side)
+        phi = _dihedral_angle(vi, vj, vi, n_bottom, n_side, True)
         assert abs(phi - math.pi / 2) < 1e-12
 
     def test_tetrahedron_hinge(self, tetrahedron):
@@ -147,8 +164,8 @@ class TestDihedralAngle:
 
     def test_antiparallel_maps_to_pi(self):
         n = np.array([0.0, 0, 1])
-        phi = signed_dihedral_angle(
-            np.array([1.0, 0, 0]), np.zeros(3), np.array([0.0, 1, 0]), n, -n
+        phi = _dihedral_angle(
+            np.array([1.0, 0, 0]), np.zeros(3), np.array([0.0, 1, 0]), n, -n, False
         )
         assert phi == math.pi
 
@@ -165,14 +182,14 @@ class TestDihedralAngle:
         n2 = np.cross(edge, rng.standard_normal(3))
         n2 /= np.linalg.norm(n2)
         mirror = np.diag([1.0, -1.0, 1.0])
-        a = signed_dihedral_angle(vi, vj, vi, n1, n2)
-        b = signed_dihedral_angle(
-            mirror @ vi, vj, mirror @ vi, mirror @ n1, mirror @ n2
-        )
+        a = _dihedral_angle(vi, vj, vi, n1, n2, True)
+        b = _dihedral_angle(mirror @ vi, vj, mirror @ vi, mirror @ n1, mirror @ n2, True)
         assert abs(a + b) < 1e-12
 
 
 class TestScalarAnglesAreTheKernel:
+    """One path through the kernels gives that path's row of the batch."""
+
     @pytest.mark.parametrize("solid", ["cube", "tetrahedron", "l_shaped_solid"])
     def test_bitwise_equal_to_path_geometry(self, solid, request):
         g = build_surface_graph(request.getfixturevalue(solid))
@@ -182,18 +199,19 @@ class TestScalarAnglesAreTheKernel:
         for r in range(len(paths)):
             vi, vj, vk = g.coords[paths.i[r]], g.coords[paths.j[r]], g.coords[paths.k[r]]
             n1, n2 = normals[face1[r]], normals[face2[r]]
-            assert signed_planar_angle(vi, vj, vk, n1) == theta[r]
-            assert signed_dihedral_angle(vi, vj, vk, n1, n2) == phi[r]
+            assert _planar_angle(vi, vj, vk, n1) == theta[r]
+            backtracking = paths.k[r] == paths.i[r]
+            assert _dihedral_angle(vi, vj, vk, n1, n2, backtracking) == phi[r]
 
     def test_zero_length_ray_rejected(self):
         n = np.array([0.0, 0, 1])
         vi, vj = np.array([1.0, 0, 0]), np.zeros(3)
         with pytest.raises(GeometryError):
-            signed_planar_angle(vj, vj, vi, n)
+            _planar_angle(vj, vj, vi, n)
         with pytest.raises(GeometryError):
-            signed_planar_angle(vi, vj, vj, n)
+            _planar_angle(vi, vj, vj, n)
         with pytest.raises(GeometryError):
-            signed_dihedral_angle(vj, vj, vi, n, np.array([1.0, 0, 0]))
+            _dihedral_angle(vj, vj, vi, n, np.array([1.0, 0, 0]), False)
 
 
 class TestRigidSet:

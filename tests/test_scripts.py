@@ -106,6 +106,69 @@ def test_bench_pairs_summary_reads_direction_and_bound():
     ]
 
 
+# Parent runs 60..140 have an IQR of 40, wider than solids_per_s's bound of
+# 0.25 x the median 100; one change run (99) loses to a parent run.
+WIDE_PAIRS = [(60.0, 150.0), (80.0, 150.0), (100.0, 99.0), (120.0, 150.0), (140.0, 150.0)]
+
+
+def test_bench_pairs_names_a_metric_unresolved_when_the_parent_spreads_past_its_bound():
+    bench = _bench_pairs()
+    metrics = bench.end_to_end_metrics()
+    summary = bench.summarize(_pair_runs(WIDE_PAIRS), metrics)
+    s = summary["solids_per_s"]
+    assert s["parent_iqr"] == pytest.approx(40.0)
+    assert (s["won"], s["gap_beats_iqr"], s["worse_than_bound"]) == (4, True, False)
+    assert s["unresolved"]
+    assert bench.report_lines(summary, []) == [
+        "solids_per_s: 100 -> 150 (parent IQR 40); change won 4/5; gap beats IQR: yes; "
+        "worse than bound: no; unresolved: parent IQR wider than bound"
+    ]
+    # Every change run beating every parent run resolves even a wide spread...
+    beaten = [(a, 150.0) for a, _ in WIDE_PAIRS]
+    assert not bench.summarize(_pair_runs(beaten), metrics)["solids_per_s"]["unresolved"]
+    # ...in the metric's own direction: lower is better for setup_s.
+    assert bench.summarize(_pair_runs(beaten, "setup_s"), metrics)["setup_s"]["unresolved"]
+    # A spread narrower than the bound is resolved whoever wins.
+    narrow = bench.summarize(_pair_runs(FOLDED_BATCHNORM_PAIRS, "setup_s"), metrics)
+    assert not narrow["setup_s"]["unresolved"]
+
+
+BENCH_KEYS = ["workload", "seed", "seconds", "trace", "machine", "heads", "src_lines", "runs",
+              "summary"]
+RUN_KEYS = {"pair", "tree", "correct", "attempted", "failed", "metrics", "problems"}
+
+
+def test_bench_json_schema_is_what_bench_pairs_writes(tmp_path, monkeypatch):
+    bench = _bench_pairs()
+    metrics = bench.end_to_end_metrics()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+
+    def fake_run(tree, workload, seed, seconds):
+        result = {"correct": True, "attempted": 1, "failed": 0, "problems": []}
+        return {"nproc": 1}, result | {"metrics": {name: 1.0 for name in metrics}}
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    argv = [str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2", "--seed", "1",
+            "--seconds", "1"]
+    assert bench.main(argv) == 0
+    entry_keys = set(bench.summarize(_pair_runs(FOLDED_BATCHNORM_PAIRS), metrics)["solids_per_s"])
+    docs = {"BENCH_w.json": json.loads((tmp_path / "BENCH_w.json").read_text())}
+    committed = sorted(ROOT.glob("BENCH_*.json"))
+    assert len(committed) == 3
+    docs |= {path.name: json.loads(path.read_text()) for path in committed}
+    for name, doc in docs.items():
+        assert list(doc) == BENCH_KEYS, name
+        assert name == f"BENCH_{doc['workload']}.json" and doc["trace"] == 0
+        assert set(doc["heads"]) == set(doc["src_lines"]) == {"parent", "change"}, name
+        assert set(doc["summary"]) == set(metrics), name
+        assert all(set(entry) == entry_keys for entry in doc["summary"].values()), name
+        for run in doc["runs"]:
+            assert RUN_KEYS <= set(run) <= RUN_KEYS | {"error"}, name
+            assert run["tree"] in ("parent", "change"), name
+            assert "error" in run or set(metrics) <= set(run["metrics"]), name
+
+
 def test_bench_pairs_records_and_prints_the_src_line_delta(tmp_path, monkeypatch, capsys):
     bench = _bench_pairs()
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())

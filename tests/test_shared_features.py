@@ -113,36 +113,12 @@ class TestOncePerSolid:
 
 
 class TestValidationCache:
-    @staticmethod
-    def _bent_box():
-        """A box with one vertex lifted by 1e-8 of its size: non-coplanar at
-        a 1e-9 tolerance, sound at the default 1e-6."""
-        box = make_box()
-        verts = np.array(box.vertices)
-        verts[0] += 1e-8 * box.bbox_diagonal() * np.array([0.0, 0.0, 1.0])
-        return Polyhedron(verts, box.faces)
-
-    @pytest.mark.parametrize("tight_first", [True, False])
-    def test_other_tolerance_neither_reads_nor_writes_the_cache(self, tight_first):
-        solid = self._bent_box()
-        calls = ["tight", "default"] if tight_first else ["default", "tight"]
-        for call in calls:
-            if call == "tight":
-                report = validate_polyhedron(solid, coplanarity_tol=1e-9)
-                assert not report.ok and "non_coplanar_face" in report.codes()
-            else:
-                assert validate_polyhedron(solid).ok
-        assert solid._report.ok
-
     def test_default_report_is_computed_once(self, monkeypatch):
         validated = _counted(monkeypatch, geometry, "_validate")
-        solid = self._bent_box()
+        solid = make_box()
         first = validate_polyhedron(solid)
-        assert validate_polyhedron(solid) is first
-        assert validate_polyhedron(solid, geometry.DEFAULT_COPLANARITY_TOL) is first
-        validate_polyhedron(solid, coplanarity_tol=1e-9)
-        validate_polyhedron(solid, coplanarity_tol=1e-9)
-        assert validated[id(solid)] == 3
+        assert validate_polyhedron(solid) is first is solid._report
+        assert validated[id(solid)] == 1
 
 
 class TestReadOnlyFeatures:
