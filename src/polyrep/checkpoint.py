@@ -95,7 +95,7 @@ def load_checkpoint(path) -> Checkpoint:
     found = {name: arr.shape for name, arr in loaded.items()}
     if found != implied:
         raise CheckpointError(f"dimension mismatch: file {found}, config {implied}")
-    params = GnnParams(gnn_cfg)
+    params = GnnParams._blank(gnn_cfg)
     for name, arr in _vectors(params).items():
         arr[...] = loaded[name]
         _check_values(params, name, arr)

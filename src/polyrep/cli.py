@@ -49,7 +49,6 @@ from .geometry import ColorScheme, RigidTransform, apply_rigid_transform, sample
 from .model import (
     GnnConfig,
     GnnParams,
-    collate,
     embed_graph,
     gnn_forward,
     gnn_loss_and_grads,
@@ -251,8 +250,7 @@ def _cmd_gradcheck(args):
         synthetic_solid("box", rng, jitter=0.1, attr_dim=3),
         synthetic_solid("tetrahedron", rng, jitter=0.1, attr_dim=3),
     ]
-    feats = [precompute_graph_features(build_surface_graph(s), cfg) for s in solids]
-    batch = collate(feats)
+    batch = precompute_graph_features(build_surface_graph(*solids), cfg)
     labels = np.array([0, 1])
 
     gnn_loss_and_grads(params, batch, labels, update_stats=False)

@@ -28,6 +28,7 @@ from .geometry import (
     apply_rigid_transform,
     extrude_polygon,
     sample_random_rotation,
+    validate_corpus,
     validate_polyhedron,
 )
 from .surface_graph import SurfaceTopology
@@ -119,6 +120,13 @@ def decode_record(text: str, expected_attr_dim: int | None = None) -> Polyhedron
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"not valid JSON: {exc}") from exc
+    record = _record(doc, expected_attr_dim)
+    _require_valid([record])
+    return record
+
+
+def _record(doc, expected_attr_dim) -> PolyhedronRecord:
+    """The record a parsed JSON document holds, not yet validated."""
     if not isinstance(doc, dict):
         raise DataError("top level: expected an object")
     verts = [
@@ -141,10 +149,17 @@ def decode_record(text: str, expected_attr_dim: int | None = None) -> Polyhedron
         poly = Polyhedron(np.array(verts, dtype=np.float64).reshape(-1, 3), tuple(faces))
     except GeometryError as exc:
         raise DataError(str(exc)) from exc
-    report = validate_polyhedron(poly)
-    if not report.ok:
-        raise InvalidPolyhedronError(report)
     return PolyhedronRecord(poly, label, source_id)
+
+
+def _require_valid(records) -> None:
+    """Validate the records' solids in one pass; the first invalid one, in
+    order, raises :class:`InvalidPolyhedronError`."""
+    validate_corpus([r.polyhedron for r in records])
+    for r in records:
+        report = validate_polyhedron(r.polyhedron)
+        if not report.ok:
+            raise InvalidPolyhedronError(report)
 
 
 def save_records(records, path) -> None:
@@ -156,33 +171,44 @@ def save_records(records, path) -> None:
 
 def load_records(path, expected_attr_dim: int | None = None) -> list:
     """Read a JSON-lines corpus; manifest rows ({path, label, id}) load the
-    referenced file relative to the corpus location."""
+    referenced file relative to the corpus location.  Every line is decoded
+    first and the solids validated together; the first defect in line
+    order, of either kind, raises."""
     path = Path(path)
     records = []
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if isinstance(doc, dict) and "path" in doc and "vertices" not in doc:
-                where = f"{path}:{lineno}: "
-                if not isinstance(doc["path"], str):
-                    raise DataError(f"{where}path: expected a string")
-                target = path.parent / doc["path"]
-                try:
-                    text = target.read_text(encoding="utf-8")
-                except OSError as exc:
-                    raise DataError(f"{where}cannot read {target}: {exc}")
-                rec = decode_record(text, expected_attr_dim)
-                fields = doc.get("label", rec.label), doc.get("id", rec.source_id)
-                records.append(PolyhedronRecord(rec.polyhedron, *_label_and_id(*fields, where)))
-            else:
-                records.append(decode_record(line, expected_attr_dim))
+    try:
+        with open(path, encoding="utf-8") as fp:
+            for lineno, line in enumerate(fp, start=1):
+                line = line.strip()
+                if line:
+                    records.append(_load_line(path, lineno, line, expected_attr_dim))
+    except (DataError, InvalidPolyhedronError, UnicodeDecodeError):
+        _require_valid(records)  # a solid on an earlier line comes first
+        raise
+    _require_valid(records)
     return records
+
+
+def _load_line(path, lineno, line, expected_attr_dim) -> PolyhedronRecord:
+    """The record of one corpus line: unvalidated when inline, validated
+    when a manifest row names its file."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+    if not (isinstance(doc, dict) and "path" in doc and "vertices" not in doc):
+        return _record(doc, expected_attr_dim)
+    where = f"{path}:{lineno}: "
+    if not isinstance(doc["path"], str):
+        raise DataError(f"{where}path: expected a string")
+    target = path.parent / doc["path"]
+    try:
+        text = target.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{where}cannot read {target}: {exc}")
+    rec = decode_record(text, expected_attr_dim)
+    fields = doc.get("label", rec.label), doc.get("id", rec.source_id)
+    return PolyhedronRecord(rec.polyhedron, *_label_and_id(*fields, where))
 
 
 def load_polygons(path) -> list:

@@ -29,8 +29,12 @@ sort of the keys ``tail * base + head`` and one binary search per reversed
 key.  ``base = verts.max() + 1`` exceeds every head, so the keys sort by
 (tail, head) without a vertex count.  Validation, the surface graph, the
 reconstruction sweep and triangle meshes all read this one cached index,
-which cannot go stale: the arrays it derives from are read-only.  Per-face
-sums are
+which cannot go stale: the arrays it derives from are read-only.  Many
+solids share one layout as their :func:`disjoint_union`, in which each
+solid's vertex, face and slot ids follow those of the solids before it, so
+a corpus is validated, and its surface graph built, in one pass; the union
+joins the solids' own layouts and indexes, so each solid's edges are
+sorted once.  Per-face sums are
 :meth:`FaceLoops.sums`, per-face maxima ``np.maximum.reduceat`` over
 ``starts`` (which needs every loop to be non-empty), and per-slot dot
 products :func:`_rowdot`.  Both add their terms as a per-face
@@ -113,8 +117,7 @@ class FaceLoops:
         ``rows[loop].sum(axis=0)`` adds them; ``np.add.reduceat`` groups the
         terms differently and changes the last bits.
         """
-        n = 3 * len(self.lengths)
-        return np.bincount(self._xyz_bins, rows.ravel(), minlength=n).reshape(-1, 3)
+        return _sums(self._xyz_bins, rows, len(self.lengths))
 
     def cumsums(self, x) -> np.ndarray:
         """Cumulative sums of slot rows along each loop, restarting at each loop."""
@@ -143,7 +146,50 @@ class FaceLoops:
 
     @cached_property
     def _xyz_bins(self):
-        return (3 * self.face[:, None] + np.arange(3)).ravel()
+        return _xyz_bins(self.face)
+
+
+def _xyz_bins(keys):
+    """Bins of the (n, 3) entries of rows keyed by ``keys``, for :func:`_sums`."""
+    return (3 * keys[:, None] + np.arange(3)).ravel()
+
+
+def _sums(bins, rows, n):
+    """Per-key sums of (m, 3) ``rows`` into ``n`` rows, ``bins`` from
+    :func:`_xyz_bins`.  Each key's rows are added one at a time in order, as
+    ``rows[keys == k].sum(axis=0)`` adds them."""
+    return np.bincount(bins, rows.ravel(), minlength=3 * n).reshape(-1, 3)
+
+
+def disjoint_union(polys):
+    """Coordinates and face-loop layout of the solids' disjoint union, whose
+    vertex, face and slot ids run solid after solid, and where each solid's
+    vertices and faces start (one entry more than the solids).  The union
+    joins the solids' own cached layouts and edge indexes, so a solid's
+    edges are sorted once, whatever corpora it joins; one solid is its own
+    union."""
+    node_starts = _ro(np.array([0, *itertools.accumulate(p.n_vertices for p in polys)]))
+    face_starts = _ro(np.array([0, *itertools.accumulate(p.n_faces for p in polys)]))
+    layouts = [p.face_loops for p in polys]
+    if len(layouts) == 1:
+        return polys[0].vertices, layouts[0], node_starts, face_starts
+    sizes = [len(loops.verts) for loops in layouts]
+    slot_shift = np.repeat(np.array([0, *itertools.accumulate(sizes)])[:-1], sizes)
+    union = FaceLoops.from_lengths(
+        np.concatenate([loops.verts for loops in layouts]) + np.repeat(node_starts[:-1], sizes),
+        np.concatenate([loops.lengths for loops in layouts]),
+    )
+    # Each solid's ids follow those of the solids before it, so the union's
+    # (tail, head) order is the solids' own orders one after another, and
+    # every opposite lies in its own solid.
+    order = np.concatenate([loops.edge_index[0] for loops in layouts]) + slot_shift
+    opposite = np.concatenate([loops.edge_index[2] for loops in layouts])
+    opposite = np.where(opposite >= 0, opposite + slot_shift, -1)
+    base = int(union.verts.max()) + 1 if len(union.verts) else 1
+    keys = union.verts[order] * base + union.heads[order]
+    vars(union)["edge_index"] = (_ro(order), _ro(keys), _ro(opposite))  # the cached property
+    coords = _ro(np.concatenate([p.vertices for p in polys]))
+    return coords, union, node_starts, face_starts
 
 
 def _cross(a, b):
@@ -245,9 +291,10 @@ class Polyhedron:
 
     @cached_property
     def _report(self) -> ValidationReport:
-        """:func:`validate_polyhedron`'s report, run once; the arrays are
-        read-only and the faces frozen, so it cannot go stale."""
-        return _validate(self)
+        """:func:`validate_polyhedron`'s report, run once (or filled in by
+        :func:`validate_corpus`); the arrays are read-only and the faces
+        frozen, so it cannot go stale."""
+        return _validate(self)[0]
 
     @cached_property
     def _graph_features(self) -> dict:
@@ -293,7 +340,9 @@ class ValidationReport:
 def validate_polyhedron(p: Polyhedron) -> ValidationReport:
     """Check closedness, orientation pairing, and face planarity.
 
-    The report is computed once per solid and cached on it.
+    The report is computed once per solid and cached on it;
+    :func:`validate_corpus` computes those of many solids in one pass, and
+    this is its corpus of one.
 
     Every defect lands in the report rather than raising: no faces at all,
     short or repeated loops, zero-length edges, non-coplanar faces
@@ -317,40 +366,89 @@ def validate_polyhedron(p: Polyhedron) -> ValidationReport:
     return p._report
 
 
-def _validate(p: Polyhedron) -> ValidationReport:
-    scale = p.bbox_diagonal() or 1.0
-    if not math.isfinite(scale):
-        issue = ValidationIssue("non_finite_scale", "solid", scale)
-        return ValidationReport(ok=False, issues=(issue,))
-    solid_centroid = p.vertices.mean(axis=0) if p.n_vertices else np.zeros(3)
-    nv = p.n_vertices
+def validate_corpus(polys) -> list:
+    """The :func:`validate_polyhedron` report of each solid.  The solids
+    without a cached report are validated together, in one pass over their
+    disjoint union, and each report is cached on its solid."""
+    fresh = list({id(p): p for p in polys if "_report" not in vars(p)}.values())
+    for p, report in zip(fresh, _validate(*fresh) if fresh else ()):
+        vars(p)["_report"] = report  # where the cached property keeps it
+    return [p._report for p in polys]
+
+
+def _bbox_diagonals(coords, node_starts, node_counts):
+    """Each solid's :func:`bbox_diagonal`, from its ``node_counts[s]`` rows
+    of ``coords`` at ``node_starts[s]``."""
+    diag = np.zeros(len(node_counts))
+    filled = node_counts > 0
+    if filled.any():
+        starts = node_starts[:-1][filled]
+        ptp = np.maximum.reduceat(coords, starts) - np.minimum.reduceat(coords, starts)
+        diag[filled] = np.sqrt(_rowdot(ptp, ptp))
+    return diag
+
+
+def _validate(*polys) -> list:
+    """The reports of the given solids, from one pass over their disjoint
+    union.  Each solid keeps its own scale and centroid, and its issues name
+    its own ids, in the order a pass over it alone gives them."""
+    coords, loops, node_starts, face_starts = disjoint_union(polys)
+    node_counts = node_starts[1:] - node_starts[:-1]
+    diag = _bbox_diagonals(coords, node_starts, node_counts)
+    if not np.isfinite(diag).all():
+        # No tolerance relative to an overflowing diagonal means anything:
+        # such a solid's report is that one issue, and the others go on.
+        finite = np.isfinite(diag).tolist()
+        rest = iter(_validate(*(p for p, ok in zip(polys, finite) if ok)) if any(finite) else ())
+        return [
+            next(rest) if ok else ValidationReport(
+                ok=False, issues=(ValidationIssue("non_finite_scale", "solid", d),)
+            )
+            for ok, d in zip(finite, diag.tolist())
+        ]
+    scale = np.where(diag > 0.0, diag, 1.0)  # a single point has no size
+    nv, n = len(coords), len(polys)
+    solid_of_node = np.repeat(np.arange(n), node_counts)
+    solid_of_face = np.repeat(np.arange(n), face_starts[1:] - face_starts[:-1])
+    # The mean of each solid's vertices: a bincount adds them in np.mean's order.
+    size = np.maximum(node_counts, 1)[:, None]
+    solid_centroid = _sums(_xyz_bins(solid_of_node), coords, n) / size
+    sof, son = solid_of_face.tolist(), solid_of_node.tolist()
+    first_face, first_node = face_starts.tolist(), node_starts.tolist()
+
+    def lface(f):  # a face's id within its own solid
+        return f - first_face[sof[f]]
+
+    def lnode(v):  # a vertex's id within its own solid
+        return v - first_node[son[v]]
 
     # Face issues sort by (face, check, slot); the checks run over all faces
     # at once, so their findings are collected first and ordered at the end.
     found = []
-    lengths = p.face_loops.lengths
+    lengths = loops.lengths
     short = np.flatnonzero(lengths < 3)
     found += [
-        ((f, 0, 0), ValidationIssue("short_loop", f"face {f}", float(n)))
-        for f, n in zip(short.tolist(), lengths[short].tolist())
+        ((f, 0, 0), ValidationIssue("short_loop", f"face {lface(f)}", float(m)))
+        for f, m in zip(short.tolist(), lengths[short].tolist())
     ]
     kept = np.flatnonzero(lengths >= 3)
-    loops = p.face_loops.subset(kept) if len(short) else p.face_loops
+    loops = loops.subset(kept) if len(short) else loops
     fid = kept.tolist()  # face id of each kept loop
     owner = kept[loops.face].tolist()  # face id of each slot
     verts, heads = loops.verts, loops.heads
+    face_scale = scale[solid_of_face[kept]]
 
     # One sort of (face, vertex) pairs finds repeats within a loop and the
     # number of distinct faces around each vertex.
     pairs = np.sort(loops.face * nv + verts)
     first = np.diff(pairs, prepend=-1) != 0
     found += [
-        ((fid[f], 1, 0), ValidationIssue("repeated_vertex", f"face {fid[f]}"))
+        ((fid[f], 1, 0), ValidationIssue("repeated_vertex", f"face {lface(fid[f])}"))
         for f in np.unique(pairs[~first] // nv).tolist()
     ]
     faces_per_vertex = np.bincount(pairs[first] % nv, minlength=nv)
 
-    pts = p.vertices[verts]
+    pts = coords[verts]
     edge = pts[loops.nxt] - pts
     edge_len = np.linalg.norm(edge, axis=1)
     found += [
@@ -358,11 +456,11 @@ def _validate(p: Polyhedron) -> ValidationReport:
             (owner[s], 2, s),
             ValidationIssue(
                 "zero_length_edge",
-                f"face {owner[s]} edge ({verts[s]},{heads[s]})",
+                f"face {lface(owner[s])} edge ({lnode(verts[s])},{lnode(heads[s])})",
                 float(edge_len[s]),
             ),
         )
-        for s in np.flatnonzero(edge_len < 1e-12 * scale).tolist()
+        for s in np.flatnonzero(edge_len < 1e-12 * face_scale[loops.face]).tolist()
     ]
 
     # Collinear (or spiked) vertices make in-plane angles ill defined
@@ -373,37 +471,37 @@ def _validate(p: Polyhedron) -> ValidationReport:
     found += [
         (
             (owner[s], 3, s),
-            ValidationIssue("collinear_vertices", f"face {owner[s]} vertex {verts[s]}"),
+            ValidationIssue(
+                "collinear_vertices", f"face {lface(owner[s])} vertex {lnode(verts[s])}"
+            ),
         )
         for s in np.flatnonzero(collinear).tolist()
     ]
 
     newell, centroids, centered = _newell(pts, loops)
     norm = np.sqrt(_rowdot(newell, newell))
-    degenerate = norm / scale / scale < DEGENERATE_NORMAL_TOL
+    degenerate = norm / face_scale / face_scale < DEGENERATE_NORMAL_TOL
     unit = newell / np.where(degenerate, 1.0, norm)[:, None]
     dev = np.maximum.reduceat(np.abs(_rowdot(centered, unit[loops.face])), loops.starts)
-    non_coplanar = ~degenerate & (dev > COPLANARITY_TOL * scale)
-    inward = ~degenerate & (_rowdot(unit, centroids - solid_centroid) < 0.0)
-    found += [
-        ((fid[f], 4, 0), ValidationIssue("degenerate_face", f"face {fid[f]}", float(norm[f])))
-        for f in np.flatnonzero(degenerate).tolist()
-    ]
-    found += [
-        ((fid[f], 4, 0), ValidationIssue("non_coplanar_face", f"face {fid[f]}", float(dev[f])))
-        for f in np.flatnonzero(non_coplanar).tolist()
-    ]
-    found += [
-        ((fid[f], 4, 0), ValidationIssue("non_finite_face", f"face {fid[f]}", float(norm[f])))
-        for f in np.flatnonzero(~np.isfinite(norm)).tolist()
-    ]
+    non_coplanar = ~degenerate & (dev > COPLANARITY_TOL * face_scale)
+    outward = centroids - solid_centroid[solid_of_face[kept]]
+    inward = ~degenerate & (_rowdot(unit, outward) < 0.0)
+    for code, faces, value in (
+        ("degenerate_face", degenerate, norm),
+        ("non_coplanar_face", non_coplanar, dev),
+        ("non_finite_face", ~np.isfinite(norm), norm),
+    ):
+        found += [
+            ((fid[f], 4, 0), ValidationIssue(code, f"face {lface(fid[f])}", float(value[f])))
+            for f in np.flatnonzero(faces).tolist()
+        ]
     found.sort(key=lambda item: item[0])
-    issues = [] if p.n_faces else [ValidationIssue("no_faces", "solid")]
-    issues += [issue for _, issue in found]
-    warnings = [
-        ValidationIssue("inward_normal", f"face {fid[f]}")
-        for f in np.flatnonzero(inward).tolist()
-    ]
+    issues = [[] if p.n_faces else [ValidationIssue("no_faces", "solid")] for p in polys]
+    for (f, _, _), issue in found:
+        issues[sof[f]].append(issue)
+    warnings = [[] for _ in polys]
+    for f in kept[inward].tolist():
+        warnings[sof[f]].append(ValidationIssue("inward_normal", f"face {lface(f)}"))
 
     # A run of equal keys is one directed edge used several times; self-loops
     # are skipped, as the repeated-vertex check reports them.
@@ -413,18 +511,21 @@ def _validate(p: Polyhedron) -> ValidationReport:
     lead = order[runs]
     bad = (verts[lead] != heads[lead]) & ((counts > 1) | (opposite[lead] < 0))
     for s, count in zip(lead[bad].tolist(), counts[bad].tolist()):
-        where = f"edge ({verts[s]},{heads[s]})"
+        where = f"edge ({lnode(verts[s])},{lnode(heads[s])})"
         if count > 1:
-            issues.append(ValidationIssue("duplicate_directed_edge", where, count))
+            issues[sof[owner[s]]].append(ValidationIssue("duplicate_directed_edge", where, count))
         if opposite[s] < 0:
-            issues.append(ValidationIssue("unpaired_directed_edge", where))
+            issues[sof[owner[s]]].append(ValidationIssue("unpaired_directed_edge", where))
 
-    issues += [
-        ValidationIssue("vertex_in_few_faces", f"vertex {v}", float(faces_per_vertex[v]))
-        for v in np.flatnonzero(faces_per_vertex < 2).tolist()
+    for v in np.flatnonzero(faces_per_vertex < 2).tolist():
+        issues[son[v]].append(
+            ValidationIssue("vertex_in_few_faces", f"vertex {lnode(v)}", float(faces_per_vertex[v]))
+        )
+
+    return [
+        ValidationReport(ok=not i, issues=tuple(i), warnings=tuple(w))
+        for i, w in zip(issues, warnings)
     ]
-
-    return ValidationReport(ok=not issues, issues=tuple(issues), warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)

@@ -75,43 +75,57 @@ class GraphBatch:
 
 
 def precompute_graph_features(g: SurfaceGraph, cfg: GnnConfig) -> GraphBatch:
-    """Path features for one graph, as a batch of one.
+    """Path features of a graph, one batch entry per solid of it: a graph of
+    one solid is a batch of one, and the union of several is bitwise the
+    ``collate`` of their own batches.
 
-    Distances are divided by the graph's mean edge length and angles by pi;
-    both scalings are rigid-motion invariant, and they keep batch
+    Distances are divided by the owning solid's mean edge length and angles
+    by pi; both scalings are rigid-motion invariant, and they keep batch
     normalization comfortable across object scales.  Attribute columns are
-    taken from the faces owning the reversed edges (j -> i, k -> j).  A
-    non-finite feature raises :class:`GeometryError`, so that no network
-    ever reads one.
+    taken from the faces owning the reversed edges (j -> i, k -> j).  The
+    first solid, in order, that yields no path raises ``ValueError``, or
+    that has a non-finite feature :class:`GeometryError` naming the path in
+    its own node ids, so that no network ever reads one.
     """
     if g.attr_dim != cfg.attr_dim:
         raise ValueError(
             f"graph has attribute width {g.attr_dim}, config expects {cfg.attr_dim}"
         )
     paths = enumerate_paths(g)
-    if len(paths) == 0:
-        raise ValueError("graph yields no two-hop paths")
+    # Paths come sorted by start node, so each solid's are one run of rows.
+    rows = np.searchsorted(paths.i, g.node_starts)
+    counts = rows[1:] - rows[:-1]
     d1, d2, theta, phi, face1, face2 = _path_geometry(g, paths)
-    scale = g.mean_edge_length()
+    scale = np.repeat(g.mean_edge_lengths(), counts)
     feats = np.column_stack([d1 / scale, d2 / scale, theta / np.pi, phi / np.pi])
     if cfg.attr_dim > 0:
         a1 = g.attrs[g.edge_face[g.opposite[paths.e1]]]
         a2 = g.attrs[g.edge_face[g.opposite[paths.e2]]]
         feats = np.column_stack([feats, a1, a2])
-    if not np.isfinite(feats).all():  # a whole-array test; rows only to name one
-        r = np.flatnonzero(~np.isfinite(feats).all(axis=1))[0]
-        i, j, k = paths.i[r], paths.j[r], paths.k[r]
-        raise GeometryError(f"non-finite feature on path ({i},{j},{k})")
+    if not (counts.all() and np.isfinite(feats).all()):  # whole-array tests
+        _refuse_first_fault(g, paths, rows, feats)
     return GraphBatch(
         path_i=_ro(paths.i),
         path_j=_ro(paths.j),
         path_k=_ro(paths.k),
         feats=_ro(feats),
         inner=_ro(face1 == face2),
-        node_graph=_ro(np.zeros(g.n_nodes, dtype=np.int64)),
+        node_graph=_ro(np.repeat(np.arange(g.n_solids), g.node_starts[1:] - g.node_starts[:-1])),
         n_nodes=g.n_nodes,
-        n_graphs=1,
+        n_graphs=g.n_solids,
     )
+
+
+def _refuse_first_fault(g, paths, rows, feats):
+    """Raise for the first solid, in order, that yields no path or has a
+    non-finite feature; solid ``s`` owns the rows ``rows[s] : rows[s + 1]``."""
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    solid = np.searchsorted(rows, bad[0], side="right") - 1 if len(bad) else g.n_solids
+    if not np.diff(rows[: solid + 1]).all():
+        raise ValueError("graph yields no two-hop paths")
+    r = bad[0]
+    i, j, k = np.array([paths.i[r], paths.j[r], paths.k[r]]) - g.node_starts[solid]
+    raise GeometryError(f"non-finite feature on path ({i},{j},{k})")
 
 
 def collate(batches) -> GraphBatch:
@@ -138,6 +152,30 @@ def collate(batches) -> GraphBatch:
     )
 
 
+def split_batch(batch: GraphBatch) -> list:
+    """The one-graph batches that ``collate`` joins into ``batch``, in order;
+    each graph's paths must be one run of rows, as ``collate`` and
+    :func:`precompute_graph_features` leave them.  The arrays are read-only,
+    and the feature rows views of the batch's."""
+    graphs = np.arange(batch.n_graphs + 1)
+    nodes = np.searchsorted(batch.node_graph, graphs).tolist()
+    rows = np.searchsorted(batch.node_graph[batch.path_i], graphs).tolist()
+    zeros = _ro(np.zeros(int(np.diff(nodes).max(initial=0)), dtype=np.int64))
+    return [
+        GraphBatch(
+            path_i=_ro(batch.path_i[r0:r1] - n0),
+            path_j=_ro(batch.path_j[r0:r1] - n0),
+            path_k=_ro(batch.path_k[r0:r1] - n0),
+            feats=_ro(batch.feats[r0:r1]),
+            inner=_ro(batch.inner[r0:r1]),
+            node_graph=zeros[: n1 - n0],
+            n_nodes=n1 - n0,
+            n_graphs=1,
+        )
+        for n0, n1, r0, r1 in zip(nodes[:-1], nodes[1:], rows[:-1], rows[1:])
+    ]
+
+
 class GnnLayer:
     def __init__(self, rng, cfg: GnnConfig):
         d = cfg.hidden_dim
@@ -155,12 +193,32 @@ class GnnLayer:
         )
 
 
+class _NoDraws:
+    """Stands in for the generator while a model whose every value is about
+    to be copied in is built: each Kaiming draw comes out zero, unpaid."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 class GnnParams(ParameterRegistry):
-    """All model state: per-layer message/guide nets and the classifier."""
+    """All model state: per-layer message/guide nets and the classifier,
+    with Kaiming-uniform weights drawn from ``cfg.seed``."""
 
     def __init__(self, cfg: GnnConfig):
+        self._build(cfg, np.random.default_rng(cfg.seed))
+
+    @classmethod
+    def _blank(cls, cfg: GnnConfig) -> "GnnParams":
+        """A model of ``cfg`` with zero weights, for values about to be
+        copied in (``clone``, ``load_checkpoint``)."""
+        params = cls.__new__(cls)
+        params._build(cfg, _NoDraws)
+        return params
+
+    def _build(self, cfg, rng):
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
         d = cfg.hidden_dim
         self.layers = [GnnLayer(rng, cfg) for _ in range(cfg.layers)]
         self.classifier = Mlp(
@@ -179,7 +237,7 @@ class GnnParams(ParameterRegistry):
 
     def clone(self):
         """A copy of the state and gradients, without train-mode activations."""
-        twin = GnnParams(self.cfg)
+        twin = GnnParams._blank(self.cfg)
         for flat in FLAT_VECTORS:
             getattr(twin, flat)[...] = getattr(self, flat)
         return twin

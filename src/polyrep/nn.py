@@ -276,29 +276,34 @@ def cross_entropy(logits, labels):
 
 @dataclass
 class AdamState:
-    """First/second moments of a flat parameter vector."""
+    """First/second moments of a flat parameter vector, and two scratch
+    vectors of its length that every update writes through."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple
     t: int = 0
 
     @classmethod
     def for_params(cls, theta):
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
+        scratch = (np.empty_like(theta), np.empty_like(theta))
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), scratch=scratch)
 
 
 def adam_step(theta, grad, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update of the flat vector ``theta``, in place: ``m =
     b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and ``theta -= lr (m / c1)
-    / (sqrt(v / c2) + eps)``, each operation in the order written but into two
-    scratch vectors, so the result is bitwise that of the expressions."""
+    / (sqrt(v / c2) + eps)``, each operation in the order written but into
+    the two scratch vectors of ``state``, so the result is bitwise that of
+    the expressions and no vector is allocated."""
     if not theta.shape == grad.shape == state.m.shape:
         raise ValueError(f"shape mismatch {theta.shape}, {grad.shape}, {state.m.shape}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    t = np.multiply(grad, 1 - b1)
+    t, step = state.scratch
+    np.multiply(grad, 1 - b1, out=t)
     state.m *= b1
     state.m += t
     np.multiply(grad, 1 - b2, out=t)
@@ -308,7 +313,7 @@ def adam_step(theta, grad, state: AdamState, lr: float) -> None:
     np.divide(state.v, c2, out=t)
     np.sqrt(t, out=t)
     t += ADAM_EPS
-    step = np.divide(state.m, c1)
+    np.divide(state.m, c1, out=step)
     step *= lr
     step /= t
     theta -= step

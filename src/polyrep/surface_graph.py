@@ -1,11 +1,12 @@
 """Directed surface graph of a polyhedron, with face loops carrying attributes.
 
-A graph is built only from a solid that passes :func:`validate_polyhedron`,
-so it holds no check of its own.  Nodes are the polyhedron's vertices.
-Every consecutive vertex pair of every face contributes one directed edge
-owned by that face, so each undirected edge of the solid appears as two
-opposite directed edges in two different faces.  The graph holds the
-solid's flat face-loop layout (:class:`polyrep.geometry.FaceLoops`) as it
+A graph is built only from solids that pass :func:`validate_polyhedron`,
+so it holds no check of its own.  Several solids make one graph, their
+disjoint union, so that a corpus is featurized in one pass.  Nodes are the
+polyhedron's vertices.  Every consecutive vertex pair of every face
+contributes one directed edge owned by that face, so each undirected edge
+of the solid appears as two opposite directed edges in two different faces.
+The graph holds the solid's flat face-loop layout (:class:`polyrep.geometry.FaceLoops`) as it
 is: edge ``e`` is slot ``e``, running from ``verts[e]`` to ``heads[e]``, and
 a face is its slot range plus an attribute vector.  Each edge's opposite and
 the out-edge order are the layout's
@@ -33,6 +34,8 @@ from .geometry import (
     _newell,
     _ro,
     _rowdot,
+    disjoint_union,
+    validate_corpus,
     validate_polyhedron,
 )
 
@@ -126,32 +129,50 @@ class SurfaceTopology:
 
 
 class SurfaceGraph:
-    """Directed graph with face hyperedges of one validated solid, held as the
-    solid's face-loop layout.
+    """Directed graph with face hyperedges of validated solids, held as their
+    face-loop layout.
 
-    ``SurfaceGraph(p)`` refuses a solid whose :func:`validate_polyhedron`
-    report is not ok with :class:`InvalidPolyhedronError`.  The graph checks
-    nothing of its own: validation has already found every face to be a loop
-    of three or more distinct vertices with a finite, non-degenerate normal,
-    and every directed edge to be unique with its opposite in another face.
-    Edge ``e`` is slot ``e`` of ``face_loops``: it runs from ``edge_tail[e]``
-    to ``edge_head[e]``, belongs to face ``edge_face[e]`` and is paired with
+    ``SurfaceGraph(p)`` is the graph of one solid, and ``SurfaceGraph(p, q,
+    ...)`` the disjoint union of theirs: solid ``s`` owns the nodes
+    ``node_starts[s] : node_starts[s + 1]`` and the edges ``edge_starts[s] :
+    edge_starts[s + 1]``, and its graph alone has the same arrays less those
+    offsets.  The solids without a cached report are validated together
+    (:func:`validate_corpus`), and the first whose
+    :func:`validate_polyhedron` report is not ok is refused with
+    :class:`InvalidPolyhedronError`; solids of different attribute widths
+    are a :class:`GraphError`.  The graph checks nothing of its own:
+    validation has already found every face to be a loop of three or more
+    distinct vertices with a finite, non-degenerate normal, and every
+    directed edge to be unique with its opposite in another face.  Edge
+    ``e`` is slot ``e`` of ``face_loops``: it runs from ``edge_tail[e]`` to
+    ``edge_head[e]``, belongs to face ``edge_face[e]`` and is paired with
     ``opposite[e]``.  Every array is read-only.
     """
 
-    def __init__(self, p: Polyhedron):
-        report = validate_polyhedron(p)
-        if not report.ok:
-            raise InvalidPolyhedronError(report)
-        loops = p.face_loops
+    def __init__(self, *polys: Polyhedron):
+        validate_corpus(polys)
+        for p in polys:
+            report = validate_polyhedron(p)
+            if not report.ok:
+                raise InvalidPolyhedronError(report)
+        widths = sorted({p.attr_dim for p in polys})
+        if len(widths) != 1:
+            raise GraphError(f"a graph needs solids of one attribute width, got {widths}")
+        self.coords, loops, self.node_starts, face_starts = disjoint_union(polys)
         order, _, self.opposite = loops.edge_index
-        self.coords, self.face_loops = p.vertices, loops
-        self.attrs = _ro(np.stack([f.attr for f in p.faces]))
+        self.face_loops = loops
+        self.edge_starts = _ro(np.searchsorted(loops.face, face_starts))
+        self.attrs = _ro(np.stack([f.attr for p in polys for f in p.faces]))
         self.edge_tail, self.edge_head, self.edge_face = loops.verts, loops.heads, loops.face
         # CSR-style out-edge index ordered by (tail, head): path enumeration
         # reads straight off it in deterministic order.
         self._out_order = order
-        self._out_starts = _ro(np.searchsorted(loops.verts[order], np.arange(p.n_vertices + 1)))
+        nodes = np.arange(len(self.coords) + 1)
+        self._out_starts = _ro(np.searchsorted(loops.verts[order], nodes))
+
+    @property
+    def n_solids(self):
+        return len(self.node_starts) - 1
 
     @property
     def n_nodes(self):
@@ -181,9 +202,13 @@ class SurfaceGraph:
         newell = _newell(self.coords[loops.verts], loops)[0]
         return newell / np.sqrt(_rowdot(newell, newell))[:, None]
 
-    def mean_edge_length(self) -> float:
+    def mean_edge_lengths(self) -> np.ndarray:
+        """Each solid's mean edge length, an ``np.mean`` over its own edges
+        (a segment sum would add them in another order)."""
         d = self.coords[self.edge_head] - self.coords[self.edge_tail]
-        return float(np.linalg.norm(d, axis=1).mean())
+        lengths = np.linalg.norm(d, axis=1)
+        ends = self.edge_starts.tolist()
+        return np.array([lengths[a:b].mean() for a, b in zip(ends[:-1], ends[1:])])
 
     def topology(self) -> SurfaceTopology:
         """Connectivity with coordinates stripped (loops + attributes)."""
@@ -199,5 +224,5 @@ class SurfaceGraph:
         return Polyhedron(self.coords, faces)
 
 
-def build_surface_graph(p: Polyhedron) -> SurfaceGraph:
-    return SurfaceGraph(p)
+def build_surface_graph(*polys: Polyhedron) -> SurfaceGraph:
+    return SurfaceGraph(*polys)

@@ -33,6 +33,7 @@ from .model import (
     gnn_forward,
     gnn_train_step,
     precompute_graph_features,
+    split_batch,
 )
 from .nn import AdamState, PlateauState, cross_entropy, plateau_step
 from .surface_graph import build_surface_graph
@@ -132,18 +133,22 @@ class TrainResult:
 
 
 def features_for_records(records, cfg: GnnConfig):
-    """Each record's one-graph batch, computed once per solid and attribute
-    width and memoized on the solid, so every caller shares one read-only
-    batch.  Only ``cfg.attr_dim`` shapes the features; a width the solid
+    """Each record's one-graph batch, memoized on its solid by attribute
+    width, so every caller shares one read-only batch.  The solids the memo
+    lacks are featurized together: one union graph, one feature call, split
+    per solid.  Only ``cfg.attr_dim`` shapes the features; a width the solid
     does not have misses the memo and raises ``ValueError``."""
-    feats = []
-    for r in records:
-        memo = r.polyhedron._graph_features
-        if cfg.attr_dim not in memo:
-            graph = build_surface_graph(r.polyhedron)
-            memo[cfg.attr_dim] = precompute_graph_features(graph, cfg)
-        feats.append(memo[cfg.attr_dim])
-    return feats
+    polys = [r.polyhedron for r in records]
+    misses = list({id(p): p for p in polys if cfg.attr_dim not in p._graph_features}.values())
+    # A solid of another width cannot join the union; featurized alone after
+    # the solids before it, it raises in record order.
+    cut = next((n for n, p in enumerate(misses) if p.attr_dim != cfg.attr_dim), len(misses))
+    for part in (misses[:cut], misses[cut : cut + 1]):
+        if part:
+            batch = precompute_graph_features(build_surface_graph(*part), cfg)
+            for p, one in zip(part, split_batch(batch)):
+                p._graph_features[cfg.attr_dim] = one
+    return [p._graph_features[cfg.attr_dim] for p in polys]
 
 
 def _minibatches(n, batch_size, rng):

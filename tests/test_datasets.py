@@ -196,6 +196,45 @@ class TestJsonCodec:
         with pytest.raises(DataError, match=rf"manifest\.jsonl:2: {field}: expected"):
             load_records(manifest)
 
+    @pytest.mark.parametrize(
+        "second, fourth, raised",
+        [
+            ("inline", "{not json", "line 2's solid"),
+            ("manifest", "{not json", "line 2's solid"),
+            ("inline", json.dumps({"vertices": []}), "line 2's solid"),
+            ("not json", "invalid", r"corpus\.jsonl:2: not valid JSON"),
+        ],
+        ids=["inline-then-bad-json", "manifest-then-bad-json", "inline-then-bad-field",
+             "bad-json-then-invalid"],
+    )
+    def test_first_defect_in_line_order(self, tmp_path, cube, second, fourth, raised):
+        # Every line is decoded before the solids are validated together, yet
+        # the first defect in line order is the one raised: line 3's solid
+        # is invalid in another way than line 2's.
+        first = cube.faces[0]
+        flipped = Polyhedron(
+            cube.vertices, (PolygonFace(first.loop[::-1], first.attr), *cube.faces[1:])
+        )
+        loose = Polyhedron(np.vstack([cube.vertices, [[5.0, 5.0, 5.0]]]), cube.faces)
+        (tmp_path / "flipped.json").write_text(encode_record(PolyhedronRecord(flipped, 0)))
+        rows = {
+            "inline": encode_record(PolyhedronRecord(flipped, 0)),
+            "manifest": json.dumps({"path": "flipped.json"}),
+            "not json": "{not json",
+            "invalid": encode_record(PolyhedronRecord(loose, 0)),
+        }
+        lines = [encode_record(PolyhedronRecord(cube, 0)), rows[second],
+                 rows["invalid"], rows.get(fourth, fourth)]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        if raised == "line 2's solid":
+            with pytest.raises(InvalidPolyhedronError) as info:
+                load_records(path)
+            assert info.value.report == validate_polyhedron(flipped)
+        else:
+            with pytest.raises(DataError, match=raised):
+                load_records(path)
+
 
 class TestObjImport:
     def test_cube_with_material(self, tmp_path):

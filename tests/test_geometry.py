@@ -25,10 +25,12 @@ from polyrep.geometry import (
     FaceLoops,
     _newell,
     _segments_properly_intersect,
+    disjoint_union,
     polygon_is_simple,
+    validate_corpus,
 )
 
-from conftest import solid_corpus
+from conftest import overflowing_solid, solid_corpus
 
 
 class TestValidation:
@@ -416,6 +418,40 @@ def test_validation_matches_loop_reference(seed):
     got = np.array([i.deviation for i in report.issues], dtype=float)
     want = np.array([i[2] for i in issues], dtype=float)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def _bits(report):
+    """A report as (ok, issues, warnings), each deviation as its repr."""
+    return report.ok, *(
+        [(i.code, i.where, repr(i.deviation)) for i in issues]
+        for issues in (report.issues, report.warnings)
+    )
+
+
+def test_corpus_reports_are_the_one_by_one_reports():
+    # The damaged corpus, then solids that stay out of the pass or have no
+    # vertex or no face: each solid's report is the one it gets alone.
+    box = make_box()
+    solids = [_damaged(seed) for seed in range(400)] + [
+        overflowing_solid(),
+        Polyhedron(np.zeros((0, 3)), ()),
+        Polyhedron(box.vertices, ()),
+        box,
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [_bits(validate_polyhedron(p)) for p in solids]
+        together = validate_corpus([Polyhedron(p.vertices, p.faces) for p in solids])
+    assert [_bits(report) for report in together] == alone
+
+
+def test_union_edge_index_is_the_sort_of_the_union():
+    # The union joins the solids' own indexes; sorting its keys afresh must
+    # give the same order, keys and opposites, duplicates and short loops too.
+    solids = [_damaged(seed) for seed in range(60)]
+    union = disjoint_union(solids)[1]
+    fresh = FaceLoops.from_lengths(union.verts, union.lengths)
+    for joined, sorted_afresh in zip(union.edge_index, fresh.edge_index):
+        assert np.array_equal(joined, sorted_afresh)
 
 
 def _reference_edge_index(loops):

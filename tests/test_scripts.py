@@ -229,3 +229,46 @@ def test_bench_pairs_keeps_why_a_run_was_incorrect(tmp_path, monkeypatch, capsys
         "pair 0 change: correct False, failed 0",
         f"  check failed: {reason}",
     ]
+
+
+STUB_WORKLOADS = '''
+import numpy as np
+from polyrep import model
+from polyrep.datasets import synthetic_dataset
+
+
+class Stub:
+    """Four jittered solids per seed; its headline rebuilds nothing."""
+
+    def __init__(self, seed, workdir):
+        self.seed = seed
+        self.feature_cfg = model.GnnConfig()
+
+    def setup(self):
+        self.corpus = [r.polyhedron for r in synthetic_dataset(4, seed=self.seed)]
+
+    def headline(self):
+        self.outputs = [None] * len(self.corpus)
+
+
+WORKLOADS = {"roundtrip-large": Stub}
+'''
+
+
+def test_digests_prints_one_digest_per_workload_seed_and_artifact(tmp_path):
+    # A tree of the package and a stub benchmark: the script reads only
+    # the tree's ``perfbench/workloads.py``.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    out = run_script("digests.py", str(tmp_path), "--seeds", "1", "2")
+    rows = [line.split() for line in out.splitlines()]
+    artifacts = ["reports", "features", "rigid", "init", "epoch-logs", "headline"]
+    assert [row[:3] for row in rows] == [
+        ["roundtrip-large", f"seed={seed}", artifact] for seed in (1, 2) for artifact in artifacts
+    ]
+    assert all(len(row) == 4 and len(row[3]) == 64 for row in rows)
+    by_seed = {seed: dict(row[2:] for row in rows if row[1] == f"seed={seed}") for seed in (1, 2)}
+    assert by_seed[1]["features"] != by_seed[2]["features"]
+    assert by_seed[1]["rigid"] != by_seed[2]["rigid"]
+    assert run_script("digests.py", str(tmp_path), "--seeds", "1", "2") == out
