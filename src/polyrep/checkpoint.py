@@ -1,21 +1,21 @@
 """Versioned checkpoint container.
 
 Layout: an 8-byte big-endian header length, a canonical JSON header (version
-tag, config, tensor manifest), the raw little-endian float64 blob of three
-flat vectors (``theta``, ``bn.running_mean``, ``bn.running_var``), and a
-trailing SHA-256 digest of everything before it.  A checkpoint holds the
-model that ``eval`` and ``retrieve`` read and nothing else: no optimizer or
-scheduler state, since there is no resume.  Loading verifies the digest,
-every vector's length against the config and every value, so truncation,
-bit corruption, config mismatches and non-finite or negative-variance state
-all fail loudly.
+tag and config), the raw little-endian float64 blob of three flat vectors
+(``theta``, ``bn.running_mean``, ``bn.running_var``) back to back, and a
+trailing SHA-256 digest of everything before it.  The header config is the
+only description of the blob: it fixes each vector's length in closed form
+(``GnnConfig.flat_sizes``).  A checkpoint holds the model that ``eval`` and
+``retrieve`` read and nothing else: no optimizer or scheduler state, since
+there is no resume.  Loading verifies the digest, the blob's length against
+the config and every value, so truncation, bit corruption, config
+mismatches and non-finite or negative-variance state all fail loudly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CheckpointError
 from .model import GnnConfig, GnnParams
 
-FORMAT_VERSION = "polyrep-checkpoint-3"
+FORMAT_VERSION = "polyrep-checkpoint-4"
 
 
 @dataclass
@@ -33,20 +33,15 @@ class Checkpoint:
 
 
 def _vectors(params):
-    """The three flat vectors a checkpoint holds, by tensor name."""
+    """The three flat vectors a checkpoint holds, by name, in blob order."""
     return {"theta": params.theta, "bn.running_mean": params.running_mean,
             "bn.running_var": params.running_var}
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    tensors, arrays, offset = [], [], 0
-    for name, arr in _vectors(ckpt.params).items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        arrays.append(arr)
-        tensors.append(dict(name=name, shape=list(arr.shape), offset=offset, nbytes=arr.nbytes))
-        offset += arr.nbytes
-    header = {"version": FORMAT_VERSION, "config": ckpt.config, "tensors": tensors}
+    header = {"version": FORMAT_VERSION, "config": ckpt.config}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in _vectors(ckpt.params).values()]
     digest = hashlib.sha256()
     with open(path, "wb") as fp:  # each vector is written from its own buffer, uncopied
         for part in (len(header_bytes).to_bytes(8, "big"), header_bytes, *arrays):
@@ -77,9 +72,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"version mismatch: file has {header.get('version')!r}, "
             f"expected {FORMAT_VERSION!r}"
         )
-    blob = payload[8 + header_len :]
     try:
-        loaded = _read_tensors(header["tensors"], blob)
         config = dict(header["config"])
         fields = GnnConfig.__dataclass_fields__
         for name in fields:
@@ -89,34 +82,21 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed header: {type(exc).__name__}: {exc}") from exc
 
-    # The config fixes every vector's length: compare before building a model.
+    # The config fixes the blob's length: compare before building a model.
     n_theta, n_stats = gnn_cfg.flat_sizes()
-    implied = {"theta": (n_theta,), "bn.running_mean": (n_stats,), "bn.running_var": (n_stats,)}
-    found = {name: arr.shape for name, arr in loaded.items()}
-    if found != implied:
-        raise CheckpointError(f"dimension mismatch: file {found}, config {implied}")
+    blob = payload[8 + header_len :]
+    if len(blob) != 8 * (n_theta + 2 * n_stats):
+        raise CheckpointError(
+            f"dimension mismatch: blob of {len(blob)} bytes, config implies "
+            f"theta {n_theta} and running statistics 2 x {n_stats} float64 values"
+        )
     params = GnnParams._blank(gnn_cfg)
+    values, start = np.frombuffer(blob, dtype="<f8"), 0
     for name, arr in _vectors(params).items():
-        arr[...] = loaded[name]
+        arr[...] = values[start : start + arr.size]
+        start += arr.size
         _check_values(params, name, arr)
     return Checkpoint(config=config, params=params)
-
-
-def _read_tensors(specs, blob) -> dict:
-    """Name -> array for every manifest entry; an entry whose span leaves
-    the blob or whose size disagrees with its shape is refused."""
-    loaded = {}
-    for spec in specs:
-        name = str(spec["name"])
-        shape = tuple(int(n) for n in spec["shape"])
-        start, nbytes = int(spec["offset"]), int(spec["nbytes"])
-        if start < 0 or start + nbytes > len(blob):
-            raise CheckpointError(f"tensor {name} lies outside the blob")
-        if min(shape, default=0) < 0 or nbytes != 8 * math.prod(shape):
-            raise CheckpointError(f"tensor {name}: {nbytes} bytes do not fit shape {shape}")
-        arr = np.frombuffer(blob, dtype=np.float64, count=nbytes // 8, offset=start)
-        loaded[name] = arr.reshape(shape)
-    return loaded
 
 
 def _check_values(params, name, arr) -> None:

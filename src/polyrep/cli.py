@@ -221,8 +221,7 @@ def _cmd_train(args):
 
 def _eval_records(args):
     ckpt = load_checkpoint(args.checkpoint)
-    attr_dim = ckpt.config.get("attr_dim", 0)
-    records = load_records(args.data, expected_attr_dim=attr_dim or None)
+    records = load_records(args.data, expected_attr_dim=ckpt.params.cfg.attr_dim)
     try:
         args._config_hash = TrainConfig.from_dict(ckpt.config).config_hash()
     except DataError:

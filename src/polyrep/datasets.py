@@ -191,14 +191,18 @@ def load_records(path, expected_attr_dim: int | None = None) -> list:
 
 def _load_line(path, lineno, line, expected_attr_dim) -> PolyhedronRecord:
     """The record of one corpus line: unvalidated when inline, validated
-    when a manifest row names its file."""
+    when a manifest row names its file.  The ``DataError`` of an inline
+    record, or of a manifest row's own fields, names the line."""
+    where = f"{path}:{lineno}: "
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        raise DataError(f"{where}not valid JSON: {exc}") from exc
     if not (isinstance(doc, dict) and "path" in doc and "vertices" not in doc):
-        return _record(doc, expected_attr_dim)
-    where = f"{path}:{lineno}: "
+        try:
+            return _record(doc, expected_attr_dim)
+        except DataError as exc:
+            raise DataError(f"{where}{exc}") from exc
     if not isinstance(doc["path"], str):
         raise DataError(f"{where}path: expected a string")
     target = path.parent / doc["path"]

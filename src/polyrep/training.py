@@ -74,7 +74,7 @@ class TrainConfig:
             "batch_size": (self.batch_size >= 2, ">= 2"),
             "max_epochs": (self.max_epochs >= 0, ">= 0"),
             "early_stop_patience": (self.early_stop_patience >= 0, ">= 0"),
-            "scheduler_factor": (finite(self.scheduler_factor), "finite"),
+            "scheduler_factor": (0 < self.scheduler_factor < 1, "> 0 and < 1"),
             "scheduler_patience": (self.scheduler_patience >= 0, ">= 0"),
             "min_lr": (finite(self.min_lr) and self.min_lr >= 0, "finite and >= 0"),
             "seed": (self.seed >= 0, ">= 0"),
@@ -179,7 +179,7 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
     if records is None:
         if not cfg.data:
             raise DataError("no records given and no data path configured")
-        records = load_records(cfg.data, expected_attr_dim=cfg.attr_dim or None)
+        records = load_records(cfg.data, expected_attr_dim=cfg.attr_dim)
     records = list(records)
     train_recs, val_recs, test_recs = split_dataset(records, cfg.seed)
 

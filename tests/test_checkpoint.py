@@ -112,8 +112,11 @@ class TestIntegrity:
             load_checkpoint(path)
 
     # Format 1 kept one manifest entry per array, format 2 the Adam moments
-    # and the scheduler; no reader of either is kept.
-    @pytest.mark.parametrize("tag", ["polyrep-checkpoint-1", "polyrep-checkpoint-2"])
+    # and the scheduler, format 3 a tensor manifest that repeated what the
+    # config implies; no reader of any is kept.
+    @pytest.mark.parametrize(
+        "tag", ["polyrep-checkpoint-1", "polyrep-checkpoint-2", "polyrep-checkpoint-3"]
+    )
     def test_version_mismatch(self, tmp_path, tag):
         ckpt, _ = small_checkpoint()
         path = tmp_path / "model.ckpt"
@@ -125,12 +128,21 @@ class TestIntegrity:
 
     def test_dimension_mismatch(self, tmp_path):
         ckpt, _ = small_checkpoint(hidden=8)
-        # Claim a different width in the stored config: tensor shapes no
-        # longer match the rebuilt model.
+        # Claim a different width in the stored config: the blob is no
+        # longer as long as that config implies.
         ckpt.config = dict(ckpt.config, hidden_dim=16)
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointError, match="dimension"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [-8, -1, 8], ids=["value short", "byte short", "value long"])
+    def test_blob_of_another_length_is_dimension_mismatch(self, tmp_path, extra):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_checkpoint()[0], path)
+        payload = path.read_bytes()[:-32]
+        path.write_bytes(_signed(payload[:extra] if extra < 0 else payload + bytes(extra)))
+        with pytest.raises(CheckpointError, match="^dimension mismatch: blob of "):
             load_checkpoint(path)
 
 
@@ -289,13 +301,13 @@ class TestFlatSizes:
         save_checkpoint(ckpt, path)
         raw = path.read_bytes()
         header_len = int.from_bytes(raw[:8], "big")
-        specs = json.loads(raw[8 : 8 + header_len])["tensors"]
+        header = json.loads(raw[8 : 8 + header_len])
+        assert header == {"version": "polyrep-checkpoint-4", "config": ckpt.config}
         n_theta, n_stats = GnnConfig(**ckpt.config).flat_sizes()
-        assert [(s["name"], s["shape"]) for s in specs] == [
-            ("theta", [n_theta]),
-            ("bn.running_mean", [n_stats]),
-            ("bn.running_var", [n_stats]),
-        ]
+        assert len(raw) == 8 + header_len + 8 * (n_theta + 2 * n_stats) + 32
+        params = ckpt.params
+        vectors = (params.theta, params.running_mean, params.running_var)
+        assert raw[8 + header_len : -32] == b"".join(v.astype("<f8").tobytes() for v in vectors)
 
 
 def _resigned(path, edit):
@@ -309,24 +321,9 @@ def _resigned(path, edit):
     path.write_bytes(payload + hashlib.sha256(payload).digest())
 
 
-def _drop_tensors(header):
-    del header["tensors"]
-    return header
-
-
-def _shift_first_tensor(key, delta):
-    def edit(header):
-        header["tensors"][0][key] += delta
-        return header
-
-    return edit
-
-
 MALFORMED_HEADERS = {
-    "missing tensors key": _drop_tensors,
     "header is a list": lambda header: [header],
-    "negative offset": _shift_first_tensor("offset", -8),
-    "nbytes disagrees with shape": _shift_first_tensor("nbytes", -8),
+    "missing config": lambda header: {"version": header["version"]},
 }
 
 
@@ -349,7 +346,7 @@ class TestMalformedHeader:
         ckpt, _ = small_checkpoint()
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
-        _resigned(path, _shift_first_tensor("nbytes", -8))
+        _resigned(path, MALFORMED_HEADERS["missing config"])
         corpus = tmp_path / "data.jsonl"
         save_records(synthetic_dataset(6, seed=0), corpus)
         code = main(["eval", "--checkpoint", str(path), "--data", str(corpus)])
@@ -396,13 +393,20 @@ class TestForgedConfig:
         assert "dimension mismatch" in capsys.readouterr().err
 
 
-def _cut_theta(header, by):
-    """``header`` with its ``theta`` manifest entry ``by`` values shorter."""
-    for spec in header["tensors"]:
-        if spec["name"] == "theta":
-            spec["shape"] = [spec["shape"][0] - by]
-            spec["nbytes"] -= 8 * by
-    return header
+def _offsets():
+    """Byte offsets in the blob of ``small_checkpoint``'s three vectors."""
+    n_theta, n_stats = GnnConfig(**small_checkpoint()[0].config).flat_sizes()
+    return {"theta": 0, "bn.running_mean": 8 * n_theta,
+            "bn.running_var": 8 * (n_theta + n_stats)}
+
+
+def _cut_theta(path, by):
+    """Drop the last ``by`` values of ``theta`` from the blob of the
+    checkpoint at ``path`` and give the file a valid digest again."""
+    raw = path.read_bytes()[:-32]
+    theta_end = 8 + int.from_bytes(raw[:8], "big") + _offsets()["bn.running_mean"]
+    payload = raw[: theta_end - 8 * by] + raw[theta_end:]
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
 
 
 # Config values no model can have, each with the cut that makes ``theta``
@@ -423,7 +427,7 @@ class TestImpossibleConfig:
     )
     def test_refused_as_data_error(self, tmp_path, monkeypatch, capsys, changes, cut):
         path = _forged_config(tmp_path, monkeypatch, changes)
-        _resigned(path, lambda header: _cut_theta(header, cut))
+        _cut_theta(path, cut)
         with pytest.raises(CheckpointError, match="^malformed header: ValueError: need "):
             load_checkpoint(path)
         assert _cli("eval", path, tmp_path) == 2
@@ -498,10 +502,7 @@ def _resigned_value(path, name, value):
     the checkpoint at ``path`` and give the file a valid digest again."""
     tensor, index = _flat_index(name)
     raw = bytearray(path.read_bytes()[:-32])
-    header_len = int.from_bytes(raw[:8], "big")
-    specs = json.loads(raw[8 : 8 + header_len])["tensors"]
-    spec = next(s for s in specs if s["name"] == tensor)
-    at = 8 + header_len + spec["offset"] + 8 * index
+    at = 8 + int.from_bytes(raw[:8], "big") + _offsets()[tensor] + 8 * index
     raw[at : at + 8] = np.array(value, dtype="<f8").tobytes()
     path.write_bytes(bytes(raw) + hashlib.sha256(raw).digest())
 
@@ -613,7 +614,7 @@ def _load_bytes(path, raw):
 
 
 class TestFuzzedFile:
-    """Damaged format-2 files: each is refused with ``CheckpointError``, and
+    """Damaged checkpoint files: each is refused with ``CheckpointError``, and
     no other exception escapes the loader."""
 
     @given(data=st.data())

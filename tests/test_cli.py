@@ -412,6 +412,31 @@ class TestTrainEvalRetrieve:
         assert code == 2
         assert err.strip() == f"data error: {message}" and not out
 
+    @pytest.mark.parametrize("command", ["train", "eval", "retrieve"])
+    def test_width_zero_on_attributed_data_is_data_error(
+        self, tmp_path, capsys, tiny_checkpoint, command
+    ):
+        # Width 0 is a width, not "any width": a config or checkpoint
+        # without attributes refuses a corpus whose faces carry three.
+        rng = np.random.default_rng(0)
+        corpus = tmp_path / "rgb.jsonl"
+        save_records(
+            [PolyhedronRecord(make(rng, attr_dim=3), c, str(i))
+             for i in range(6) for c, make in enumerate((make_box, make_tetrahedron))],
+            corpus,
+        )
+        out_path = tmp_path / "model.ckpt"
+        if command == "train":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"data": str(corpus), "hidden_dim": 4, "layers": 1,
+                                          "attr_dim": 0, "max_epochs": 1, "batch_size": 4}))
+            argv = ["train", "--config", config, "--out", out_path]
+        else:
+            argv = [command, "--checkpoint", tiny_checkpoint, "--data", corpus]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and not out_path.exists()
+        assert err.strip() == f"data error: {corpus}:1: faces[0].attr: width 3 != expected 0"
+
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):

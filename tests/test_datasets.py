@@ -196,6 +196,16 @@ class TestJsonCodec:
         with pytest.raises(DataError, match=rf"manifest\.jsonl:2: {field}: expected"):
             load_records(manifest)
 
+    def test_inline_record_error_names_its_line(self, tmp_path, cube):
+        good = encode_record(PolyhedronRecord(cube, 0))
+        bad = json.loads(good)
+        bad["vertices"][0] = ["x", 0, 0]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join([good, good, json.dumps(bad)]) + "\n")
+        message = f"{path}:3: vertices[0]: expected [x, y, z] numbers"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_records(path)
+
     @pytest.mark.parametrize(
         "second, fourth, raised",
         [
