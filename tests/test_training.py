@@ -223,7 +223,9 @@ class TestConfig:
             ("max_epochs", -1, ">= 0"),
             ("early_stop_patience", -1, ">= 0"),
             ("scheduler_patience", -2, ">= 0"),
-            ("scheduler_factor", float("inf"), "> 0 and < 1"),
+            pytest.param(
+                "scheduler_factor", float("inf"), "> 0 and < 1", id="scheduler_factor-inf-finite"
+            ),
             ("scheduler_factor", -1, "> 0 and < 1"),
             ("scheduler_factor", 0, "> 0 and < 1"),
             ("scheduler_factor", 1, "> 0 and < 1"),
