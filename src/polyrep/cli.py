@@ -210,9 +210,7 @@ def _cmd_train(args):
         with open(args.log_out, "w", encoding="utf-8") as fp:
             for row in result.log:
                 fp.write(json.dumps(row, sort_keys=True) + "\n")
-    metrics = evaluate_classification(
-        result.checkpoint.params, result.test_records, cfg.batch_size
-    )
+    metrics = evaluate_classification(result.checkpoint.params, result.test_records)
     return metrics.as_dict() | {
         "best_epoch": result.best_epoch,
         "epochs": len(result.log),
@@ -222,8 +220,9 @@ def _cmd_train(args):
 def _eval_records(args):
     ckpt = load_checkpoint(args.checkpoint)
     records = load_records(args.data, expected_attr_dim=ckpt.params.cfg.attr_dim)
+    train_config = {k: v for k, v in ckpt.config.items() if k != "n_classes"}
     try:
-        args._config_hash = TrainConfig.from_dict(ckpt.config).config_hash()
+        args._config_hash = TrainConfig.from_dict(train_config).config_hash()
     except DataError:
         args._config_hash = ""
     return ckpt, records

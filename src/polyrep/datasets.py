@@ -105,10 +105,12 @@ def _face(face, field):
 
 
 def _label_and_id(label, source_id, where=""):
-    """A record's label, a nonnegative JSON integer, and its id, a string;
-    else a DataError naming the field, for records and manifest rows."""
+    """A record's label, a nonnegative JSON integer within int64, and its id,
+    a string; else a DataError naming the field, for every file with labels."""
     if type(label) is not int or label < 0:
         raise DataError(f"{where}label: expected a nonnegative integer")
+    if label >= 2**63:
+        raise DataError(f"{where}label: expected at most 2**63 - 1 (int64)")
     if not isinstance(source_id, str):
         raise DataError(f"{where}id: expected a string")
     return label, source_id
@@ -118,7 +120,7 @@ def decode_record(text: str, expected_attr_dim: int | None = None) -> Polyhedron
     """Parse and verify one record; diagnostics name the offending field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise DataError(f"not valid JSON: {exc}") from exc
     record = _record(doc, expected_attr_dim)
     _require_valid([record])
@@ -191,12 +193,12 @@ def load_records(path, expected_attr_dim: int | None = None) -> list:
 
 def _load_line(path, lineno, line, expected_attr_dim) -> PolyhedronRecord:
     """The record of one corpus line: unvalidated when inline, validated
-    when a manifest row names its file.  The ``DataError`` of an inline
-    record, or of a manifest row's own fields, names the line."""
+    when a manifest row names its file.  Every ``DataError`` names the line,
+    and one from decoding a manifest row's file names that file too."""
     where = f"{path}:{lineno}: "
     try:
         doc = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise DataError(f"{where}not valid JSON: {exc}") from exc
     if not (isinstance(doc, dict) and "path" in doc and "vertices" not in doc):
         try:
@@ -210,7 +212,10 @@ def _load_line(path, lineno, line, expected_attr_dim) -> PolyhedronRecord:
         text = target.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"{where}cannot read {target}: {exc}")
-    rec = decode_record(text, expected_attr_dim)
+    try:
+        rec = decode_record(text, expected_attr_dim)
+    except DataError as exc:
+        raise DataError(f"{where}{target}: {exc}") from exc
     fields = doc.get("label", rec.label), doc.get("id", rec.source_id)
     return PolyhedronRecord(rec.polyhedron, *_label_and_id(*fields, where))
 
@@ -223,7 +228,7 @@ def load_polygons(path) -> list:
     with open(path, encoding="utf-8") as fp:
         try:
             doc = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise DataError(f"{path}: top level: expected a list")
@@ -345,7 +350,7 @@ class TriangleMesh:
         a = self.vertices[self.triangles[:, 0]]
         b = self.vertices[self.triangles[:, 1]]
         c = self.vertices[self.triangles[:, 2]]
-        n = np.cross(b - a, c - a)
+        n = _cross(b - a, c - a)
         norms = np.linalg.norm(n, axis=1, keepdims=True)
         if np.any(norms < 1e-300):
             raise DataError("zero-area triangle")
@@ -603,15 +608,12 @@ def _orient_convex(vertices, faces):
     """Wind each face of a convex solid so its normal points away from the
     vertex centroid."""
     vertices = np.asarray(vertices, dtype=np.float64)
-    centroid = vertices.mean(axis=0)
-    out = []
-    for loop in faces:
-        pts = vertices[list(loop)]
-        n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-        if n @ (pts.mean(axis=0) - centroid) < 0:
-            loop = tuple(reversed(loop))
-        out.append(tuple(loop))
-    return out
+    loops = FaceLoops.from_loops(faces)
+    pts = vertices[loops.verts]
+    a, b, c = (pts[loops.starts + i] for i in range(3))
+    centers = np.add.reduceat(pts, loops.starts) / loops.lengths[:, None]
+    inward = _rowdot(_cross(b - a, c - a), centers - vertices.mean(axis=0)) < 0
+    return [tuple(reversed(loop)) if flip else tuple(loop) for loop, flip in zip(faces, inward)]
 
 
 def make_tetrahedron(rng=None, jitter: float = 0.0, attr_dim: int = 0) -> Polyhedron:

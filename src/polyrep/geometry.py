@@ -549,19 +549,8 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
-
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """self ∘ inner: apply ``inner`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ inner.rotation,
-            self.rotation @ inner.translation + self.translation,
-        )
 
 
 def apply_rigid_transform(p: Polyhedron, t: RigidTransform) -> Polyhedron:

@@ -179,10 +179,6 @@ class SurfaceGraph:
         return self.coords.shape[0]
 
     @property
-    def n_edges(self):
-        return self.edge_tail.shape[0]
-
-    @property
     def n_faces(self):
         return len(self.face_loops.lengths)
 

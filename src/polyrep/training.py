@@ -41,6 +41,8 @@ from .surface_graph import build_surface_graph
 logger = logging.getLogger(__name__)
 
 
+EVAL_CHUNK = 8  # graphs per eval-mode forward of both evaluations
+
 # The JSON value types each TrainConfig field accepts, by annotation.
 _JSON_KINDS = {
     "str": ((str,), "string"), "int": ((int,), "integer"), "float": ((int, float), "number")
@@ -53,7 +55,6 @@ class TrainConfig:
     hidden_dim: int = 64
     layers: int = 2
     attr_dim: int = 0
-    n_classes: int = 0  # 0: infer from the data
     lr: float = 0.001
     batch_size: int = 32
     max_epochs: int = 500
@@ -69,7 +70,6 @@ class TrainConfig:
             "hidden_dim": (self.hidden_dim >= 1, ">= 1"),
             "layers": (self.layers >= 1, ">= 1"),
             "attr_dim": (self.attr_dim >= 0, ">= 0"),
-            "n_classes": (self.n_classes >= 0, ">= 0"),
             "lr": (finite(self.lr) and self.lr > 0, "finite and > 0"),
             "batch_size": (self.batch_size >= 2, ">= 2"),
             "max_epochs": (self.max_epochs >= 0, ">= 0"),
@@ -161,12 +161,12 @@ def _minibatches(n, batch_size, rng):
     return batches
 
 
-def _eval_outputs(params, features, batch_size):
-    """Eval-mode graph vectors and logits, over batches of ``batch_size``
-    graphs in the order given."""
+def _eval_outputs(params, features, chunk):
+    """Eval-mode graph vectors and logits, over chunks of ``chunk`` graphs in
+    the order given."""
     outs = [
-        gnn_forward(params, collate(features[s : s + batch_size]), mode="eval")
-        for s in range(0, len(features), batch_size)
+        gnn_forward(params, collate(features[s : s + chunk]), mode="eval")
+        for s in range(0, len(features), chunk)
     ]
     return np.vstack([o.h_graph for o in outs]), np.vstack([o.logits for o in outs])
 
@@ -183,12 +183,7 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
     records = list(records)
     train_recs, val_recs, test_recs = split_dataset(records, cfg.seed)
 
-    n_classes = cfg.n_classes or (max(r.label for r in records) + 1)
-    train_labels = {r.label for r in train_recs}
-    missing = [c for c in range(n_classes) if c not in train_labels]
-    if missing:
-        raise DataError(f"classes {missing} have no training samples")
-
+    n_classes = _class_count(records, train_recs)
     gnn_cfg = cfg.gnn_config(n_classes)
     feats_train = features_for_records(train_recs, gnn_cfg)
     feats_val = features_for_records(val_recs, gnn_cfg)
@@ -260,6 +255,23 @@ def train(cfg: TrainConfig, records=None) -> TrainResult:
     return TrainResult(ckpt, best_epoch, log, train_recs, val_recs, test_recs)
 
 
+def _class_count(records, train_recs):
+    """``max(label) + 1`` over ``records``; classes below it that no training
+    record has are a ``DataError`` naming at most five, found without a walk
+    over the class range."""
+    n_classes = max(r.label for r in records) + 1
+    present = sorted({r.label for r in train_recs})
+    missing, start = [], 0
+    for label in [*present, n_classes]:
+        missing += range(start, min(label, start + 5 - len(missing)))
+        start = label + 1
+    if missing:
+        more = n_classes - len(present) - len(missing)
+        tail = f" and {more} more" if more else ""
+        raise DataError(f"classes {missing}{tail} have no training samples")
+    return n_classes
+
+
 def _labels(records):
     """The records' labels; no records at all is a ``DataError``."""
     if not records:
@@ -267,9 +279,7 @@ def _labels(records):
     return np.array([r.label for r in records], dtype=np.int64)
 
 
-def evaluate_classification(
-    params: GnnParams, records, batch_size: int = 8
-) -> ClassificationMetrics:
+def evaluate_classification(params: GnnParams, records) -> ClassificationMetrics:
     """Classification metrics of ``records``; a set the metrics are not
     defined on (no records, or one class only) is a ``DataError``."""
     labels = _labels(records)
@@ -281,20 +291,18 @@ def evaluate_classification(
     if len(np.unique(labels)) < 2:
         raise DataError("AUC undefined on a single-class test set")
     feats = features_for_records(records, params.cfg)
-    _, logits = _eval_outputs(params, feats, batch_size)
+    _, logits = _eval_outputs(params, feats, EVAL_CHUNK)
     return classification_metrics(_finite(logits, records, "logit"), labels)
 
 
-def evaluate_retrieval(
-    params: GnnParams, records, similarity: str = "cosine", batch_size: int = 8
-) -> RetrievalMetrics:
+def evaluate_retrieval(params: GnnParams, records, similarity: str = "cosine") -> RetrievalMetrics:
     """Retrieval metrics of ``records``; a set with no query (no records, or
     every class a singleton) is a ``DataError``."""
     labels = _labels(records)
     if np.unique(labels, return_counts=True)[1].max() < 2:
         raise DataError("no usable retrieval queries (all classes singletons)")
     feats = features_for_records(records, params.cfg)
-    embs, _ = _eval_outputs(params, feats, batch_size)
+    embs, _ = _eval_outputs(params, feats, EVAL_CHUNK)
     return retrieval_metrics(_finite(embs, records, "graph vector"), labels, similarity)
 
 

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -300,16 +302,21 @@ class TestTrainEvalRetrieve:
         doc = json.loads(out)
         assert doc["task"] == "train" and doc["config_hash"]
         assert len(log.read_text().strip().splitlines()) <= 12
+        config_hash = doc["config_hash"]
 
         code, out, _ = run(capsys, "eval", "--checkpoint", ckpt, "--data", corpus, "--json")
         assert code == 0
-        assert 0.0 <= json.loads(out)["metrics"]["accuracy"] <= 1.0
+        doc = json.loads(out)
+        assert 0.0 <= doc["metrics"]["accuracy"] <= 1.0
+        assert doc["config_hash"] == config_hash
 
         code, out, _ = run(
             capsys, "retrieve", "--checkpoint", ckpt, "--data", corpus, "--json"
         )
         assert code == 0
-        assert 0.0 <= json.loads(out)["metrics"]["map"] <= 1.0
+        doc = json.loads(out)
+        assert 0.0 <= doc["metrics"]["map"] <= 1.0
+        assert doc["config_hash"] == config_hash
 
     def test_train_reports_the_first_best_epoch_of_its_log(self, tmp_path, capsys):
         corpus = tmp_path / "data.jsonl"
@@ -366,7 +373,7 @@ class TestTrainEvalRetrieve:
             (5, "train config must be a JSON object"),
             ({"batch_size": 0}, "train config: batch_size must be >= 2, got 0"),
             ({"batch_size": 1}, "train config: batch_size must be >= 2, got 1"),
-            ({"n_classes": -1}, "train config: n_classes must be >= 0, got -1"),
+            ({"n_classes": -1}, "unknown config keys: ['n_classes']"),
             ({"lr": float("nan")}, "train config: lr must be finite and > 0, got nan"),
             ([1, 2], "train config must be a JSON object"),
             ({"seed": -1}, "train config: seed must be >= 0, got -1"),
@@ -386,6 +393,41 @@ class TestTrainEvalRetrieve:
         assert code == 2
         assert err.strip() == f"data error: {message}"
         assert not ckpt.exists()
+
+    def test_n_classes_below_the_labels_is_data_error(self, tmp_path, capsys):
+        # The class count is max(label) + 1, so a config may not set it.
+        corpus = tmp_path / "data.jsonl"
+        save_records(synthetic_dataset(24, seed=0), corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(corpus), "hidden_dim": 8, "max_epochs": 2,
+                                      "n_classes": 2}))
+        ckpt = tmp_path / "model.ckpt"
+        code, _, err = run(capsys, "train", "--config", config, "--out", ckpt)
+        assert code == 2
+        assert err.strip() == "data error: unknown config keys: ['n_classes']"
+        assert not ckpt.exists()
+
+    def test_huge_label_is_data_error_at_once(self, tmp_path, capsys):
+        records = synthetic_dataset(24, seed=0)
+        records[0] = PolyhedronRecord(records[0].polyhedron, 10**12, records[0].source_id)
+        corpus = tmp_path / "data.jsonl"
+        save_records(records, corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(corpus), "hidden_dim": 8, "max_epochs": 2}))
+        started = time.perf_counter()
+        code, _, err = run(capsys, "train", "--config", config, "--out", tmp_path / "m.ckpt")
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert re.fullmatch(r"data error: classes \[3, 4, 5, 6, 7\] and \d+ more have no "
+                            r"training samples", err.strip())
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_label_beyond_int64_is_data_error(self, tmp_path, capsys, tiny_checkpoint, command):
+        corpus = tmp_path / "data.jsonl"
+        save_records([PolyhedronRecord(make_box(), c, str(c)) for c in (0, 1, 1, 2**63)], corpus)
+        code, out, err = run(capsys, command, "--checkpoint", tiny_checkpoint, "--data", corpus)
+        assert code == 2 and not out
+        assert err.strip() == f"data error: {corpus}:4: label: expected at most 2**63 - 1 (int64)"
 
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -503,10 +545,13 @@ class TestDatasetAndMerge:
             ('[{"label": 0}]', "polys.json: [0].points: missing"),
             ('[{"points": [[0, 0], [1, 0], [0, 1]], "label": -1}]',
              "polys.json: [0].label: expected a nonnegative integer"),
+            ('[{"points": [[0, 0], [1, 0], [0, 1]], "label": 9223372036854775808}]',
+             "polys.json: [0].label: expected at most 2**63 - 1 (int64)"),
             ('[{"points": [[0, 0], [1, 0], [0, 1]], "label": 0}, {"points": [[0, 0], [1]]}]',
              "polys.json: [1].points[1]: expected [x, y] numbers"),
         ],
-        ids=["not json", "not a list", "no points", "bad label", "bad points"],
+        ids=["not json", "not a list", "no points", "bad label", "label beyond int64",
+             "bad points"],
     )
     def test_bad_polygons_file_is_data_error(self, tmp_path, capsys, text, message):
         polys = tmp_path / "polys.json"

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyrep import (
     ColorScheme,
@@ -18,6 +18,7 @@ from polyrep import (
 )
 from polyrep.datasets import (
     PolyhedronRecord,
+    _orient_convex,
     build_extrusion_dataset,
     color_coded_cube_dataset,
     decode_record,
@@ -184,10 +185,12 @@ class TestJsonCodec:
             ({"path": "cube.json", "label": -3}, "label"),
             ({"path": "cube.json", "label": True}, "label"),
             ({"path": "cube.json", "label": 1.7}, "label"),
+            ({"path": "cube.json", "label": 2**63}, "label"),
             ({"path": 5}, "path"),
             ({"path": "cube.json", "id": 7}, "id"),
         ],
-        ids=["label-text", "label-negative", "label-bool", "label-float", "path-number", "id-number"],
+        ids=["label-text", "label-negative", "label-bool", "label-float", "label-beyond-int64",
+             "path-number", "id-number"],
     )
     def test_manifest_row_fields_follow_record_rules(self, tmp_path, cube, row, field):
         (tmp_path / "cube.json").write_text(encode_record(PolyhedronRecord(cube, 0, "cube")))
@@ -205,6 +208,37 @@ class TestJsonCodec:
         message = f"{path}:3: vertices[0]: expected [x, y, z] numbers"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_records(path)
+
+    def test_manifest_target_error_names_line_and_file(self, tmp_path, cube):
+        bad = json.loads(encode_record(PolyhedronRecord(cube, 0)))
+        bad["faces"][0]["loop"][0] = "x"
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(bad))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(encode_record(PolyhedronRecord(cube, 0)) + "\n"
+                            + json.dumps({"path": "bad.json"}) + "\n")
+        message = f"{manifest}:2: {target}: faces[0].loop: expected integer indices"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_records(manifest)
+
+    @settings(max_examples=100)
+    @given(
+        st.one_of(
+            st.integers().map(str),
+            st.integers(2**63 - 3, 2**63 + 3).map(str),
+            st.floats().map(json.dumps),
+            st.sampled_from(["true", "null", '"3"', "[1]", "-0", "1" + "0" * 5000]),
+        )
+    )
+    def test_json_label_is_int64_or_data_error(self, token):
+        text = encode_record(PolyhedronRecord(make_box(), 0)).replace(
+            '"label":0,', f'"label":{token},'
+        )
+        try:
+            label = decode_record(text).label
+        except DataError:
+            return
+        assert type(label) is int and np.int64(label) == label >= 0
 
     @pytest.mark.parametrize(
         "second, fourth, raised",
@@ -677,6 +711,26 @@ class TestBuilders:
             [(bowtie, 0), (square, 1)], 1.0, ColorScheme.empty(), False, seed=0
         )
         assert len(records) == 1 and records[0].label == 1
+
+    def test_orient_convex_matches_the_per_face_loop(self):
+        # The per-face loop that the row-wise form replaced is the reference.
+        def per_face(vertices, faces):
+            centroid = vertices.mean(axis=0)
+            out = []
+            for loop in faces:
+                pts = vertices[list(loop)]
+                n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+                out.append(loop[::-1] if n @ (pts.mean(axis=0) - centroid) < 0 else loop)
+            return out
+
+        rng = np.random.default_rng(0)
+        for sides in [3, 4, 5, 8, 15] * 40:
+            ring = np.exp(2j * np.pi * np.arange(sides) / sides) * rng.uniform(0.7, 1.3, sides)
+            vertices = np.vstack([np.column_stack([ring.real, ring.imag, np.zeros(sides)]),
+                                  [*rng.uniform(-0.1, 0.1, 2), rng.uniform(0.9, 1.5)]])
+            faces = [tuple(range(sides))] + [(i, (i + 1) % sides, sides) for i in range(sides)]
+            faces = [f[::-1] if rng.random() < 0.5 else f for f in faces]
+            assert _orient_convex(vertices, faces) == per_face(vertices, faces)
 
     def test_attribute_free_records(self):
         square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)

@@ -51,15 +51,15 @@ def refusal_codes(p):
 class TestBuild:
     def test_cube_counts(self, cube):
         g = build_surface_graph(cube)
-        assert (g.n_nodes, g.n_edges, g.n_faces) == (8, 24, 6)
+        assert (g.n_nodes, len(g.edge_tail), g.n_faces) == (8, 24, 6)
 
     def test_tetrahedron_counts(self, tetrahedron):
         g = build_surface_graph(tetrahedron)
-        assert (g.n_nodes, g.n_edges, g.n_faces) == (4, 12, 4)
+        assert (g.n_nodes, len(g.edge_tail), g.n_faces) == (4, 12, 4)
 
     def test_prism_counts(self, triangular_prism):
         g = build_surface_graph(triangular_prism)
-        assert (g.n_nodes, g.n_edges, g.n_faces) == (6, 18, 5)
+        assert (g.n_nodes, len(g.edge_tail), g.n_faces) == (6, 18, 5)
 
     def test_invalid_polyhedron_refused_with_report(self, cube):
         faces = list(cube.faces)
@@ -119,7 +119,7 @@ class TestInvariants:
     def test_opposite_is_involution_across_faces(self):
         for solid in solid_corpus(6, seed=3):
             g = build_surface_graph(solid)
-            for e in range(g.n_edges):
+            for e in range(len(g.edge_tail)):
                 o = g.opposite[e]
                 assert g.opposite[o] == e
                 assert g.edge_face[o] != g.edge_face[e]
@@ -129,14 +129,14 @@ class TestInvariants:
     def test_edge_count_even_and_degree_balance(self):
         for solid in solid_corpus(6, seed=4):
             g = build_surface_graph(solid)
-            assert g.n_edges % 2 == 0
+            assert len(g.edge_tail) % 2 == 0
             out_deg = np.bincount(g.edge_tail, minlength=g.n_nodes)
             in_deg = np.bincount(g.edge_head, minlength=g.n_nodes)
             assert np.array_equal(out_deg, in_deg)
             for v in range(g.n_nodes):
                 incident_faces = {
                     int(g.edge_face[e])
-                    for e in range(g.n_edges)
+                    for e in range(len(g.edge_tail))
                     if g.edge_tail[e] == v
                 }
                 assert out_deg[v] == len(incident_faces)
@@ -215,7 +215,7 @@ class TestQueries:
         # Pick the cap edge 4->5 (front face at z=top); its opposite must be
         # the side face's 5->4.
         e = next(
-            e for e in range(g.n_edges)
+            e for e in range(len(g.edge_tail))
             if g.edge_tail[e] == 4 and g.edge_head[e] == 5
         )
         o = g.opposite[e]

@@ -16,6 +16,11 @@ from polyrep.training import (
 from conftest import overflowing_solid
 
 
+def _relabel(record, labels):
+    return PolyhedronRecord(record.polyhedron, labels.get(record.label, record.label),
+                            record.source_id)
+
+
 def quick_config(**overrides):
     base = dict(hidden_dim=32, layers=2, attr_dim=0, seed=3, max_epochs=40, batch_size=16)
     base.update(overrides)
@@ -65,11 +70,24 @@ class TestTrainLoop:
             assert np.abs(a - b).max() < 1e-250
 
     def test_missing_class_in_train_split(self):
-        records = synthetic_dataset(40, seed=5)
-        # Claim one more class than the data holds.
-        cfg = quick_config(n_classes=4, max_epochs=2)
-        with pytest.raises(DataError, match="no training samples"):
+        # The class count is max(label) + 1; no record holds class 2.
+        records = [_relabel(r, {2: 3}) for r in synthetic_dataset(40, seed=5)]
+        cfg = quick_config(max_epochs=2)
+        with pytest.raises(DataError, match=r"^classes \[2\] have no training samples$"):
             train(cfg, records)
+
+    @pytest.mark.parametrize(
+        "top, message",
+        [(9, r"classes \[2, 3, 4, 5, 6\] and 2 more"),
+         (10**12, rf"classes \[2, 3, 4, 5, 6\] and {10**12 - 7} more")],
+        ids=["nine", "huge"],
+    )
+    def test_at_most_five_missing_classes_are_named(self, top, message):
+        # Found from the distinct training labels: a label of 10**12 is no
+        # walk over 10**12 classes.
+        records = [_relabel(r, {2: top}) for r in synthetic_dataset(40, seed=5)]
+        with pytest.raises(DataError, match=f"^{message} have no training samples$"):
+            train(quick_config(max_epochs=2), records)
 
     def test_splits_are_disjoint(self, tiny_run):
         result, records = tiny_run
@@ -219,7 +237,6 @@ class TestConfig:
             ("lr", float("nan"), "finite and > 0"),
             ("lr", float("inf"), "finite and > 0"),
             ("batch_size", 1, ">= 2"),
-            ("n_classes", -1, ">= 0"),
             ("max_epochs", -1, ">= 0"),
             ("early_stop_patience", -1, ">= 0"),
             ("scheduler_patience", -2, ">= 0"),
